@@ -19,8 +19,10 @@ quiet periods (:mod:`repro.core.fastpolicy`).  Expectations:
 """
 
 from repro.core.config import MDCCConfig
-from repro.bench.harness import run_micro
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
+from repro.workloads import MicroBenchmark
 
 _CACHE = {}
 
@@ -35,14 +37,12 @@ def adaptive_results():
         for scenario, extra in SCENARIOS.items():
             for policy in ("static", "adaptive"):
                 config = MDCCConfig(gamma_policy=policy)
-                _CACHE[(scenario, policy)] = run_micro(
-                    "mdcc",
+                _CACHE[(scenario, policy)] = run(
+                    build_cluster("mdcc", seed=44, partitions_per_table=2, config=config),
+                    MicroBenchmark(min_stock=500, max_stock=1_000, **extra),
                     num_clients=30,
                     warmup_ms=5_000,
                     measure_ms=30_000,
-                    seed=44,
-                    config=config,
-                    **extra,
                 )
     return _CACHE
 

@@ -15,8 +15,10 @@ messages.  This ablation measures that trade on the micro-benchmark:
 """
 
 from repro.core.config import MDCCConfig
-from repro.bench.harness import run_micro
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
+from repro.workloads import MicroBenchmark
 
 _CACHE = {}
 
@@ -27,14 +29,12 @@ def batching_results():
     if not _CACHE:
         for window in WINDOWS_MS:
             config = MDCCConfig(visibility_batch_ms=window)
-            _CACHE[window] = run_micro(
-                "mdcc",
+            _CACHE[window] = run(
+                build_cluster("mdcc", seed=66, partitions_per_table=2, config=config),
+                MicroBenchmark(num_items=1_000, min_stock=500, max_stock=1_000),
                 num_clients=25,
-                num_items=1_000,
                 warmup_ms=5_000,
                 measure_ms=20_000,
-                seed=66,
-                config=config,
             )
     return _CACHE
 

@@ -12,8 +12,10 @@ hot records in (stable, slower) master-routed mode longer than needed.
 """
 
 from repro.core.config import MDCCConfig, ProtocolVariant
-from repro.bench.harness import run_micro
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
+from repro.workloads import MicroBenchmark
 
 GAMMAS = (1, 10, 100, 1_000)
 _CACHE = {}
@@ -23,17 +25,13 @@ def gamma_results():
     if not _CACHE:
         for gamma in GAMMAS:
             config = MDCCConfig(variant=ProtocolVariant.FAST, gamma=gamma)
-            _CACHE[gamma] = run_micro(
-                "fast",
+            _CACHE[gamma] = run(
+                build_cluster("fast", seed=21, partitions_per_table=2, config=config),
+                # 200 items: hot, plenty of write-write conflicts
+                MicroBenchmark(num_items=200, min_stock=2_000, max_stock=4_000),
                 num_clients=30,
-                num_items=200,  # hot: plenty of write-write conflicts
                 warmup_ms=5_000,
                 measure_ms=30_000,
-                seed=21,
-                min_stock=2_000,
-                max_stock=4_000,
-                config=config,
-                audit=True,
             )
     return _CACHE
 

@@ -23,7 +23,7 @@ the committed artifact.
 
 import pytest
 
-from repro.bench.harness import run_scenario
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import format_table, save_results
 from repro.faults import named_schedule
 from repro.protocols.base import get_protocol
@@ -38,8 +38,6 @@ CELLS = [
     for schedule in get_protocol(variant).chaos_schedules
 ]
 SEED = 7
-WARMUP_MS = 5_000.0
-MEASURE_MS = 60_000.0
 
 _CACHE = {}
 _ROWS = []
@@ -48,19 +46,17 @@ _ROWS = []
 def chaos_cell(variant: str, schedule_name: str):
     key = (variant, schedule_name)
     if key not in _CACHE:
-        schedule = named_schedule(
-            schedule_name, start_ms=WARMUP_MS, duration_ms=MEASURE_MS
+        spec = ScenarioSpec(
+            cluster=ClusterSpec(protocol=variant, seed=SEED),
+            workload=None,  # the schedule's hint (as is the master policy)
+            clients=20,
+            items=300,
+            warmup_s=5.0,
+            measure_s=60.0,
+            phase_s=15.0,
+            schedule=schedule_name,
         )
-        _CACHE[key] = (
-            schedule,
-            run_scenario(
-                schedule,
-                variant=variant,
-                seed=SEED,
-                warmup_ms=WARMUP_MS,
-                measure_ms=MEASURE_MS,
-            ),
-        )
+        _CACHE[key] = (named_schedule(schedule_name), run_scenario(spec))
     return _CACHE[key]
 
 

@@ -26,14 +26,12 @@ Asserted per MDCC variant:
 
 import pytest
 
-from repro.bench.harness import run_scenario
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import format_table, save_results
 from repro.faults import named_schedule
 
 VARIANTS = ("mdcc", "fast", "multi")
 SEED = 11
-WARMUP_MS = 5_000.0
-MEASURE_MS = 60_000.0
 DATACENTERS = ("us-west", "us-east", "eu-west")
 VICTIM = "us-east"
 REPLACEMENT = "us-east-2"
@@ -45,27 +43,18 @@ _ROWS = []
 
 def replace_cell(variant: str):
     if variant not in _CACHE:
-        schedule = named_schedule(
-            "dc-replace",
-            start_ms=WARMUP_MS,
-            duration_ms=MEASURE_MS,
+        spec = ScenarioSpec(
+            cluster=ClusterSpec(protocol=variant, datacenters=DATACENTERS, seed=SEED),
+            clients=12,
+            items=150,
+            warmup_s=5.0,
+            measure_s=60.0,
+            schedule="dc-replace",
             victim=VICTIM,
             replacement=REPLACEMENT,
             donor=DONOR,
         )
-        _CACHE[variant] = (
-            schedule,
-            run_scenario(
-                schedule,
-                variant=variant,
-                seed=SEED,
-                num_clients=12,
-                num_items=150,
-                warmup_ms=WARMUP_MS,
-                measure_ms=MEASURE_MS,
-                datacenters=DATACENTERS,
-            ),
-        )
+        _CACHE[variant] = (named_schedule("dc-replace"), run_scenario(spec))
     return _CACHE[variant]
 
 

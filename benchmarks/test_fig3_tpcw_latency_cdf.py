@@ -16,7 +16,7 @@ The headline claims this reproduces:
 Scaled-down run: 50 clients, 2,000 items, 60 simulated seconds.
 """
 
-from repro.bench.harness import run_tpcw
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import cdf_table, format_table, save_results, shape_check
 
 PROTOCOLS = ("qw3", "qw4", "mdcc", "repcommit", "2pc", "megastore")
@@ -26,14 +26,16 @@ _CACHE = {}
 def fig3_results():
     if not _CACHE:
         for protocol in PROTOCOLS:
-            _CACHE[protocol] = run_tpcw(
-                protocol,
-                num_clients=50,
-                num_items=2_000,
-                warmup_ms=10_000,
-                measure_ms=60_000,
-                seed=3,
-                audit=protocol not in ("qw3", "qw4"),  # QW loses updates by design
+            _CACHE[protocol] = run_scenario(
+                ScenarioSpec(
+                    cluster=ClusterSpec(protocol=protocol, seed=3),
+                    workload="tpcw",
+                    clients=50,
+                    items=2_000,
+                    warmup_s=10.0,
+                    measure_s=60.0,
+                    audit=protocol not in ("qw3", "qw4"),  # QW loses updates by design
+                )
             )
     return _CACHE
 

@@ -10,11 +10,12 @@ Scaled-down scales: (12, 480 items), (25, 1,000), (50, 2,000) — same
 clients-per-item ratio, 30 simulated seconds measured per point.
 """
 
-from repro.bench.harness import run_tpcw
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import format_table, save_results
 
 SCALES = ((12, 480), (25, 1_000), (50, 2_000))
 PROTOCOLS = ("qw4", "mdcc", "repcommit", "2pc", "megastore")
+WINDOW = dict(warmup_s=10.0, measure_s=30.0, audit=False)
 _CACHE = {}
 
 
@@ -22,14 +23,14 @@ def fig4_results():
     if not _CACHE:
         for protocol in PROTOCOLS:
             for clients, items in SCALES:
-                _CACHE[(protocol, clients)] = run_tpcw(
-                    protocol,
-                    num_clients=clients,
-                    num_items=items,
-                    warmup_ms=10_000,
-                    measure_ms=30_000,
-                    seed=4,
-                    audit=False,
+                _CACHE[(protocol, clients)] = run_scenario(
+                    ScenarioSpec(
+                        cluster=ClusterSpec(protocol=protocol, seed=4),
+                        workload="tpcw",
+                        clients=clients,
+                        items=items,
+                        **WINDOW,
+                    )
                 )
     return _CACHE
 

@@ -12,7 +12,7 @@ five data centers.
 Scaled-down run: 40 clients, 2,000 items, 45 simulated seconds.
 """
 
-from repro.bench.harness import run_micro
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import cdf_table, format_table, save_results, shape_check
 
 CONFIGS = ("mdcc", "fast", "multi", "2pc")
@@ -22,13 +22,14 @@ _CACHE = {}
 def fig5_results():
     if not _CACHE:
         for protocol in CONFIGS:
-            _CACHE[protocol] = run_micro(
-                protocol,
-                num_clients=40,
-                num_items=2_000,
-                warmup_ms=10_000,
-                measure_ms=45_000,
-                seed=5,
+            _CACHE[protocol] = run_scenario(
+                ScenarioSpec(
+                    cluster=ClusterSpec(protocol=protocol, seed=5),
+                    clients=40,
+                    items=2_000,
+                    warmup_s=10.0,
+                    measure_s=45.0,
+                )
             )
     return _CACHE
 

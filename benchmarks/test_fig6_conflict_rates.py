@@ -23,8 +23,10 @@ this the most event-heavy experiment in the suite; the window is kept
 short accordingly.)
 """
 
-from repro.bench.harness import run_micro
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
+from repro.workloads import MicroBenchmark
 
 HOTSPOTS = (0.02, 0.05, 0.10, 0.20, 0.50, 0.90)
 CONFIGS = ("2pc", "multi", "fast", "mdcc")
@@ -35,16 +37,17 @@ def fig6_results():
     if not _CACHE:
         for protocol in CONFIGS:
             for hotspot in HOTSPOTS:
-                _CACHE[(protocol, hotspot)] = run_micro(
-                    protocol,
+                _CACHE[(protocol, hotspot)] = run(
+                    build_cluster(protocol, seed=6, partitions_per_table=2),
+                    MicroBenchmark(
+                        num_items=1_000,
+                        min_stock=150,  # a stock range no spec can say
+                        max_stock=300,
+                        hotspot_fraction=hotspot,
+                    ),
                     num_clients=30,
-                    num_items=1_000,
                     warmup_ms=3_000,
                     measure_ms=12_000,
-                    seed=6,
-                    min_stock=150,
-                    max_stock=300,
-                    hotspot_fraction=hotspot,
                     audit=False,
                 )
     return _CACHE

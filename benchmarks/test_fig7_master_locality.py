@@ -21,11 +21,12 @@ replays the identical latency distribution.  That is the paper's "MDCC
 still maintains the same profile" taken to its deterministic limit.
 """
 
-from repro.bench.harness import run_micro
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import format_table, save_results
 
 LOCALITIES = (1.0, 0.8, 0.6, 0.4, 0.2)
 CONFIGS = ("multi", "mdcc")
+SCALE = dict(clients=30, items=2_000, warmup_s=5.0, measure_s=25.0, audit=False)
 _CACHE = {}
 
 
@@ -33,17 +34,12 @@ def fig7_results():
     if not _CACHE:
         for protocol in CONFIGS:
             for locality in LOCALITIES:
-                _CACHE[(protocol, locality)] = run_micro(
-                    protocol,
-                    num_clients=30,
-                    num_items=2_000,
-                    warmup_ms=5_000,
-                    measure_ms=25_000,
-                    seed=7,
-                    min_stock=500,
-                    max_stock=1_000,
-                    locality=locality,
-                    audit=False,
+                _CACHE[(protocol, locality)] = run_scenario(
+                    ScenarioSpec(
+                        cluster=ClusterSpec(protocol=protocol, seed=7),
+                        locality=locality,
+                        **SCALE,
+                    )
                 )
     return _CACHE
 

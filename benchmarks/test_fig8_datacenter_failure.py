@@ -12,17 +12,19 @@ the same ~40ms shift the paper measured.
 
 Scaled-down run: 40 US-West clients, failure at t=60s of a 120s window.
 
-This benchmark is a thin wrapper over the chaos scenario engine
-(:func:`repro.bench.harness.run_scenario`): the figure's fault is a
-one-event :class:`~repro.faults.schedule.FaultSchedule`, so the figure and
+This benchmark hands a hand-built schedule to the one run driver
+(:func:`repro.bench.driver.run`): the figure's fault is a one-event
+:class:`~repro.faults.schedule.FaultSchedule`, so the figure and
 ``benchmarks/test_chaos_scenarios.py`` exercise the exact same machinery
 and cannot drift apart.  Unlike the chaos suite's ``dc-outage`` schedule,
 the paper's scenario never recovers the data center.
 """
 
-from repro.bench.harness import run_scenario
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
 from repro.faults import FaultSchedule
+from repro.workloads import MicroBenchmark
 
 FAIL_AT_MS = 60_000.0
 _CACHE = {}
@@ -37,17 +39,13 @@ def fig8_schedule() -> FaultSchedule:
 
 def fig8_result():
     if not _CACHE:
-        _CACHE["run"] = run_scenario(
+        _CACHE["run"] = run(
+            build_cluster("mdcc", seed=8, partitions_per_table=2),
+            MicroBenchmark(num_items=2_000, min_stock=500, max_stock=1_000),
             fig8_schedule(),
-            workload="micro",
-            variant="mdcc",
             num_clients=40,
-            num_items=2_000,
             warmup_ms=5_000,
             measure_ms=120_000,
-            seed=8,
-            min_stock=500,
-            max_stock=1_000,
             client_dcs=["us-west"],
             audit=False,
         )
@@ -92,7 +90,7 @@ def test_fig8_datacenter_failure(benchmark):
     assert 1.05 * before < after < 2.0 * before
     assert result.commits > 0
     # The scenario engine saw the same fault the figure plots (the trailing
-    # dc-recovered is run_scenario's post-run heal, outside the window).
+    # dc-recovered is the driver's post-run heal, outside the window).
     in_window = [
         e["event"]
         for e in result.chaos_events

@@ -12,12 +12,13 @@ reproduction asserts the *ratios* between protocols, which are properties
 of the protocols' round-trip structure, and prints both for comparison.
 """
 
-from repro.bench.harness import run_micro, run_tpcw
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.reporting import format_table, save_results
 
 PAPER_TPCW = {"qw3": 188.0, "qw4": 260.0, "mdcc": 278.0, "2pc": 668.0, "megastore": 17_810.0}
 PAPER_MICRO = {"mdcc": 245.0, "fast": 276.0, "multi": 388.0, "2pc": 543.0}
 
+SCALE = dict(clients=30, items=1_600, warmup_s=10.0, measure_s=30.0, audit=False)
 _CACHE = {}
 
 
@@ -25,25 +26,17 @@ def median_results():
     if not _CACHE:
         tpcw = {}
         for protocol in PAPER_TPCW:
-            tpcw[protocol] = run_tpcw(
-                protocol,
-                num_clients=30,
-                num_items=1_600,
-                warmup_ms=10_000,
-                measure_ms=30_000,
-                seed=11,
-                audit=False,
+            tpcw[protocol] = run_scenario(
+                ScenarioSpec(
+                    cluster=ClusterSpec(protocol=protocol, seed=11),
+                    workload="tpcw",
+                    **SCALE,
+                )
             ).median_ms
         micro = {}
         for protocol in PAPER_MICRO:
-            micro[protocol] = run_micro(
-                protocol,
-                num_clients=30,
-                num_items=1_600,
-                warmup_ms=10_000,
-                measure_ms=30_000,
-                seed=12,
-                audit=False,
+            micro[protocol] = run_scenario(
+                ScenarioSpec(cluster=ClusterSpec(protocol=protocol, seed=12), **SCALE)
             ).median_ms
         _CACHE["tpcw"] = tpcw
         _CACHE["micro"] = micro

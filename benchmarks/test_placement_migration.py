@@ -22,8 +22,10 @@ Expected shape (deterministic under the fixed seed):
   no constraint violations, replicas converge).
 """
 
-from repro.bench.harness import run_geoshift
+from repro.bench import run
 from repro.bench.reporting import format_table, save_results
+from repro.db.cluster import build_cluster
+from repro.workloads import GeoShiftBenchmark
 from repro.placement.policy import MigrationPolicy
 
 PROTOCOL = "multi"  # every commit routes through the master: locality shows
@@ -47,17 +49,19 @@ _CACHE = {}
 def placement_results():
     if not _CACHE:
         for master_policy in ("hash", "adaptive"):
-            _CACHE[master_policy] = run_geoshift(
-                PROTOCOL,
+            _CACHE[master_policy] = run(
+                build_cluster(
+                    PROTOCOL,
+                    seed=SEED,
+                    partitions_per_table=2,
+                    master_policy=master_policy,
+                    migration_policy=POLICY if master_policy == "adaptive" else None,
+                    tracker_halflife_ms=5_000.0,
+                ),
+                GeoShiftBenchmark(num_items=NUM_ITEMS, phase_ms=PHASE_MS),
                 num_clients=NUM_CLIENTS,
-                num_items=NUM_ITEMS,
                 warmup_ms=WARMUP_MS,
                 measure_ms=MEASURE_MS,
-                seed=SEED,
-                phase_ms=PHASE_MS,
-                master_policy=master_policy,
-                migration_policy=POLICY if master_policy == "adaptive" else None,
-                tracker_halflife_ms=5_000.0,
             )
     return _CACHE
 

@@ -18,8 +18,9 @@ Run it:
 """
 
 from repro import Constraint, TableSchema, build_cluster
-from repro.bench.harness import run_micro
+from repro.bench import run
 from repro.db.checkers import check_replica_convergence
+from repro.workloads import MicroBenchmark
 
 FAIL_AT_MS = 60_000.0
 MEASURE_MS = 120_000.0
@@ -27,13 +28,12 @@ BUCKET_MS = 10_000.0
 
 
 def main() -> None:
-    result = run_micro(
-        "mdcc",
+    result = run(
+        build_cluster("mdcc", seed=8, partitions_per_table=2),
+        MicroBenchmark(num_items=2_000, min_stock=500, max_stock=1_000),
         num_clients=30,
-        num_items=2_000,
         warmup_ms=5_000,
         measure_ms=MEASURE_MS,
-        seed=8,
         client_dcs=["us-west"],  # all clients in one DC, like the paper
         fail_dc_at=("us-east", 5_000 + FAIL_AT_MS),
     )

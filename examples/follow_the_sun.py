@@ -18,8 +18,10 @@ Run it:
     python examples/follow_the_sun.py
 """
 
-from repro.bench.harness import run_geoshift
+from repro import build_cluster
+from repro.bench import run
 from repro.placement.policy import MigrationPolicy
+from repro.workloads import GeoShiftBenchmark
 
 
 def main() -> None:
@@ -31,17 +33,19 @@ def main() -> None:
     )
     results = {}
     for master_policy in ("hash", "adaptive"):
-        results[master_policy] = run_geoshift(
-            "multi",
+        results[master_policy] = run(
+            build_cluster(
+                "multi",
+                seed=17,
+                partitions_per_table=2,
+                master_policy=master_policy,
+                migration_policy=policy if master_policy == "adaptive" else None,
+                tracker_halflife_ms=4_000.0,
+            ),
+            GeoShiftBenchmark(num_items=100, phase_ms=15_000.0),
             num_clients=20,
-            num_items=100,
             warmup_ms=3_000.0,
             measure_ms=42_000.0,
-            phase_ms=15_000.0,
-            seed=17,
-            master_policy=master_policy,
-            migration_policy=policy if master_policy == "adaptive" else None,
-            tracker_halflife_ms=4_000.0,
         )
 
     print(f"{'placement':>10} {'median':>8} {'p90':>8} {'commits':>8} "

@@ -18,7 +18,7 @@ Run it (about a minute of host time):
     python examples/tpcw_storefront.py
 """
 
-from repro.bench.harness import run_tpcw
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 
 PROTOCOLS = ("mdcc", "2pc", "qw4")
 
@@ -26,13 +26,15 @@ PROTOCOLS = ("mdcc", "2pc", "qw4")
 def main() -> None:
     results = {}
     for protocol in PROTOCOLS:
-        results[protocol] = run_tpcw(
-            protocol,
-            num_clients=25,
-            num_items=1_000,
-            warmup_ms=5_000,
-            measure_ms=30_000,
-            seed=11,
+        results[protocol] = run_scenario(
+            ScenarioSpec(
+                cluster=ClusterSpec(protocol=protocol, seed=11),
+                workload="tpcw",
+                clients=25,
+                items=1_000,
+                warmup_s=5.0,
+                measure_s=30.0,
+            )
         )
 
     print("=== write-transaction response times (simulated ms) ===")

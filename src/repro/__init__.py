@@ -11,8 +11,9 @@ The package implements the full MDCC stack from scratch:
 * :mod:`repro.protocols` — the paper's baselines: 2PC, quorum writes
   (QW-3/QW-4) and Megastore*.
 * :mod:`repro.db` — cluster assembly and the stateless DB library clients.
-* :mod:`repro.workloads` — TPC-W and the micro-benchmark.
-* :mod:`repro.bench` — the experiment harness regenerating every figure.
+* :mod:`repro.workloads` — TPC-W, the micro-benchmark and geoshift.
+* :mod:`repro.bench` — the one run driver, reporting and `repro bench`.
+* :mod:`repro.api` — typed specs: the canonical way to describe a run.
 """
 
 __version__ = "1.0.0"

@@ -4,7 +4,7 @@ Both PR 3 post-merge bugs were hash-salted set iteration reordering
 draws from the shared RNG — a class that is statically detectable.
 These rules run over everything that feeds the deterministic simulated
 trajectory; only the wall-clock TCP runtime (``transport/tcp.py``,
-``transport/runner.py``) and the wall-clock half of the bench harness
+``transport/runner.py``) and the wall-clock half of ``repro bench``
 are exempt.
 """
 

@@ -1,15 +1,18 @@
 """Typed scenario specs: the canonical programmatic entry point.
 
-Every way of running an experiment — the five CLI subcommands, the
-benchmark harness, a user script — describes *what to run* with two
-frozen dataclasses and hands them to two functions:
+Every way of running an experiment — the CLI subcommands, the figure
+suite, a user script — describes *what to run* with two frozen
+dataclasses and hands them to two functions:
 
 * :class:`ClusterSpec` — the deployment: protocol, data centers,
   partitioning, master placement, seed and the MDCC tunables the CLI
   exposes.  :func:`build_cluster` turns one into a running cluster.
 * :class:`ScenarioSpec` — the experiment: a :class:`ClusterSpec` plus
   workload, scale, measurement window, workload knobs and (optionally)
-  a named fault schedule.  :func:`run_scenario` executes one.
+  a named fault schedule.  :func:`run_scenario` resolves one into the
+  three pieces of a run — a cluster, a workload object, an optional
+  :class:`~repro.faults.schedule.FaultSchedule` — and hands them to the
+  one run driver, :func:`repro.bench.driver.run`.
 
 Specs are frozen, validated on construction, and round-trip through
 JSON (:meth:`ScenarioSpec.to_json` / :meth:`ScenarioSpec.from_json`),
@@ -17,12 +20,16 @@ so an experiment is a reviewable artifact: commit the JSON, re-run it
 byte-identically with ``repro run --spec scenario.json``, and find the
 same block under ``"spec"`` in every JSON result envelope.
 
-These are the *only* programmatic entry points: the keyword shims that
-once accepted a protocol string or a bare
-:class:`~repro.faults.schedule.FaultSchedule` are gone.  Knobs with no
-spec field (``table_master_dc``, ``migration_policy``, ``rtt_matrix``,
-``jitter_sigma``, placement-manager cadences) live on
-:func:`repro.db.cluster.build_cluster` directly.
+An experiment a spec cannot say — a hand-built fault schedule, a custom
+:class:`~repro.core.config.MDCCConfig`, a stock range, a
+``migration_policy`` — composes the same three pieces directly: each
+knob lives in exactly one place.  Deployment knobs (``table_master_dc``,
+``migration_policy``, ``rtt_matrix``, ``jitter_sigma``, placement-manager
+cadences) are keywords of :func:`repro.db.cluster.build_cluster`; table
+size, stock range and access pattern are keywords of the workload
+constructors (:mod:`repro.workloads`); clients, windows, client
+placement, the single outage, audit and bucket are keywords of the
+driver.
 
 What a protocol can run — adaptive placement, elastic membership, the
 single-entity-group partition collapse, whether the γ/batching tunables
@@ -35,24 +42,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from repro.bench.harness import (
-    ExperimentResult,
-    ScenarioResult,
-    run_geoshift,
-    run_micro,
-    run_scenario as _harness_run_scenario,
-    run_tpcw,
-)
+from repro.bench.driver import RunResult, run
 from repro.core.config import MDCCConfig
 from repro.db.cluster import (
     Cluster,
     build_cluster as _build_cluster,
 )
-from repro.faults.schedule import NAMED_SCHEDULES, named_schedule
+from repro.faults.schedule import NAMED_SCHEDULES, FaultSchedule, named_schedule
 from repro.protocols.base import get_protocol, protocols_supporting
 from repro.sim.network import EC2_REGIONS
+from repro.workloads import get_workload
 
 __all__ = [
     "ClusterSpec",
@@ -61,7 +62,10 @@ __all__ = [
     "run_scenario",
 ]
 
-WORKLOADS = ("micro", "tpcw", "geoshift")
+#: The stock range every spec-described run populates its table with —
+#: high enough that no measurement window exhausts an item.  (The
+#: workload constructors default to the paper's 10-30.)
+SPEC_STOCK = {"min_stock": 500, "max_stock": 1_000}
 
 
 @dataclass(frozen=True)
@@ -147,19 +151,10 @@ class ClusterSpec:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "datacenters": (
-                None if self.datacenters is None else list(self.datacenters)
-            ),
-            "partitions_per_table": self.partitions_per_table,
-            "master_policy": self.master_policy,
-            "seed": self.seed,
-            "gamma_policy": self.gamma_policy,
-            "batch_ms": self.batch_ms,
-            "demarcation": self.demarcation,
-            "elastic": self.elastic,
-        }
+        data = {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
+        if self.datacenters is not None:
+            data["datacenters"] = list(self.datacenters)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ClusterSpec":
@@ -170,16 +165,17 @@ class ClusterSpec:
 class ScenarioSpec:
     """The experiment half: what to run on a :class:`ClusterSpec`.
 
-    Without ``schedule``, :func:`run_scenario` runs one fault-free
-    workload experiment and returns an
-    :class:`~repro.bench.harness.ExperimentResult` (``fail_dc`` injects
-    the Figure-8 single-outage exception).  With ``schedule`` — one of
-    :data:`repro.faults.schedule.NAMED_SCHEDULES` — it replays that
-    fault schedule and returns a
-    :class:`~repro.bench.harness.ScenarioResult` with the availability
-    timeline and post-heal invariant verdicts.  ``victim`` /
-    ``replacement`` / ``donor`` parameterize the ``dc-replace``
-    elastic-membership schedule only.
+    :func:`run_scenario` returns a
+    :class:`~repro.bench.driver.RunResult` either way.  Without
+    ``schedule`` it runs one fault-free workload experiment (``fail_dc``
+    injects the Figure-8 single-outage exception); with ``schedule`` —
+    one of :data:`repro.faults.schedule.NAMED_SCHEDULES` — it replays
+    that fault schedule and the result also carries the chaos event log,
+    recovery outcomes and post-heal probe verdicts.  ``workload=None``
+    defers to the schedule's hint.  The workload knobs (``hotspot``,
+    ``locality``, ``phase_s``) apply with or without a schedule.
+    ``victim`` / ``replacement`` / ``donor`` parameterize the
+    ``dc-replace`` elastic-membership schedule only.
     """
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
@@ -203,38 +199,27 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.workload is None and self.schedule is None:
             raise ValueError("workload is required without a fault schedule")
-        if self.workload is not None and self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"choose from {', '.join(WORKLOADS)}"
-            )
+        # (get_workload raises on unknown names)
+        knobs = () if self.workload is None else get_workload(self.workload).spec_knobs
         if self.clients < 1 or self.items < 1:
             raise ValueError("clients and items must be positive")
         if self.warmup_s < 0 or self.measure_s <= 0:
             raise ValueError("warmup_s must be >= 0 and measure_s > 0")
         if self.phase_s <= 0 or self.bucket_s <= 0:
             raise ValueError("phase_s and bucket_s must be positive")
-        if self.workload != "micro" and (
-            self.hotspot is not None or self.locality is not None
+        if (self.hotspot is not None and "hotspot_fraction" not in knobs) or (
+            self.locality is not None and "locality" not in knobs
         ):
             raise ValueError("hotspot/locality apply to the micro workload")
         if self.schedule is None:
-            if self.fail_dc is not None and self.workload != "micro":
-                raise ValueError("fail_dc applies to the micro workload")
             if self.fail_at_s is not None and self.fail_dc is None:
                 raise ValueError("fail_at_s needs fail_dc")
-            for name in ("victim", "replacement", "donor"):
-                if getattr(self, name) is not None:
-                    raise ValueError(
-                        f"{name} parameterizes the dc-replace schedule"
-                    )
-            return
-        if self.schedule not in NAMED_SCHEDULES:
+        elif self.schedule not in NAMED_SCHEDULES:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; "
                 f"choose from {', '.join(NAMED_SCHEDULES)}"
             )
-        if self.fail_dc is not None or self.fail_at_s is not None:
+        elif self.fail_dc is not None or self.fail_at_s is not None:
             raise ValueError("fault schedules inject their own failures")
         if self.schedule != "dc-replace":
             for name in ("victim", "replacement", "donor"):
@@ -313,126 +298,88 @@ def _checked_fields(cls: Any, data: Dict[str, object]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Canonical entry points
 # ----------------------------------------------------------------------
-def build_cluster(spec: ClusterSpec = ClusterSpec(), **unexpected: object) -> Cluster:
+def build_cluster(spec: ClusterSpec = ClusterSpec()) -> Cluster:
     """Build the deployment a :class:`ClusterSpec` describes.
 
     Knobs without spec fields (``table_master_dc``, ``migration_policy``,
     ``rtt_matrix``, ``jitter_sigma``, placement-manager cadences) live on
     :func:`repro.db.cluster.build_cluster` directly.
     """
-    if not isinstance(spec, ClusterSpec):
-        raise TypeError(
-            "build_cluster takes a repro.api.ClusterSpec; the legacy "
-            "protocol-string surface was removed "
-            "(use repro.db.cluster.build_cluster for raw keywords)"
-        )
-    if unexpected:
-        raise TypeError(
-            "a ClusterSpec is self-contained; unexpected keyword(s): "
-            + ", ".join(sorted(unexpected))
-        )
-    kwargs: Dict[str, Any] = dict(
+    return _deploy(spec)
+
+
+def _deploy(
+    spec: ClusterSpec, schedule: Optional[FaultSchedule] = None, **placement: Any
+) -> Cluster:
+    """``spec``'s cluster; a schedule's hints fill what the spec left open
+    (its master policy; elastic when it contains membership events)."""
+    return _build_cluster(
+        spec.protocol,
+        datacenters=spec.effective_datacenters,
         partitions_per_table=spec.effective_partitions,
-        master_policy=spec.master_policy or "hash",
+        master_policy=spec.master_policy
+        or (schedule.master_policy if schedule is not None else None)
+        or "hash",
         seed=spec.seed,
         config=spec.config(),
-        elastic=spec.elastic,
+        elastic=spec.elastic or (schedule is not None and schedule.needs_reconfig),
+        **placement,
     )
-    if spec.datacenters is not None:
-        kwargs["datacenters"] = spec.datacenters
-    return _build_cluster(spec.protocol, **kwargs)
 
 
-def run_scenario(
-    spec: ScenarioSpec, **unexpected: object
-) -> Union[ExperimentResult, ScenarioResult]:
-    """Run the experiment a :class:`ScenarioSpec` describes.
-
-    Returns an :class:`ExperimentResult` (no ``schedule``) or a
-    :class:`ScenarioResult` (named fault schedule).
-    """
-    if not isinstance(spec, ScenarioSpec):
-        raise TypeError(
-            "run_scenario takes a repro.api.ScenarioSpec; the legacy "
-            "FaultSchedule surface was removed "
-            "(use repro.bench.harness.run_scenario for raw keywords)"
-        )
-    if unexpected:
-        raise TypeError(
-            "a ScenarioSpec is self-contained; unexpected keyword(s): "
-            + ", ".join(sorted(unexpected))
-        )
+def run_scenario(spec: ScenarioSpec) -> RunResult:
+    """Run the experiment a :class:`ScenarioSpec` describes: resolve it
+    into (cluster, workload, schedule) and hand them to the one driver."""
+    schedule = None
     if spec.schedule is not None:
-        return _run_scheduled(spec)
-    return _run_experiment(spec)
-
-
-def _run_experiment(spec: ScenarioSpec) -> ExperimentResult:
-    cluster = spec.cluster
-    if cluster.datacenters is not None:
-        raise ValueError(
-            "custom data-center sets require a fault schedule scenario; "
-            "fault-free experiments run the paper's five-region deployment"
+        schedule = named_schedule(
+            spec.schedule,
+            start_ms=spec.warmup_s * 1_000.0,
+            duration_ms=spec.measure_s * 1_000.0,
+            **{
+                name: getattr(spec, name)
+                for name in ("victim", "replacement", "donor")
+                if getattr(spec, name) is not None
+            },
         )
-    if cluster.elastic:
-        raise ValueError("elastic clusters require a fault schedule scenario")
-    kwargs: Dict[str, Any] = dict(
-        num_clients=spec.clients,
+    workload_name = spec.workload
+    if workload_name is None:
+        assert schedule is not None  # __post_init__ requires one of the two
+        workload_name = schedule.workload
+    workload_cls = get_workload(workload_name)
+    knobs: Dict[str, Any] = {
+        "hotspot_fraction": spec.hotspot,
+        "locality": spec.locality,
+        "phase_ms": spec.phase_s * 1_000.0,
+    }
+    workload = workload_cls(
         num_items=spec.items,
-        warmup_ms=spec.warmup_s * 1_000.0,
-        measure_ms=spec.measure_s * 1_000.0,
-        seed=cluster.seed,
-        partitions_per_table=cluster.partitions_per_table,
-        audit=spec.audit,
-        config=cluster.config(),
-        master_policy=cluster.master_policy or "hash",
+        **SPEC_STOCK,
+        **{knob: knobs[knob] for knob in workload_cls.spec_knobs},
     )
-    if spec.workload == "tpcw":
-        return run_tpcw(cluster.protocol, **kwargs)
-    if spec.workload == "geoshift":
-        return run_geoshift(
-            cluster.protocol, phase_ms=spec.phase_s * 1_000.0, **kwargs
+    if schedule is None and workload.tracker_halflife_ms is not None:
+        cluster = _deploy(
+            spec.cluster, tracker_halflife_ms=workload.tracker_halflife_ms
         )
-    fail_dc_at: Optional[Tuple[str, float]] = None
+    else:
+        cluster = _deploy(spec.cluster, schedule)
+    client_dcs = None
+    preferred_dc = cluster.descriptor.preferred_client_dc
+    if workload.pins_preferred_client_dc and preferred_dc is not None:
+        client_dcs = [preferred_dc]
+    fail_dc_at = None
     if spec.fail_dc is not None:
         at_s = spec.fail_at_s if spec.fail_at_s is not None else spec.measure_s / 2
         fail_dc_at = (spec.fail_dc, (spec.warmup_s + at_s) * 1_000.0)
-    return run_micro(
-        cluster.protocol,
-        hotspot_fraction=spec.hotspot,
-        locality=spec.locality,
-        fail_dc_at=fail_dc_at,
-        **kwargs,
-    )
-
-
-def _run_scheduled(spec: ScenarioSpec) -> ScenarioResult:
-    assert spec.schedule is not None  # run_scenario routes on this
-    cluster = spec.cluster
-    schedule_kwargs: Dict[str, Any] = dict(
-        start_ms=spec.warmup_s * 1_000.0,
-        duration_ms=spec.measure_s * 1_000.0,
-    )
-    for name in ("victim", "replacement", "donor"):
-        value = getattr(spec, name)
-        if value is not None:
-            schedule_kwargs[name] = value
-    schedule = named_schedule(spec.schedule, **schedule_kwargs)
-    run_kwargs: Dict[str, Any] = dict(
-        workload=spec.workload,
-        variant=cluster.protocol,
+    return run(
+        cluster,
+        workload,
+        schedule,
         num_clients=spec.clients,
-        num_items=spec.items,
         warmup_ms=spec.warmup_s * 1_000.0,
         measure_ms=spec.measure_s * 1_000.0,
-        seed=cluster.seed,
-        partitions_per_table=cluster.partitions_per_table,
-        master_policy=cluster.master_policy,
-        config=cluster.config(),
-        bucket_ms=spec.bucket_s * 1_000.0,
+        client_dcs=client_dcs,
+        fail_dc_at=fail_dc_at,
         audit=spec.audit,
-        elastic=cluster.elastic,
+        bucket_ms=spec.bucket_s * 1_000.0,
     )
-    if cluster.datacenters is not None:
-        run_kwargs["datacenters"] = cluster.datacenters
-    return _harness_run_scenario(schedule, **run_kwargs)

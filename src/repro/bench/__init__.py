@@ -1,15 +1,14 @@
-"""Experiment harness regenerating every figure of the paper (§5).
+"""Running experiments and reporting them (the paper's §5).
 
-* :mod:`repro.bench.harness` — run one configured experiment (cluster +
-  workload + measurement windows) and collect the statistics a figure
-  needs.
-* :mod:`repro.bench.scenarios` — the canonical configurations for each
-  figure (scaled to laptop-size simulations; scale factors documented).
+* :mod:`repro.bench.driver` — the one run driver: a cluster, a workload
+  and an optional fault schedule in, one :class:`RunResult` out.
 * :mod:`repro.bench.reporting` — text tables and CDF summaries comparable
-  with the paper's plots, plus result persistence for EXPERIMENTS.md.
+  with the paper's plots, persisted under ``benchmarks/results/``.
+* :mod:`repro.bench.perf` — ``repro bench``: the deterministic
+  simulator-core performance baseline (``BENCH_sim_core.json``).
 """
 
-from repro.bench.harness import ExperimentResult, run_micro, run_tpcw
+from repro.bench.driver import RunResult, run
 from repro.bench.reporting import (
     cdf_table,
     format_table,
@@ -18,11 +17,10 @@ from repro.bench.reporting import (
 )
 
 __all__ = [
-    "ExperimentResult",
+    "RunResult",
     "cdf_table",
     "format_table",
-    "run_micro",
-    "run_tpcw",
+    "run",
     "save_results",
     "shape_check",
 ]

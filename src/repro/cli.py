@@ -32,14 +32,18 @@ import sys
 from typing import List, Optional
 
 from repro.api import ClusterSpec, ScenarioSpec, run_scenario
-from repro.bench.harness import ExperimentResult, ScenarioResult
+from repro.bench.driver import RunResult
 from repro.db.cluster import PROTOCOLS
 from repro.protocols.base import get_protocol, protocols_supporting
 from repro.faults.schedule import NAMED_SCHEDULES
+from repro.workloads import WORKLOADS, get_workload
 
 __all__ = ["build_parser", "main"]
 
-WORKLOADS = ("micro", "tpcw", "geoshift")
+#: geoshift phase for the subcommands without a --phase-s flag (`chaos`,
+#: `reconfig`): the sun of a follow-the-sun-outage cell moves every 15 s,
+#: as in benchmarks/results/chaos_matrix.txt.
+_CHAOS_PHASE_S = 15.0
 
 _PROTOCOL_NOTES = {
     "mdcc": "full MDCC: fast ballots + commutative updates + demarcation",
@@ -50,12 +54,6 @@ _PROTOCOL_NOTES = {
     "qw3": "quorum writes, write quorum 3 (eventually consistent)",
     "qw4": "quorum writes, write quorum 4 (eventually consistent)",
     "megastore": "Megastore*: one Paxos log per entity group",
-}
-
-_WORKLOAD_NOTES = {
-    "micro": "§5.3 buy transaction; --hotspot / --locality knobs",
-    "tpcw": "TPC-W ordering mix (database part of the web interactions)",
-    "geoshift": "follow-the-sun: the dominant write-origin DC rotates",
 }
 
 _MASTER_POLICY_NOTES = {
@@ -510,7 +508,7 @@ def _spec_from_args(
             measure_s=args.measure_s,
             hotspot=getattr(args, "hotspot", None),
             locality=getattr(args, "locality", None),
-            phase_s=getattr(args, "phase_s", 20.0),
+            phase_s=getattr(args, "phase_s", _CHAOS_PHASE_S),
             audit=not getattr(args, "no_audit", False),
             fail_dc=getattr(args, "fail_dc", None),
             fail_at_s=getattr(args, "fail_at_s", None),
@@ -531,7 +529,7 @@ def _run_one(protocol: str, args: argparse.Namespace):
     )
 
 
-def _as_dict(result: ExperimentResult, spec: ScenarioSpec) -> dict:
+def _as_dict(result: RunResult, spec: ScenarioSpec) -> dict:
     return {
         "protocol": result.protocol,
         "commits": result.commits,
@@ -549,9 +547,11 @@ def _as_dict(result: ExperimentResult, spec: ScenarioSpec) -> dict:
     }
 
 
-def _scenario_payload(
-    result: ScenarioResult, spec: ScenarioSpec, include_events: bool
-) -> dict:
+def _payload(result: RunResult, spec: ScenarioSpec, include_events: bool = False) -> dict:
+    """The JSON envelope: the scenario verdict for a fault-schedule run,
+    the experiment summary otherwise — always with the spec it ran."""
+    if result.schedule is None:
+        return _as_dict(result, spec)
     payload = result.as_dict()
     payload["spec"] = spec.to_dict()
     # Stable schema: the count is always present; the (possibly long)
@@ -560,6 +560,33 @@ def _scenario_payload(
     if not include_events:
         del payload["chaos_events"]
     return payload
+
+
+def _traced(seed: int, runner):
+    """``(runner(), tracer, registry)`` with the deterministic tracer
+    installed for the duration of the call."""
+    from repro.trace import MetricsRegistry, Tracer
+    from repro.trace import runtime as trace_runtime
+
+    tracer = Tracer(seed=seed)
+    registry = MetricsRegistry()
+    trace_runtime.install(tracer, registry)
+    try:
+        return runner(), tracer, registry
+    finally:
+        trace_runtime.uninstall()
+
+
+def _write_artifact(path: str, artifact: dict) -> None:
+    from repro.trace import render_artifact_json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(render_artifact_json(artifact))
+    print(
+        f"wrote {path} ({artifact['summary']['spans']} spans, "
+        f"{artifact['summary']['traces']} traces)",
+        file=sys.stderr,
+    )
 
 
 def _run_traced(seed: int, trace_path: Optional[str], runner):
@@ -571,71 +598,27 @@ def _run_traced(seed: int, trace_path: Optional[str], runner):
     """
     if trace_path is None:
         return runner()
-    from repro.trace import (
-        MetricsRegistry,
-        Tracer,
-        build_artifact,
-        render_artifact_json,
-    )
-    from repro.trace import runtime as trace_runtime
+    from repro.trace import build_artifact
 
-    tracer = Tracer(seed=seed)
-    registry = MetricsRegistry()
-    trace_runtime.install(tracer, registry)
-    try:
-        result = runner()
-    finally:
-        trace_runtime.uninstall()
-    artifact = build_artifact(tracer, registry)
-    with open(trace_path, "w", encoding="utf-8") as handle:
-        handle.write(render_artifact_json(artifact))
-    print(
-        f"wrote {trace_path} ({artifact['summary']['spans']} spans, "
-        f"{artifact['summary']['traces']} traces)",
-        file=sys.stderr,
-    )
+    result, tracer, registry = _traced(seed, runner)
+    _write_artifact(trace_path, build_artifact(tracer, registry))
     return result
 
 
 def _run_trace(args: argparse.Namespace) -> int:
     """``repro trace``: one traced scenario, artifact + timeline views."""
-    from repro.trace import (
-        MetricsRegistry,
-        Tracer,
-        build_artifact,
-        render_artifact_json,
-        render_explain,
-    )
-    from repro.trace import runtime as trace_runtime
+    from repro.trace import build_artifact, render_artifact_json, render_explain
     from repro.trace.explain import spans_for_txid
 
     if args.schedule is not None:
         _check_schedule_support(args.protocol, args.schedule)
     spec = _spec_from_args(args, args.protocol, schedule=args.schedule)
-    tracer = Tracer(seed=args.seed)
-    registry = MetricsRegistry()
-    trace_runtime.install(tracer, registry)
-    try:
-        result = run_scenario(spec)
-    finally:
-        trace_runtime.uninstall()
-    if isinstance(result, ScenarioResult):
-        payload = _scenario_payload(result, spec, include_events=False)
-    else:
-        payload = _as_dict(result, spec)
-    artifact = build_artifact(tracer, registry, result=payload)
-    rendered = render_artifact_json(artifact)
-    if args.out == "-":
-        if args.explain is None:
-            sys.stdout.write(rendered)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(
-            f"wrote {args.out} ({artifact['summary']['spans']} spans, "
-            f"{artifact['summary']['traces']} traces)",
-            file=sys.stderr,
-        )
+    result, tracer, registry = _traced(args.seed, lambda: run_scenario(spec))
+    artifact = build_artifact(tracer, registry, result=_payload(result, spec))
+    if args.out != "-":
+        _write_artifact(args.out, artifact)
+    elif args.explain is None:
+        sys.stdout.write(render_artifact_json(artifact))
     if args.explain is not None:
         print(render_explain(tracer, args.explain).rstrip("\n"))
         if not spans_for_txid(tracer, args.explain):
@@ -658,8 +641,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     _check_schedule_support(args.variant, args.schedule)
     spec = _spec_from_args(args, args.variant, schedule=args.schedule)
     result = _run_traced(args.seed, args.trace, lambda: run_scenario(spec))
-    payload = _scenario_payload(result, spec, args.events)
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(_payload(result, spec, args.events), indent=2))
     return 0 if result.clean else 1
 
 
@@ -668,7 +650,7 @@ def _run_reconfig(args: argparse.Namespace) -> int:
         args, args.variant, schedule="dc-replace", elastic=True
     )
     result = _run_traced(args.seed, args.trace, lambda: run_scenario(spec))
-    payload = _scenario_payload(result, spec, args.events)
+    payload = _payload(result, spec, args.events)
     membership = payload["membership"] or {}
     # The replacement must be a member AND have been admitted inside the
     # scenario window — an admission that only lands after the
@@ -699,21 +681,17 @@ def _run_spec_file(args: argparse.Namespace) -> int:
     result = _run_traced(
         spec.cluster.seed, args.trace, lambda: run_scenario(spec)
     )
-    if isinstance(result, ScenarioResult):
-        payload = _scenario_payload(result, spec, include_events=False)
-        print(json.dumps(payload, indent=2))
-        return 0 if result.clean else 1
-    if args.json:
-        print(json.dumps(_as_dict(result, spec), indent=2))
+    if result.schedule is not None or args.json:
+        print(json.dumps(_payload(result, spec), indent=2))
     else:
         _print_table([result])
-    return 0
+    return 0 if result.schedule is None or result.clean else 1
 
 
 def _run_list(as_json: bool) -> int:
     catalogue = {
         "protocols": _PROTOCOL_NOTES,
-        "workloads": _WORKLOAD_NOTES,
+        "workloads": {name: get_workload(name).summary for name in WORKLOADS},
         "master_policies": _MASTER_POLICY_NOTES,
         "chaos_schedules": _CHAOS_NOTES,
     }
@@ -729,7 +707,7 @@ def _run_list(as_json: bool) -> int:
     return 0
 
 
-def _print_table(results: List[ExperimentResult]) -> None:
+def _print_table(results: List[RunResult]) -> None:
     header = (
         f"{'protocol':>10} {'median':>8} {'p90':>8} {'p99':>8} "
         f"{'commits':>8} {'aborts':>8} {'tps':>7} {'audit':>6}"
@@ -835,26 +813,26 @@ def _run_tcp(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+_SUBCOMMANDS = {
+    "bench": _run_bench,
+    "chaos": _run_chaos,
+    "reconfig": _run_reconfig,
+    "serve": _run_serve,
+    "topology": _run_topology,
+    "trace": _run_trace,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _SUBCOMMANDS:
+        return _SUBCOMMANDS[args.command](args)
     if args.command == "analyze":
         from repro.analysis.cli import run_analyze
 
         return run_analyze(args)
     if args.command == "list":
         return _run_list(args.json)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "reconfig":
-        return _run_reconfig(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "topology":
-        return _run_topology(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "trace":
-        return _run_trace(args)
     if args.command == "run" and args.transport == "tcp":
         if args.spec is not None:
             raise SystemExit("--spec drives the sim transport only")

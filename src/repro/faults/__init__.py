@@ -5,9 +5,9 @@ outage); this package generalizes it into a scenario engine.  A
 :class:`~repro.faults.schedule.FaultSchedule` declares a replayable
 timeline of faults; a :class:`~repro.faults.controller.ChaosController`
 interprets it against a running cluster;
-:func:`repro.bench.harness.run_scenario` wires both to any workload and
-protocol variant and returns availability-over-time plus invariant
-verdicts.  ``python -m repro chaos <schedule>`` is the CLI entry point.
+:func:`repro.bench.driver.run` takes a schedule as the optional third
+piece of any run and returns availability-over-time plus invariant
+verdicts; ``run_scenario(ScenarioSpec(schedule=...))`` names one.  ``python -m repro chaos <schedule>`` is the CLI entry point.
 """
 
 from repro.faults.controller import CHAOS_TABLE, ChaosController

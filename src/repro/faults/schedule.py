@@ -73,12 +73,13 @@ class FaultEvent:
 class FaultSchedule:
     """A named timeline of fault events plus scenario hints.
 
-    ``workload`` and ``master_policy`` are *hints* the harness uses when
-    the caller does not override them — e.g. ``follow-the-sun-outage``
-    only makes sense over the geoshift workload with adaptive placement.
-    ``settle_ms`` is how long the harness lets the cluster drain after the
-    measurement window (and after :meth:`ChaosController.heal_all`) before
-    running the invariant checkers.
+    ``workload`` and ``master_policy`` are *hints*
+    :func:`repro.api.run_scenario` uses when the spec leaves them open —
+    e.g. ``follow-the-sun-outage`` only makes sense over the geoshift
+    workload with adaptive placement.  ``settle_ms`` is how long the run
+    driver lets the cluster drain after the measurement window (and after
+    :meth:`ChaosController.heal_all`) before running the invariant
+    checkers.
     """
 
     name: str
@@ -234,8 +235,8 @@ class FaultSchedule:
 
     @property
     def needs_reconfig(self) -> bool:
-        """True when the timeline contains membership events — the
-        harness then builds the cluster elastic automatically."""
+        """True when the timeline contains membership events —
+        :func:`repro.api.run_scenario` then builds the cluster elastic."""
         return any(
             event.action in ("join-dc", "decommission-dc")
             for event in self.events

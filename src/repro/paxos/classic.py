@@ -18,7 +18,8 @@ from repro.paxos.quorum import QuorumSpec
 from repro.storage.partition import stable_hash
 from repro.sim.core import Future, Simulator
 from repro.sim.network import Network
-from repro.sim.node import Node
+from repro.transport.base import Node
+from repro.transport.simnet import SimTransport
 
 __all__ = [
     "ClassicAcceptor",
@@ -71,7 +72,7 @@ class ClassicAcceptor(Node):
     """A Paxos acceptor: one promised ballot, one accepted (ballot, value)."""
 
     def __init__(self, sim: Simulator, network: Network, node_id: str, dc: str) -> None:
-        super().__init__(sim, network, node_id, dc)
+        super().__init__(SimTransport(sim, network), node_id, dc)
         self.promised: Optional[Ballot] = None
         self.accepted_ballot: Optional[Ballot] = None
         self.accepted_value: Any = None
@@ -132,7 +133,7 @@ class ClassicProposer(Node):
         quorum: Optional[QuorumSpec] = None,
         retry_delay: float = 500.0,
     ) -> None:
-        super().__init__(sim, network, node_id, dc)
+        super().__init__(SimTransport(sim, network), node_id, dc)
         self.acceptor_ids: List[str] = list(acceptor_ids)
         self.quorum = quorum or QuorumSpec.for_replication(len(self.acceptor_ids))
         self.retry_delay = retry_delay

@@ -16,7 +16,7 @@ surface as code: a :class:`Protocol` descriptor names each protocol's
   kinds, and which named chaos schedules its guarantees are gated on.
 
 Everything that used to special-case protocol names — cluster wiring,
-spec validation, the bench harness, the chaos controller, CLI choices —
+spec validation, the run driver, the chaos controller, CLI choices —
 asks the registry instead.  Adding a protocol means registering one
 descriptor here; no other layer grows an ``if protocol ==`` branch.
 """

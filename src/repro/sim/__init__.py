@@ -15,7 +15,6 @@ Public surface:
 * :class:`repro.sim.network.Network` — WAN message fabric with failure
   injection.
 * :class:`repro.sim.network.LatencyModel` — the five-DC RTT matrix.
-* :class:`repro.sim.node.Node` — base class for protocol actors.
 * :class:`repro.metrics.LatencyRecorder` — percentile/CDF collection
   (re-exported here from :mod:`repro.metrics`).
 """
@@ -29,7 +28,6 @@ from repro.sim.network import (
     Network,
     NetworkStats,
 )
-from repro.sim.node import Node
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "LatencyRecorder",
     "Network",
     "NetworkStats",
-    "Node",
     "RngRegistry",
     "SimulationError",
     "Simulator",

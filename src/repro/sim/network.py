@@ -666,7 +666,8 @@ class Network:
 
 
 class NodeLike:
-    """Structural interface the network expects (see :mod:`repro.sim.node`)."""
+    """Structural interface the network expects (see
+    :class:`repro.transport.base.Node`)."""
 
     node_id: str
     dc: str

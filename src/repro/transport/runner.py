@@ -22,11 +22,11 @@ import signal
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics import CounterSet, LatencyRecorder
 from repro.sim.rng import RngRegistry
-from repro.transport.base import Future
+from repro.transport.base import Future, TransportError
 from repro.transport.tcp import AsyncioTcpTransport
 from repro.transport.topology import Topology
 
@@ -141,13 +141,10 @@ async def _shutdown_servers(
     transport: AsyncioTcpTransport, node_ids: Sequence[str]
 ) -> None:
     for node_id in node_ids:
-        with contextlib.suppress(asyncio.TimeoutError, TransportErrorBase):
+        # An unreachable or already-gone server must not stop the others
+        # from being told; terminate_servers() escalates for stragglers.
+        with contextlib.suppress(asyncio.TimeoutError, TransportError, OSError):
             await transport.ctrl(node_id, {"op": "shutdown"}, timeout_s=5.0)
-
-
-# ctrl() raises nothing transport-specific today, but keep the alias so the
-# suppress list reads as intent.
-TransportErrorBase = Exception
 
 
 def terminate_servers(
@@ -175,6 +172,17 @@ def terminate_servers(
 # ----------------------------------------------------------------------
 # Workload driver
 # ----------------------------------------------------------------------
+def _pick_buy(keys: Sequence[str], rng) -> Tuple[List[str], List[int]]:
+    """The micro-benchmark's buy: up to 3 distinct keys, each with a
+    decrement of 1-3 (keys first, then amounts — the RNG draw order)."""
+    chosen: List[str] = []
+    while len(chosen) < min(3, len(keys)):
+        key = keys[rng.randrange(len(keys))]
+        if key not in chosen:
+            chosen.append(key)
+    return chosen, [rng.randint(1, 3) for _ in chosen]
+
+
 async def _drive_client(
     coordinator,
     commutative: bool,
@@ -188,14 +196,8 @@ async def _drive_client(
     from repro.db.client import Transaction
 
     keys = topology.item_keys()
-    items_per_tx = min(3, len(keys))
     for _ in range(transactions):
-        chosen: List[str] = []
-        while len(chosen) < items_per_tx:
-            key = keys[rng.randrange(len(keys))]
-            if key not in chosen:
-                chosen.append(key)
-        amounts = [rng.randint(1, 3) for _ in chosen]
+        chosen, amounts = _pick_buy(keys, rng)
         tx = Transaction(coordinator, commutative=commutative)
         started = time.monotonic()
         try:
@@ -220,6 +222,32 @@ async def _drive_client(
             outcomes["aborted"] += 1
 
 
+def _driver_side(topology: Topology, clients: int, dcs: Sequence[str], tag: str):
+    """The driver process's half of a TCP run: one non-listening transport
+    hosting ``clients`` app-server coordinators round-robin over ``dcs``.
+
+    Returns ``(transport, roles, commutative, drivers)`` — ``roles`` the
+    placement/config/counters keywords every role constructor takes,
+    ``drivers`` one ``(coordinator, seeded rng stream)`` per client.
+    """
+    from repro.protocols.base import get_protocol
+
+    descriptor = get_protocol(topology.protocol)
+    config = topology.build_config()
+    roles = dict(placement=topology.build_placement(), config=config, counters=CounterSet())
+    transport = AsyncioTcpTransport(topology, local_dc=dcs[0], listen=None)
+    rng_registry = RngRegistry(seed=topology.seed)
+    drivers = []
+    for index in range(clients):
+        dc = dcs[index % len(dcs)]
+        coordinator = descriptor.make_client(
+            transport, f"app-{dc}-{tag}{index + 1}", dc, **roles
+        )
+        drivers.append((coordinator, rng_registry.stream(f"workload.client.{index}")))
+    commutative = descriptor.supports_commutative and config.commutative_enabled
+    return transport, roles, commutative, drivers
+
+
 async def _run_workload_async(
     topology: Topology,
     *,
@@ -229,42 +257,24 @@ async def _run_workload_async(
     tx_timeout_s: float,
     shutdown_servers: bool,
 ) -> Dict[str, object]:
-    from repro.protocols.base import get_protocol
-
-    descriptor = get_protocol(topology.protocol)
-    placement = topology.build_placement()
-    config = topology.build_config()
-    commutative = descriptor.supports_commutative and config.commutative_enabled
-    counters = CounterSet()
     dcs = list(client_dcs) if client_dcs else list(topology.datacenters)
-    transport = AsyncioTcpTransport(topology, local_dc=dcs[0], listen=None)
-    rng_registry = RngRegistry(seed=topology.seed)
+    transport, _roles, commutative, drivers = _driver_side(topology, clients, dcs, "driver")
     latencies = LatencyRecorder("tcp.commit")
     outcomes = {"committed": 0, "aborted": 0, "fast_path": 0, "timeouts": 0}
     started = time.monotonic()
-    tasks = []
-    for index in range(clients):
-        dc = dcs[index % len(dcs)]
-        coordinator = descriptor.make_client(
-            transport,
-            f"app-{dc}-driver{index + 1}",
-            dc,
-            placement=placement,
-            config=config,
-            counters=counters,
+    tasks = [
+        _drive_client(
+            coordinator,
+            commutative,
+            topology,
+            rng,
+            transactions_per_client,
+            latencies,
+            outcomes,
+            tx_timeout_s,
         )
-        tasks.append(
-            _drive_client(
-                coordinator,
-                commutative,
-                topology,
-                rng_registry.stream(f"workload.client.{index}"),
-                transactions_per_client,
-                latencies,
-                outcomes,
-                tx_timeout_s,
-            )
-        )
+        for coordinator, rng in drivers
+    ]
     try:
         await asyncio.gather(*tasks)
     finally:
@@ -311,8 +321,6 @@ async def _set_cluster_link(
     else:
         transport.clear_link_fault(src_dc, dst_dc)
     op = {"op": "set_link", "src_dc": src_dc, "dst_dc": dst_dc, **fault}
-    if not fault:
-        op = {"op": "set_link", "src_dc": src_dc, "dst_dc": dst_dc}
     for node_id in sorted(topology.nodes):
         with contextlib.suppress(asyncio.TimeoutError):
             await transport.ctrl(node_id, op, timeout_s=5.0)
@@ -369,16 +377,10 @@ async def _chaos_client(
     from repro.db.client import Transaction
 
     keys = topology.item_keys()
-    items_per_tx = min(3, len(keys))
     outcomes = {"committed": 0, "aborted": 0}
     pending = []
     while not stop.is_set():
-        chosen: List[str] = []
-        while len(chosen) < items_per_tx:
-            key = keys[rng.randrange(len(keys))]
-            if key not in chosen:
-                chosen.append(key)
-        amounts = [rng.randint(1, 3) for _ in chosen]
+        chosen, amounts = _pick_buy(keys, rng)
         tx = Transaction(coordinator, commutative=commutative)
         try:
             for key in chosen:
@@ -414,41 +416,16 @@ async def _flaky_wan_async(
     from repro.core.recovery import RecoveryAgent
     from repro.protocols.base import get_protocol
 
-    descriptor = get_protocol(topology.protocol)
-    placement = topology.build_placement()
-    config = topology.build_config()
-    commutative = descriptor.supports_commutative and config.commutative_enabled
-    counters = CounterSet()
     dcs = list(topology.datacenters)
-    transport = AsyncioTcpTransport(topology, local_dc=dcs[0], listen=None)
-    rng_registry = RngRegistry(seed=topology.seed)
+    transport, roles, commutative, drivers = _driver_side(topology, clients, dcs, "chaos")
     ledger: Dict[str, int] = {}
     stop = asyncio.Event()
-    coordinators = []
-    workers = []
-    for index in range(clients):
-        dc = dcs[index % len(dcs)]
-        coordinator = descriptor.make_client(
-            transport,
-            f"app-{dc}-chaos{index + 1}",
-            dc,
-            placement=placement,
-            config=config,
-            counters=counters,
+    workers = [
+        asyncio.create_task(
+            _chaos_client(coordinator, commutative, topology, rng, stop, ledger)
         )
-        coordinators.append(coordinator)
-        workers.append(
-            asyncio.create_task(
-                _chaos_client(
-                    coordinator,
-                    commutative,
-                    topology,
-                    rng_registry.stream(f"workload.client.{index}"),
-                    stop,
-                    ledger,
-                )
-            )
-        )
+        for coordinator, rng in drivers
+    ]
     try:
         await _flaky_wan_nemesis(transport, topology, chaos_s)
         stop.set()
@@ -458,24 +435,10 @@ async def _flaky_wan_async(
 
         # Post-heal repair: anti-entropy sweeps re-drive lost visibilities
         # (with a recovery agent for options pending everywhere).
-        agent = AntiEntropyAgent(
-            transport,
-            "antientropy-driver",
-            dcs[0],
-            placement=placement,
-            config=config,
-            counters=counters,
-        )
-        if descriptor.supports_recovery:
+        agent = AntiEntropyAgent(transport, "antientropy-driver", dcs[0], **roles)
+        if get_protocol(topology.protocol).supports_recovery:
             agent.attach_recovery(
-                RecoveryAgent(
-                    transport,
-                    "recovery-driver",
-                    dcs[0],
-                    placement=placement,
-                    config=config,
-                    counters=counters,
-                )
+                RecoveryAgent(transport, "recovery-driver", dcs[0], **roles)
             )
         keys = topology.item_keys()
         for _round in range(4):
@@ -485,7 +448,7 @@ async def _flaky_wan_async(
         # ledger's expected stock, and no stock went negative.
         initial = dict(topology.preload_plan())
         violations: List[str] = []
-        reader = coordinators[0]
+        reader = drivers[0][0]
         for key in keys:
             expected = initial[key] + ledger.get(key, 0)
             values = {}
@@ -521,6 +484,25 @@ async def _flaky_wan_async(
         await transport.close()
 
 
+def _run_with_servers(topology_path: str, spawn_servers: bool, body) -> Dict[str, object]:
+    """``asyncio.run(body(topology))`` against the topology's servers —
+    launched first, and reaped afterwards, when ``spawn_servers``."""
+    topology = Topology.load(topology_path)
+    processes: Dict[str, subprocess.Popen] = {}
+    if spawn_servers:
+        processes = spawn_server_processes(topology_path, topology)
+    try:
+        result = asyncio.run(body(topology))
+    except BaseException:
+        for process in processes.values():
+            process.kill()
+        raise
+    if processes:
+        result["servers"] = len(processes)
+        result["servers_killed"] = terminate_servers(processes)
+    return result
+
+
 def run_flaky_wan_parity(
     topology_path: str,
     *,
@@ -534,21 +516,11 @@ def run_flaky_wan_parity(
     violations (replica convergence + ledger consistency + the stock
     constraint) — the same bar the simulator scenario sets.
     """
-    topology = Topology.load(topology_path)
-    processes: Dict[str, subprocess.Popen] = {}
-    if spawn_servers:
-        processes = spawn_server_processes(topology_path, topology)
-    try:
-        result = asyncio.run(
-            _flaky_wan_async(topology, clients=clients, chaos_s=chaos_s)
-        )
-    except BaseException:
-        for process in processes.values():
-            process.kill()
-        raise
-    if processes:
-        result["servers_killed"] = terminate_servers(processes)
-    return result
+    return _run_with_servers(
+        topology_path,
+        spawn_servers,
+        lambda topology: _flaky_wan_async(topology, clients=clients, chaos_s=chaos_s),
+    )
 
 
 def run_tcp_workload(
@@ -568,29 +540,17 @@ def run_tcp_workload(
     (asserting clean exits); otherwise it expects the cluster to already
     be listening.
     """
-    topology = Topology.load(topology_path)
     if shutdown_servers is None:
         shutdown_servers = spawn_servers
-    processes: Dict[str, subprocess.Popen] = {}
-    if spawn_servers:
-        processes = spawn_server_processes(topology_path, topology)
-    try:
-        result = asyncio.run(
-            _run_workload_async(
-                topology,
-                clients=clients,
-                transactions_per_client=transactions_per_client,
-                client_dcs=client_dcs,
-                tx_timeout_s=tx_timeout_s,
-                shutdown_servers=shutdown_servers,
-            )
-        )
-    except BaseException:
-        for process in processes.values():
-            process.kill()
-        raise
-    if processes:
-        killed = terminate_servers(processes)
-        result["servers"] = len(processes)
-        result["servers_killed"] = killed
-    return result
+    return _run_with_servers(
+        topology_path,
+        spawn_servers,
+        lambda topology: _run_workload_async(
+            topology,
+            clients=clients,
+            transactions_per_client=transactions_per_client,
+            client_dcs=client_dcs,
+            tx_timeout_s=tx_timeout_s,
+            shutdown_servers=shutdown_servers,
+        ),
+    )

@@ -10,12 +10,21 @@
   (exercises :mod:`repro.placement`'s adaptive mastership).
 * :mod:`repro.workloads.generator` — closed-loop client processes and the
   statistics they produce (latency CDFs, commit/abort counts, time series).
+* :mod:`repro.workloads.base` — the :class:`Workload` base class that owns
+  the single ``run()`` and the by-name registry (:func:`get_workload`,
+  :data:`WORKLOADS`).
 """
 
+from typing import Tuple
+
+from repro.workloads.base import _REGISTRY, Workload, get_workload, register_workload
 from repro.workloads.generator import ClientPool, WorkloadStats
-from repro.workloads.geoshift import GeoShiftBenchmark
 from repro.workloads.micro import MicroBenchmark
 from repro.workloads.tpcw import TPCWBenchmark, TPCW_MIX
+from repro.workloads.geoshift import GeoShiftBenchmark
+
+#: Registered workload names, in presentation order.
+WORKLOADS: Tuple[str, ...] = tuple(_REGISTRY)
 
 __all__ = [
     "ClientPool",
@@ -23,5 +32,9 @@ __all__ = [
     "MicroBenchmark",
     "TPCWBenchmark",
     "TPCW_MIX",
+    "WORKLOADS",
+    "Workload",
     "WorkloadStats",
+    "get_workload",
+    "register_workload",
 ]

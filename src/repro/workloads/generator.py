@@ -25,7 +25,7 @@ __all__ = ["ClientPool", "WorkloadStats"]
 
 @dataclass
 class WorkloadStats:
-    """Everything the benchmark harness reads after a run."""
+    """Everything a run's result is computed from."""
 
     write_latencies: LatencyRecorder = field(
         default_factory=lambda: LatencyRecorder("write-tx")

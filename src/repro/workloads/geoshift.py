@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.workloads.generator import ClientPool, WorkloadStats
+from repro.workloads.base import register_workload
 from repro.workloads.micro import MicroBenchmark
 
 __all__ = ["GeoShiftBenchmark"]
 
 
+@register_workload
 class GeoShiftBenchmark(MicroBenchmark):
     """The micro-benchmark driven by a rotating client population.
 
@@ -48,6 +49,13 @@ class GeoShiftBenchmark(MicroBenchmark):
         offpeak_pause_ms: how long an idle off-peak client sleeps between
             checks.  Pauses happen outside latency measurement.
     """
+
+    name = "geoshift"
+    summary = "follow-the-sun: the dominant write-origin DC rotates"
+    spec_knobs = ("phase_ms",)
+    #: shorter than a typical phase, so the write-origin signal turns
+    #: over well before the sun does.
+    tracker_halflife_ms = 4_000.0
 
     def __init__(
         self,
@@ -97,7 +105,7 @@ class GeoShiftBenchmark(MicroBenchmark):
     def phase_index(self, now: float) -> int:
         return int(now // self.phase_ms)
 
-    def _admission(self, client, rng, now: float):
+    def admission(self, client, rng, now: float):
         """ClientPool gate: full speed in daylight, a trickle at night."""
         if client.dc == self.active_dc(now):
             return 0
@@ -106,30 +114,9 @@ class GeoShiftBenchmark(MicroBenchmark):
         return self.offpeak_pause_ms
 
     # ------------------------------------------------------------------
-    # Population / running
+    # Population
     # ------------------------------------------------------------------
     def populate(self, cluster) -> None:
         super().populate(cluster)
         if self.rotation is None:
             self.rotation = tuple(cluster.placement.datacenters)
-
-    def run(
-        self,
-        cluster,
-        num_clients: int = 25,
-        warmup_ms: float = 5_000.0,
-        measure_ms: float = 60_000.0,
-        client_dcs=None,
-    ) -> Tuple[WorkloadStats, ClientPool]:
-        """Run clients evenly spread over the DCs, gated by the sun."""
-        self.populate(cluster)
-        pool = ClientPool(
-            cluster,
-            num_clients=num_clients,
-            transaction_factory=self.transaction(cluster),
-            client_dcs=client_dcs,
-            admission=self._admission,
-        )
-        stats = pool.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
-        pool.drain()
-        return stats, pool

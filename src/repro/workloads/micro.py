@@ -20,20 +20,25 @@ Two knobs reproduce the sensitivity studies:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.core.options import RecordId
-from repro.db.checkers import UpdateLedger
 from repro.storage.schema import Constraint, TableSchema
-from repro.workloads.generator import ClientPool, WorkloadStats
+from repro.workloads.base import Workload, register_workload
 
 __all__ = ["MicroBenchmark"]
 
 ITEMS_TABLE = "items"
 
 
-class MicroBenchmark:
+@register_workload
+class MicroBenchmark(Workload):
     """Builder + transaction factory for the micro-benchmark."""
+
+    name = "micro"
+    summary = "§5.3 buy transaction; --hotspot / --locality knobs"
+    table = ITEMS_TABLE
+    spec_knobs = ("hotspot_fraction", "locality")
 
     def __init__(
         self,
@@ -54,18 +59,14 @@ class MicroBenchmark:
             raise ValueError("hotspot_fraction must be in (0, 1]")
         if locality is not None and not 0 <= locality <= 1:
             raise ValueError("locality must be in [0, 1]")
-        self.num_items = num_items
+        super().__init__(num_items, min_stock, max_stock)
         self.items_per_tx = items_per_tx
         self.min_delta = min_delta
         self.max_delta = max_delta
-        self.min_stock = min_stock
-        self.max_stock = max_stock
         self.hotspot_fraction = hotspot_fraction
         self.hotspot_probability = hotspot_probability
         self.locality = locality
         self.read_before_buy = read_before_buy
-        self.ledger = UpdateLedger()
-        self._keys: List[str] = [f"item:{i:06d}" for i in range(num_items)]
         self._keys_by_master_dc: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
@@ -146,37 +147,3 @@ class MicroBenchmark:
             return (outcome.committed, True, "buy")
 
         return buy
-
-    # ------------------------------------------------------------------
-    # Convenience runner
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        cluster,
-        num_clients: int = 100,
-        warmup_ms: float = 10_000.0,
-        measure_ms: float = 60_000.0,
-        client_dcs=None,
-    ) -> Tuple[WorkloadStats, ClientPool]:
-        self.populate(cluster)
-        pool = ClientPool(
-            cluster,
-            num_clients=num_clients,
-            transaction_factory=self.transaction(cluster),
-            client_dcs=client_dcs,
-        )
-        stats = pool.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
-        pool.drain()
-        return stats, pool
-
-    def audit(self, cluster) -> List[str]:
-        """Lost-update / phantom-write audit over the whole table.
-
-        Only meaningful for transactional protocols; quorum writes are
-        expected to fail it.
-        """
-        return self.ledger.audit(cluster)
-
-    @property
-    def keys(self) -> List[str]:
-        return list(self._keys)

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.db.checkers import UpdateLedger
 from repro.storage.schema import Constraint, TableSchema
-from repro.workloads.generator import ClientPool, WorkloadStats
+from repro.workloads.base import Workload, register_workload
 
 __all__ = ["TPCWBenchmark", "TPCW_MIX"]
 
@@ -73,8 +72,14 @@ WRITE_INTERACTIONS = {
 }
 
 
-class TPCWBenchmark:
+@register_workload
+class TPCWBenchmark(Workload):
     """Schema, population and web-interaction logic for TPC-W."""
+
+    name = "tpcw"
+    summary = "TPC-W ordering mix (database part of the web interactions)"
+    table = "item"
+    pins_preferred_client_dc = True
 
     def __init__(
         self,
@@ -87,11 +92,9 @@ class TPCWBenchmark:
     ) -> None:
         if num_items < 1:
             raise ValueError("need at least one item")
-        self.num_items = num_items
+        super().__init__(num_items, min_stock, max_stock)
         self.num_customers = max(10, num_items // 10)
         self.cart_items_max = cart_items_max
-        self.min_stock = min_stock
-        self.max_stock = max_stock
         self.restock = restock
         self.mix = dict(mix or TPCW_MIX)
         total = sum(self.mix.values())
@@ -100,8 +103,6 @@ class TPCWBenchmark:
         for name, weight in sorted(self.mix.items()):
             acc += weight / total
             self._cumulative.append((acc, name))
-        self.ledger = UpdateLedger()
-        self._item_keys = [f"item:{i:06d}" for i in range(num_items)]
         self._customer_keys = [f"cust:{i:06d}" for i in range(self.num_customers)]
 
     # ------------------------------------------------------------------
@@ -121,7 +122,7 @@ class TPCWBenchmark:
         for schema in self.schemas():
             cluster.register_table(schema)
         rng = cluster.rng.stream("tpcw.populate")
-        for index, key in enumerate(self._item_keys):
+        for index, key in enumerate(self._keys):
             stock = rng.randint(self.min_stock, self.max_stock)
             cluster.load_record(
                 "item",
@@ -152,7 +153,7 @@ class TPCWBenchmark:
         return self._cumulative[-1][1]
 
     def random_item(self, rng) -> str:
-        return self._item_keys[rng.randrange(self.num_items)]
+        return self._keys[rng.randrange(self.num_items)]
 
     def random_customer(self, rng) -> str:
         return self._customer_keys[rng.randrange(self.num_customers)]
@@ -338,31 +339,8 @@ class TPCWBenchmark:
             )
         return outcome.committed, True
 
-    # ------------------------------------------------------------------
-    # Convenience runner
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        cluster,
-        num_clients: int = 100,
-        warmup_ms: float = 10_000.0,
-        measure_ms: float = 60_000.0,
-        client_dcs=None,
-    ) -> Tuple[WorkloadStats, ClientPool]:
-        self.populate(cluster)
-        pool = ClientPool(
-            cluster,
-            num_clients=num_clients,
-            transaction_factory=self.transaction(cluster),
-            client_dcs=client_dcs,
-        )
-        stats = pool.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
-        pool.drain()
-        return stats, pool
-
-    @property
-    def item_keys(self) -> List[str]:
-        return list(self._item_keys)
+    #: the audited keys under the table's own name.
+    item_keys = Workload.keys
 
 
 class _Session:

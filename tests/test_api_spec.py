@@ -3,10 +3,10 @@
 The spec dataclasses are a public contract: the golden-signature tests
 pin their exact field names and defaults so any change is a deliberate,
 reviewed act (specs are committed as JSON artifacts and must keep
-loading).  The legacy keyword surface was removed — the tests pin the
-loud TypeError so old call sites fail with a pointer to the raw
-harness, and verify spec calls drive the same trajectory as direct
-harness calls, byte for byte.
+loading).  A spec is resolved into (cluster, workload, schedule) and
+handed to the one run driver — the tests pin that a spec call and a
+hand-composed driver call agree byte for byte, and that every workload
+knob a spec carries is honoured with or without a fault schedule.
 """
 
 import dataclasses
@@ -15,9 +15,11 @@ import json
 import pytest
 
 from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
-from repro.bench.harness import run_scenario as harness_run_scenario
+from repro.bench import run
 from repro.cli import main
+from repro.db.cluster import build_cluster as build_cluster_raw
 from repro.faults.schedule import named_schedule
+from repro.workloads import MicroBenchmark
 
 #: toy scale — same code paths as the paper-scale runs, seconds of CPU.
 SMALL = dict(clients=5, items=80, warmup_s=1.0, measure_s=6.0)
@@ -110,44 +112,60 @@ def test_spec_validation():
 
 
 # ----------------------------------------------------------------------
-# The legacy keyword surface is gone: specs are the only entry point
+# One driver: a spec is sugar for (cluster, workload, schedule) -> run
 # ----------------------------------------------------------------------
-def test_legacy_keyword_surfaces_removed():
-    schedule = named_schedule("dc-outage", start_ms=1_000.0, duration_ms=6_000.0)
-    with pytest.raises(TypeError, match="legacy protocol-string surface was removed"):
-        build_cluster("fast", seed=11)
-    with pytest.raises(TypeError, match="FaultSchedule surface was removed"):
-        run_scenario(schedule, variant="mdcc")
+# "fast" has no commutativity, so which keys a transaction picks matters.
+CHAOS = dict(SMALL, cluster=ClusterSpec(protocol="fast", seed=3), schedule="dc-outage")
 
 
-def test_spec_and_direct_harness_calls_agree():
-    """run_scenario(spec) drives the same harness as a raw-keyword call."""
-    spec = ScenarioSpec(
-        cluster=ClusterSpec(protocol="mdcc", seed=3),
-        schedule="dc-outage",
-        clients=4,
-        items=60,
-        warmup_s=1.0,
-        measure_s=6.0,
-    )
-    via_spec = run_scenario(spec)
-    schedule = named_schedule("dc-outage", start_ms=1_000.0, duration_ms=6_000.0)
-    direct = harness_run_scenario(
-        schedule,
-        variant="mdcc",
-        num_clients=4,
-        num_items=60,
+def test_spec_and_composed_driver_calls_agree():
+    """run_scenario(spec) is exactly: build the three pieces, call run."""
+    via_spec = run_scenario(ScenarioSpec(**CHAOS))
+    direct = run(
+        build_cluster_raw("fast", seed=3, partitions_per_table=2),
+        MicroBenchmark(num_items=80, min_stock=500, max_stock=1_000),
+        named_schedule("dc-outage", start_ms=1_000.0, duration_ms=6_000.0),
+        num_clients=5,
         warmup_ms=1_000.0,
         measure_ms=6_000.0,
-        seed=3,
     )
     assert via_spec.as_dict() == direct.as_dict()
 
 
-def test_spec_entry_points_reject_stray_kwargs():
-    with pytest.raises(TypeError, match="self-contained"):
+def test_workload_knobs_honoured_under_a_schedule():
+    """hotspot / locality / phase_s reach the workload whether or not a
+    fault schedule is set."""
+    uniform = run_scenario(ScenarioSpec(**CHAOS))
+    hot = run_scenario(ScenarioSpec(**CHAOS, hotspot=0.05))
+    assert hot.aborts > uniform.aborts
+    local = run_scenario(ScenarioSpec(**CHAOS, locality=1.0))
+    assert local.as_dict() != uniform.as_dict()
+    sun = dict(CHAOS, schedule="follow-the-sun-outage", workload=None)
+    slow, fast = (
+        run_scenario(ScenarioSpec(**sun, phase_s=phase_s)) for phase_s in (20.0, 1.5)
+    )
+    assert slow.workload == fast.workload == "geoshift"
+    assert slow.as_dict() != fast.as_dict()
+
+
+def test_fault_free_runs_take_any_cluster_spec():
+    """Custom data-center sets and elastic clusters need no schedule."""
+    result = run_scenario(
+        ScenarioSpec(
+            cluster=ClusterSpec(
+                datacenters=("us-west", "us-east", "eu-west"), elastic=True, seed=3
+            ),
+            **SMALL,
+        )
+    )
+    assert result.commits > 0 and result.clean
+    assert result.extra["membership"]["datacenters"] == ["us-west", "us-east", "eu-west"]
+
+
+def test_entry_points_take_only_a_spec():
+    with pytest.raises(TypeError):
         build_cluster(ClusterSpec(), seed=3)
-    with pytest.raises(TypeError, match="self-contained"):
+    with pytest.raises(TypeError):
         run_scenario(ScenarioSpec(), num_clients=3)
 
 

@@ -105,18 +105,18 @@ class TestBatchingBehaviour:
     def test_batching_reduces_messages_under_load(self):
         """Under a multi-record workload, batching cuts total message
         count without losing any committed effect."""
-        from repro.bench.harness import run_micro
+        from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 
         results = {}
         for batch_ms in (0.0, 10.0):
-            results[batch_ms] = run_micro(
-                "mdcc",
-                num_clients=10,
-                num_items=500,
-                warmup_ms=2_000,
-                measure_ms=10_000,
-                seed=55,
-                config=MDCCConfig(visibility_batch_ms=batch_ms),
+            results[batch_ms] = run_scenario(
+                ScenarioSpec(
+                    cluster=ClusterSpec(seed=55, batch_ms=batch_ms),
+                    clients=10,
+                    items=500,
+                    warmup_s=2.0,
+                    measure_s=10.0,
+                )
             )
         plain, batched = results[0.0], results[10.0]
         assert batched.audit_problems == []

@@ -31,7 +31,7 @@ class TestRun:
         assert payload["commits"] > 0
         assert payload["median_ms"] > 0
 
-    def test_run_tpcw(self, capsys):
+    def test_tpcw_run(self, capsys):
         code, out = run_cli(
             capsys, "run", "--protocol", "2pc", "--workload", "tpcw", "--json", *SMALL
         )

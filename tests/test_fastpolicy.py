@@ -106,16 +106,16 @@ class TestAdaptiveEndToEnd:
     def test_adaptive_cluster_runs_contended_workload(self):
         """Smoke: the adaptive policy plugs into the full protocol stack
         and keeps its guarantees under contention."""
-        from repro.bench.harness import run_micro
+        from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 
-        result = run_micro(
-            "mdcc",
-            num_clients=15,
-            num_items=50,
-            warmup_ms=2_000,
-            measure_ms=10_000,
-            seed=33,
-            config=MDCCConfig(gamma_policy="adaptive"),
+        result = run_scenario(
+            ScenarioSpec(
+                cluster=ClusterSpec(seed=33, gamma_policy="adaptive"),
+                clients=15,
+                items=50,
+                warmup_s=2.0,
+                measure_s=10.0,
+            )
         )
         assert result.commits > 0
         assert result.audit_problems == []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.harness import run_scenario
+from repro.bench import run
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.db.cluster import build_cluster
 from repro.faults import (
     CHAOS_TABLE,
@@ -12,6 +13,7 @@ from repro.faults import (
     named_schedule,
 )
 from repro.storage.schema import Constraint, TableSchema
+from repro.workloads import MicroBenchmark
 
 
 class TestFaultSchedule:
@@ -212,43 +214,45 @@ class TestChaosController:
         assert controller.recovery_outcomes == []
 
 
-class TestRunScenario:
-    def test_scenario_result_shape_and_determinism(self):
-        schedule = named_schedule("dc-outage", start_ms=1_000, duration_ms=8_000)
-        kwargs = dict(
-            variant="mdcc",
+class TestScheduledRun:
+    """The run driver with a hand-built schedule (no spec in between)."""
+
+    @staticmethod
+    def _run():
+        return run(
+            build_cluster("mdcc", seed=5, partitions_per_table=2),
+            MicroBenchmark(num_items=60, min_stock=500, max_stock=1_000),
+            named_schedule("dc-outage", start_ms=1_000, duration_ms=8_000),
             num_clients=4,
-            num_items=60,
             warmup_ms=1_000,
             measure_ms=8_000,
-            seed=5,
             bucket_ms=2_000,
         )
-        a = run_scenario(schedule, **kwargs)
-        schedule_b = named_schedule("dc-outage", start_ms=1_000, duration_ms=8_000)
-        b = run_scenario(schedule_b, **kwargs)
+
+    def test_scenario_result_shape_and_determinism(self):
+        a, b = self._run(), self._run()
         assert a.as_dict() == b.as_dict()
+        assert a.schedule == "dc-outage"
         assert len(a.timeline) == 4  # 8s / 2s buckets, empties included
         assert a.commits > 0
         assert a.clean
 
-    def test_scenario_uses_schedule_hints(self):
-        schedule = named_schedule(
-            "follow-the-sun-outage", start_ms=1_000, duration_ms=8_000
-        )
+    def test_spec_uses_schedule_hints(self):
         result = run_scenario(
-            schedule,
-            variant="mdcc",
-            num_clients=5,
-            num_items=60,
-            warmup_ms=1_000,
-            measure_ms=8_000,
-            seed=5,
-            phase_ms=2_000,
+            ScenarioSpec(
+                cluster=ClusterSpec(protocol="mdcc", seed=5),
+                workload=None,
+                clients=5,
+                items=60,
+                warmup_s=1.0,
+                measure_s=8.0,
+                phase_s=2.0,
+                schedule="follow-the-sun-outage",
+            )
         )
         assert result.workload == "geoshift"
         assert result.extra["master_policy"] == "adaptive"
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario(FaultSchedule("s"), workload="crud")
+        with pytest.raises(ValueError, match="unknown workload"):
+            ScenarioSpec(workload="crud", schedule="dc-outage")

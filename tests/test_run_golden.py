@@ -1,0 +1,152 @@
+"""Golden trajectories: tiny specs whose full result is pinned by digest.
+
+Every way of starting a run funnels through ``run_scenario(spec)`` and
+:func:`repro.bench.driver.run`; these twelve specs cover each
+combination whose defaults differ (workload × fault-free / single outage
+/ named schedule, protocol-specific client placement and partition
+collapse, audit off, custom data-center sets).  Every committed write's
+latency and timestamp, every counter, the availability timeline, the
+chaos event log and the invariant verdicts are inside the hash, so a
+match is a seconds-long stand-in for regenerating every figure table:
+the digests were taken from the tree that generated
+``benchmarks/results/``.
+
+A mismatch means the simulated trajectory changed.  If that was the
+point of your change, regenerate with::
+
+    PYTHONPATH=src python tests/test_run_golden.py
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.api import ClusterSpec, ScenarioSpec, run_scenario
+
+THREE_DCS = ("us-west", "us-east", "eu-west")
+
+
+def _spec(protocol, seed, cluster=None, **scenario):
+    scenario.setdefault("clients", 6)
+    scenario.setdefault("items", 80)
+    scenario.setdefault("warmup_s", 1.0)
+    scenario.setdefault("measure_s", 6.0)
+    return ScenarioSpec(
+        cluster=ClusterSpec(protocol=protocol, seed=seed, **(cluster or {})),
+        **scenario,
+    )
+
+
+SPECS = {
+    "micro-mdcc": _spec("mdcc", 1),
+    "micro-fast-hotspot": _spec("fast", 2, hotspot=0.1),
+    "micro-multi-locality-fixed-master": _spec(
+        "multi", 3, cluster={"master_policy": "fixed:us-east"}, locality=0.8
+    ),
+    # single entity group (partitions collapse to 1) + clients pinned to
+    # the descriptor's preferred DC — the TPC-W-only placement rule.
+    "tpcw-megastore": _spec("megastore", 4, workload="tpcw", clients=4),
+    "tpcw-2pc": _spec("2pc", 5, workload="tpcw"),
+    "micro-qw3-no-audit": _spec("qw3", 6, audit=False),
+    # fault-free geoshift runs the placement tracker at a 4 s half-life.
+    "geoshift-multi-adaptive": _spec(
+        "multi",
+        7,
+        cluster={"master_policy": "adaptive"},
+        workload="geoshift",
+        clients=8,
+        phase_s=2.0,
+        measure_s=8.0,
+    ),
+    "micro-mdcc-fail-dc": _spec("mdcc", 8, fail_dc="us-east", fail_at_s=2.0),
+    "dc-outage-mdcc": _spec("mdcc", 9, schedule="dc-outage", bucket_s=2.0),
+    # schedule hints pick geoshift + adaptive; scheduled runs keep the
+    # cluster builder's 10 s tracker half-life.
+    "follow-the-sun-outage-multi": _spec(
+        "multi",
+        10,
+        workload=None,
+        schedule="follow-the-sun-outage",
+        clients=8,
+        phase_s=15.0,
+        measure_s=8.0,
+        bucket_s=2.0,
+    ),
+    "flaky-wan-repcommit": _spec(
+        "repcommit", 11, schedule="flaky-wan", measure_s=8.0, bucket_s=2.0
+    ),
+    "dc-replace-3dc": _spec(
+        "mdcc",
+        12,
+        cluster={"datacenters": THREE_DCS},
+        schedule="dc-replace",
+        clients=8,
+        measure_s=8.0,
+        bucket_s=2.0,
+    ),
+}
+
+DIGESTS = {
+    "micro-mdcc": "06182e407a5a935be4e61640388893581d285855241818d8fa7922a8605ad8a3",
+    "micro-fast-hotspot": "024668b8667cb83d295e0fb6381e2905b1daa78037f9f94b9ceeea71ab5348e9",
+    "micro-multi-locality-fixed-master": "3e0e0015bd9ea5c2600c3de116442cc220c51ae2b763610b2e83b0e78bf22f62",
+    "tpcw-megastore": "9f4da5b9161113bb9a39fb42dc307ce322357fa4f50d916c2ba38713d97d246d",
+    "tpcw-2pc": "a16df27babaad0ce29a7153e52b14ab7759feeff386966980207d684c6de30b1",
+    "micro-qw3-no-audit": "82c1ffca5cf0405ff2ad18d186c7f8dae5fb1a2324f50bceb4af1388189a559e",
+    "geoshift-multi-adaptive": "f4386ceba3c1c04f259148e672bccb0e8ee55422d2396c029baac36269555943",
+    "micro-mdcc-fail-dc": "dbc2155b1afe13d631edb1a0f53dd1de82bc58120c849807c734b8423020395f",
+    "dc-outage-mdcc": "60a6e1075373a1842ffafdf53dbd8f6b5c639c70140f3f7b8ba22107df7ee8f6",
+    "follow-the-sun-outage-multi": "dbfb9fa380f7ddae82dad63c319dea94ae752e291221c3a6d492b939aa8ac262",
+    "flaky-wan-repcommit": "272a5641267b8a2c61613a8d14635559cbc8b1017bdf7575bdf8727a65f83232",
+    "dc-replace-3dc": "2bf2d8f7dd13d5c507996b61c4e848fc04039d890e48ca4320f8be9ec8cb0316",
+}
+
+
+def _rounded(value):
+    return None if value is None else round(value, 6)
+
+
+def canonical(spec, result):
+    """Everything observable about one run, JSON-ready and order-stable."""
+    stats = result.stats
+    data = {
+        "commits": result.commits,
+        "aborts": result.aborts,
+        "median_ms": _rounded(result.median_ms),
+        "p90_ms": _rounded(result.p90_ms),
+        "p99_ms": _rounded(result.p99_ms),
+        "throughput_tps": _rounded(result.throughput_tps),
+        "audit_problems": sorted(result.audit_problems),
+        "divergent_records": result.divergent_records,
+        "constraint_violations": result.constraint_violations,
+        "master_policy": result.extra.get("master_policy"),
+        "migrations": result.extra.get("migrations"),
+        "measure_window": [stats.measure_start, stats.measure_end],
+        "workload_counters": stats.counters.as_dict(),
+        "write_latencies": [
+            [_rounded(stamp), _rounded(latency)]
+            for stamp, latency in stats.latency_series.points
+        ],
+        "read_latencies": [_rounded(v) for v in stats.read_latencies.values],
+        "abort_latencies": [_rounded(v) for v in stats.abort_latencies.values],
+    }
+    if spec.schedule is not None:
+        data["scenario"] = result.as_dict()
+        data["probe_problems"] = sorted(result.probe_problems)
+    return data
+
+
+def digest(spec):
+    payload = json.dumps(canonical(spec, run_scenario(spec)), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_golden_trajectory(name):
+    assert digest(SPECS[name]) == DIGESTS[name]
+
+
+if __name__ == "__main__":  # regenerate the pinned digests
+    for spec_name in SPECS:
+        print(f'    "{spec_name}": "{digest(SPECS[spec_name])}",')

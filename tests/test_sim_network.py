@@ -10,15 +10,17 @@ from repro.sim.network import (
     LinkPolicy,
     Network,
 )
-from repro.sim.node import Node
 from repro.sim.rng import RngRegistry
+from repro.transport.base import Node
+from repro.transport.simnet import SimTransport
 
 
 class Recorder(Node):
     """Test node that logs every delivery with its arrival time."""
 
     def __init__(self, sim, network, node_id, dc):
-        super().__init__(sim, network, node_id, dc)
+        super().__init__(SimTransport(sim, network), node_id, dc)
+        self.sim = sim
         self.received = []
 
     def on_message(self, message, src_id):
@@ -459,15 +461,13 @@ class TestNodeDispatch:
             pass
 
         class PongNode(Node):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.pings = 0
+            pings = 0
 
             def handle_ping(self, message, src_id):
                 self.pings += 1
 
         a = Recorder(sim, network, "a", "us-west")
-        b = PongNode(sim, network, "b", "us-west")
+        b = PongNode(SimTransport(sim, network), "b", "us-west")
         a.send("b", Ping())
         sim.run()
         assert b.pings == 1
@@ -482,7 +482,7 @@ class TestNodeDispatch:
             pass
 
         a = Recorder(sim, network, "a", "us-west")
-        Deaf(sim, network, "deaf", "us-west")
+        Deaf(SimTransport(sim, network), "deaf", "us-west")
         a.send("deaf", Strange())
         with pytest.raises(NotImplementedError):
             sim.run()

@@ -1,16 +1,13 @@
 """The transport interface over the simulator backend.
 
 ``SimTransport`` must be a faithful adapter: time, timers, futures and
-message delivery all behave exactly as driving the simulator directly,
-and the legacy ``repro.sim.node.Node(sim, network, ...)`` constructor
-stays usable for test doubles.
+message delivery all behave exactly as driving the simulator directly.
 """
 
 from dataclasses import dataclass
 
 from repro.sim.core import Simulator
 from repro.sim.network import Network
-from repro.sim.node import Node as LegacyNode
 from repro.sim.rng import RngRegistry
 from repro.transport.base import Node, all_of, any_of
 from repro.transport.simnet import SimTransport
@@ -115,16 +112,6 @@ def test_base_rtt_exposes_latency_matrix():
     assert transport.base_rtt("us-west", "us-west") < transport.base_rtt(
         "us-west", "eu-west"
     )
-
-
-def test_legacy_sim_node_constructor_still_works():
-    sim = Simulator()
-    network = Network(sim, rng_registry=RngRegistry(seed=1))
-    node = LegacyNode(sim, network, "legacy", "us-west")
-    assert node.sim is sim
-    assert node.network is network
-    assert isinstance(node.transport, SimTransport)
-    assert node.now == sim.now
 
 
 def test_deregister_stops_delivery():

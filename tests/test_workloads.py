@@ -270,8 +270,8 @@ class TestGeoShift:
             def random():
                 return 1.0
 
-        assert bench._admission(FakeClient, NeverRandom, now=0.0) == 0
-        assert bench._admission(FakeClient, NeverRandom, now=1_500.0) == 250.0
+        assert bench.admission(FakeClient, NeverRandom, now=0.0) == 0
+        assert bench.admission(FakeClient, NeverRandom, now=1_500.0) == 250.0
 
     def test_run_commits_and_audits_clean(self):
         from repro.workloads.geoshift import GeoShiftBenchmark
