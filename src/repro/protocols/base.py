@@ -23,10 +23,12 @@ descriptor here; no other layer grows an ``if protocol ==`` branch.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import MDCCConfig, ProtocolVariant
+from repro.protocols.participant import REASONS
 
 if TYPE_CHECKING:  # typing only: the registry must stay import-cheap
     from repro.core.topology import ReplicaMap
@@ -176,181 +178,20 @@ class Protocol:
 
 
 # ----------------------------------------------------------------------
-# Role factories (lazy imports: the registry must not pull every
-# protocol module — or the trace/placement machinery — at import time)
+# Role factories
 # ----------------------------------------------------------------------
-def _mdcc_client(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.core.coordinator import MDCCCoordinator
+def _role(path: str, **extra: Any) -> RoleFactory:
+    """A factory for the role class at ``"module:Class"``, imported on
+    first use: the registry must not pull every protocol module — or the
+    trace/placement machinery — at import time.  ``extra`` keywords are
+    passed to the constructor after the shared wiring."""
+    module_name, _, class_name = path.partition(":")
 
-    return MDCCCoordinator(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _mdcc_storage(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.core.storage_node import MDCCStorageNode
-
-    return MDCCStorageNode(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _twopc_client(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.twopc import TwoPCCoordinator
-
-    return TwoPCCoordinator(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _twopc_storage(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.twopc import TwoPCStorageNode
-
-    return TwoPCStorageNode(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _qw_client(write_quorum: int) -> RoleFactory:
-    def make(
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        *,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: CounterSet,
-    ) -> object:
-        from repro.protocols.quorumwrites import QuorumWriteClient
-
-        return QuorumWriteClient(
-            transport, node_id, dc,
-            placement=placement, config=config, counters=counters,
-            write_quorum=write_quorum,
-        )
+    def make(transport: Transport, node_id: str, dc: str, **wiring: Any) -> object:
+        role = getattr(importlib.import_module(module_name), class_name)
+        return role(transport, node_id, dc, **wiring, **extra)
 
     return make
-
-
-def _qw_storage(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.quorumwrites import QuorumWriteStorageNode
-
-    return QuorumWriteStorageNode(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _megastore_client(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.megastore import MegastoreClient
-
-    return MegastoreClient(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _megastore_storage(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.megastore import MegastoreStorageNode
-
-    return MegastoreStorageNode(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _repcommit_client(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.replicatedcommit import ReplicatedCommitClient
-
-    return ReplicatedCommitClient(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
-
-
-def _repcommit_storage(
-    transport: Transport,
-    node_id: str,
-    dc: str,
-    *,
-    placement: ReplicaMap,
-    config: MDCCConfig,
-    counters: CounterSet,
-) -> object:
-    from repro.protocols.replicatedcommit import ReplicatedCommitStorageNode
-
-    return ReplicatedCommitStorageNode(
-        transport, node_id, dc,
-        placement=placement, config=config, counters=counters,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +260,8 @@ def _register_mdcc(name: str, variant: ProtocolVariant, summary: str) -> None:
             name=name,
             summary=summary,
             variant=variant,
-            client_factory=_mdcc_client,
-            storage_factory=_mdcc_storage,
+            client_factory=_role("repro.core.coordinator:MDCCCoordinator"),
+            storage_factory=_role("repro.core.storage_node:MDCCStorageNode"),
             supports_placement=True,
             supports_elastic=True,
             supports_tracing=True,
@@ -457,23 +298,19 @@ register_protocol(
         name="repcommit",
         summary="Replicated Commit: Paxos across DCs over per-DC 2PC "
         "(Patterson et al.), majority reads",
-        client_factory=_repcommit_client,
-        storage_factory=_repcommit_storage,
+        client_factory=_role(
+            "repro.protocols.replicatedcommit:ReplicatedCommitClient"
+        ),
+        storage_factory=_role(
+            "repro.protocols.replicatedcommit:ReplicatedCommitStorageNode"
+        ),
         supports_tracing=True,
         supports_serializable=True,
         supports_tcp=True,
         supports_antientropy=True,
         chaos_schedules=_NETWORK_SCHEDULES,
         trace_span_kinds=("rc-local-prepare", "rc-paxos-vote", "rc-commit-apply"),
-        abort_reasons=(
-            "lock-conflict",
-            "stale-read",
-            "constraint",
-            "escrow-limit",
-            "decided",
-            "minority",
-            "vote-timeout",
-        ),
+        abort_reasons=(*REASONS, "minority", "vote-timeout"),
     )
 )
 
@@ -482,17 +319,10 @@ register_protocol(
         name="2pc",
         summary="two-phase commit: two rounds to ALL replicas, blocking "
         "coordinator (§5.2)",
-        client_factory=_twopc_client,
-        storage_factory=_twopc_storage,
+        client_factory=_role("repro.protocols.twopc:TwoPCCoordinator"),
+        storage_factory=_role("repro.protocols.twopc:TwoPCStorageNode"),
         supports_serializable=True,
-        abort_reasons=(
-            "lock-conflict",
-            "stale-read",
-            "constraint",
-            "escrow-limit",
-            "decided",
-            "prepare-timeout",
-        ),
+        abort_reasons=(*REASONS, "prepare-timeout"),
     )
 )
 
@@ -502,8 +332,13 @@ for _qw_name, _quorum in (("qw3", 3), ("qw4", 4)):
             name=_qw_name,
             summary=f"quorum writes (W={_quorum}): eventually consistent "
             "LWW, never aborts (§5.2)",
-            client_factory=_qw_client(_quorum),
-            storage_factory=_qw_storage,
+            client_factory=_role(
+                "repro.protocols.quorumwrites:QuorumWriteClient",
+                write_quorum=_quorum,
+            ),
+            storage_factory=_role(
+                "repro.protocols.quorumwrites:QuorumWriteStorageNode"
+            ),
         )
     )
 
@@ -512,8 +347,8 @@ register_protocol(
         name="megastore",
         summary="Megastore*: one entity group, master-serialized log "
         "positions, Paxos-CP batching (§5.2)",
-        client_factory=_megastore_client,
-        storage_factory=_megastore_storage,
+        client_factory=_role("repro.protocols.megastore:MegastoreClient"),
+        storage_factory=_role("repro.protocols.megastore:MegastoreStorageNode"),
         single_entity_group=True,
         preferred_client_dc="us-west",
         abort_reasons=("log-position-conflict",),

@@ -24,24 +24,14 @@ master-to-quorum round trip, and positions are strictly sequential.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.config import MDCCConfig
-from repro.core.coordinator import TransactionOutcome, WriteSet
-from repro.core.messages import ReadReply, ReadRequest
-from repro.core.options import (
-    CommutativeUpdate,
-    OptionStatus,
-    PhysicalUpdate,
-    RecordId,
-    Update,
-)
-from repro.core.topology import ReplicaMap
-from repro.metrics import CounterSet
-from repro.transport.base import Future, Node, Transport
-from repro.storage.store import RecordStore
+from repro.core.coordinator import WriteSet
+from repro.core.options import RecordId, Update
+from repro.protocols.client import ClientRole, Tx
+from repro.protocols.participant import PREPARED, StorageRole, apply, validate
+from repro.transport.base import Future
 
 __all__ = ["MegastoreClient", "MegastoreStorageNode", "MASTER_DC"]
 
@@ -87,7 +77,7 @@ class _PendingTx:
     reply_to: str
 
 
-class MegastoreStorageNode(Node):
+class MegastoreStorageNode(StorageRole):
     """A Megastore* replica: applies the entity group's log in order.
 
     The replica in :data:`MASTER_DC` additionally runs the master role:
@@ -96,22 +86,11 @@ class MegastoreStorageNode(Node):
     each position to a classic quorum before acknowledging commits.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-        batch_size: int = DEFAULT_BATCH,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
-        self.store = RecordStore()
-        self.batch_size = batch_size
+    reads_counter = "megastore.reads"
+
+    def __init__(self, *wiring: Any, **named: Any) -> None:
+        super().__init__(*wiring, **named)
+        self.master_hint = self.placement.storage_node_id(MASTER_DC, 0)
         # Replica state: the log and the next position to apply.
         self._log: Dict[int, MsLogAppend] = {}
         self._applied_through = -1
@@ -131,8 +110,7 @@ class MegastoreStorageNode(Node):
     def handle_ms_commit_request(self, message: MsCommitRequest, src_id: str) -> None:
         if not self.is_master:
             # Forward to the master replica of the entity group.
-            master = self.placement.storage_node_id(MASTER_DC, 0)
-            self.send(master, message)
+            self.send(self.master_hint, message)
             return
         self._queue.append(
             _PendingTx(
@@ -148,7 +126,7 @@ class MegastoreStorageNode(Node):
         touched: Set[RecordId] = set()
         remaining: List[_PendingTx] = []
         for pending in self._queue:
-            if len(batch) >= self.batch_size:
+            if len(batch) >= DEFAULT_BATCH:
                 remaining.append(pending)
                 continue
             records = {record for record, _ in pending.updates}
@@ -157,7 +135,11 @@ class MegastoreStorageNode(Node):
                 # (the Paxos-CP improvement; plain Megastore would abort it).
                 remaining.append(pending)
                 continue
-            if not self._validate(pending):
+            # Write-write conflict check against the master's committed state.
+            if any(
+                validate(self.store, record, update) != PREPARED
+                for record, update in pending.updates
+            ):
                 self.send(
                     pending.reply_to,
                     MsCommitResult(txid=pending.txid, committed=False),
@@ -168,9 +150,8 @@ class MegastoreStorageNode(Node):
             touched |= records
         self._queue = remaining
         if not batch:
-            if self._queue:
-                # Everything left conflicted or aborted; try again.
-                self.set_timer(0.0, self._pump)
+            # Nothing is left queued either: a transaction is only deferred
+            # for conflicting with, or overflowing, a non-empty batch.
             return
         position = self._next_position
         self._next_position += 1
@@ -188,34 +169,6 @@ class MegastoreStorageNode(Node):
             message,
         )
         self.counters.increment("megastore.positions")
-
-    def _validate(self, pending: _PendingTx) -> bool:
-        """Write-write conflict check against the master's committed state."""
-        for record, update in pending.updates:
-            if isinstance(update, PhysicalUpdate):
-                snapshot = self.store.read(record.table, record.key)
-                if update.vread != snapshot.version:
-                    return False
-                if not update.is_delete and not self.store.schema(
-                    record.table
-                ).check_value(update.new_value):
-                    return False
-            else:
-                assert isinstance(update, CommutativeUpdate)
-                snapshot = self.store.read(record.table, record.key)
-                if not snapshot.exists:
-                    return False
-                schema = self.store.schema(record.table)
-                for attribute, delta in update.deltas:
-                    constraint = schema.constraint(attribute)
-                    if constraint is None:
-                        continue
-                    current = snapshot.attribute(attribute, 0)
-                    if not isinstance(current, (int, float)) or not constraint.allows(
-                        current + delta
-                    ):
-                        return False
-        return True
 
     def handle_ms_log_ack(self, message: MsLogAck, src_id: str) -> None:
         if self._inflight is None or self._inflight[0] != message.position:
@@ -243,116 +196,26 @@ class MegastoreStorageNode(Node):
             entry = self._log[self._applied_through + 1]
             for _txid, updates in entry.entries:
                 for record, update in updates:
-                    self._apply(record, update)
+                    apply(self.store.record(record.table, record.key), update)
             self._applied_through += 1
 
-    def _apply(self, record: RecordId, update: Update) -> None:
-        stored = self.store.record(record.table, record.key)
-        if isinstance(update, PhysicalUpdate):
-            if update.is_delete:
-                stored.commit_delete()
-            else:
-                stored.commit_value(update.new_value)
-        else:
-            for attribute, delta in update.deltas:
-                stored.commit_delta(attribute, delta)
 
-    # ------------------------------------------------------------------
-    # Reads (read-committed, local replica — relaxed as in the paper)
-    # ------------------------------------------------------------------
-    def handle_read_request(self, message: ReadRequest, src_id: str) -> None:
-        snapshot = self.store.read(message.table, message.key)
-        self.counters.increment("megastore.reads")
-        self.send(
-            src_id,
-            ReadReply(
-                request_id=message.request_id,
-                table=message.table,
-                key=message.key,
-                exists=snapshot.exists,
-                value=snapshot.value,
-                version=snapshot.version,
-                is_fast_era=False,
-                master_hint=self.placement.storage_node_id(MASTER_DC, 0),
-            ),
-        )
+class MegastoreClient(ClientRole[Tx]):
+    """A Megastore* app server (placed in US-West by the evaluation).
 
+    Reads are read-committed at the local replica — relaxed as in the
+    paper."""
 
-class MegastoreClient(Node):
-    """A Megastore* app server (placed in US-West by the evaluation)."""
-
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
-        self._txid_seq = itertools.count(1)
-        self._read_seq = itertools.count(1)
-        self._pending_reads: Dict[int, Future] = {}
-        self._pending_commits: Dict[str, Tuple[Future, float, Tuple[RecordId, ...]]] = {}
-
-    def read(self, table: str, key: str, dc: Optional[str] = None) -> Future:
-        request_id = next(self._read_seq)
-        future = self.future()
-        self._pending_reads[request_id] = future
-        record = RecordId(table, key)
-        replica = self.placement.replica_in(record, dc or self.dc)
-        self.send(replica, ReadRequest(table=table, key=key, request_id=request_id))
-        return future
-
-    def handle_read_reply(self, message: ReadReply, src_id: str) -> None:
-        future = self._pending_reads.pop(message.request_id, None)
-        if future is not None:
-            future.try_resolve(message)
-
-    def commit(self, writeset: WriteSet, txid: Optional[str] = None) -> Future:
-        txid = txid or f"{self.node_id}-tx{next(self._txid_seq)}"
-        future = self.future()
-        if not writeset:
-            future.resolve(
-                TransactionOutcome(
-                    txid=txid,
-                    committed=True,
-                    started_at=self.now,
-                    decided_at=self.now,
-                    statuses={},
-                    fast_path=False,
-                )
-            )
-            return future
+    def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
+        self._transactions[txid] = Tx(txid, future, self.now, writeset.records())
         updates = tuple(sorted(writeset.updates.items()))
-        self._pending_commits[txid] = (future, self.now, tuple(writeset.records()))
         master = self.placement.storage_node_id(MASTER_DC, 0)
         self.send(
             master,
             MsCommitRequest(txid=txid, updates=updates, reply_to=self.node_id),
         )
-        self.counters.increment("coordinator.transactions")
-        return future
 
     def handle_ms_commit_result(self, message: MsCommitResult, src_id: str) -> None:
-        entry = self._pending_commits.pop(message.txid, None)
-        if entry is None:
-            return
-        future, started_at, records = entry
-        status = OptionStatus.ACCEPTED if message.committed else OptionStatus.REJECTED
-        outcome = TransactionOutcome(
-            txid=message.txid,
-            committed=message.committed,
-            started_at=started_at,
-            decided_at=self.now,
-            statuses={str(record): status for record in sorted(records)},
-            fast_path=False,
-        )
-        self.counters.increment(
-            "coordinator.commits" if message.committed else "coordinator.aborts"
-        )
-        future.resolve(outcome)
+        tx = self._transactions.get(message.txid)
+        if tx is not None:
+            self.finish(tx, message.committed)

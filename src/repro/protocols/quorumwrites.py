@@ -14,24 +14,19 @@ it).  Reads use a read-quorum of 1: the local replica.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
-from repro.core.config import MDCCConfig
-from repro.core.coordinator import TransactionOutcome, WriteSet
-from repro.core.messages import ReadReply, ReadRequest
+from repro.core.coordinator import WriteSet
 from repro.core.options import (
     CommutativeUpdate,
-    OptionStatus,
     PhysicalUpdate,
     RecordId,
     Update,
 )
-from repro.core.topology import ReplicaMap
-from repro.metrics import CounterSet
-from repro.transport.base import Future, Node, Transport
-from repro.storage.store import RecordStore
+from repro.protocols.client import ClientRole, Tx
+from repro.protocols.participant import StorageRole
+from repro.transport.base import Future
 
 __all__ = ["QuorumWriteClient", "QuorumWriteStorageNode"]
 
@@ -51,23 +46,14 @@ class QWAck:
     record: RecordId
 
 
-class QuorumWriteStorageNode(Node):
+class QuorumWriteStorageNode(StorageRole):
     """An eventually-consistent replica: apply-on-receipt, LWW registers."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
-        self.store = RecordStore()
+    reads_counter = "qw.reads"
+    is_fast_era = True
+
+    def __init__(self, *wiring: Any, **named: Any) -> None:
+        super().__init__(*wiring, **named)
         #: record -> (timestamp, writer) of the last applied full write.
         self._lww: Dict[RecordId, Tuple[float, str]] = {}
         self._applied: Set[str] = set()
@@ -100,98 +86,29 @@ class QuorumWriteStorageNode(Node):
             for attribute, delta in update.deltas:
                 record.commit_delta(attribute, delta)
 
-    def handle_read_request(self, message: ReadRequest, src_id: str) -> None:
-        snapshot = self.store.read(message.table, message.key)
-        self.counters.increment("qw.reads")
-        self.send(
-            src_id,
-            ReadReply(
-                request_id=message.request_id,
-                table=message.table,
-                key=message.key,
-                exists=snapshot.exists,
-                value=snapshot.value,
-                version=snapshot.version,
-                is_fast_era=True,
-                master_hint="",
-            ),
-        )
-
 
 @dataclass
-class _QWTx:
-    txid: str
-    future: Future
-    started_at: float
-    needed: Dict[RecordId, int] = field(default_factory=dict)
+class _QWTx(Tx):
     acks: Dict[RecordId, Set[str]] = field(default_factory=dict)
-    finished: bool = False
 
 
-class QuorumWriteClient(Node):
-    """The QW-k client: broadcast writes, wait for k acks per record."""
+class QuorumWriteClient(ClientRole[_QWTx]):
+    """The QW-k client: broadcast writes, wait for k acks per record.
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-        write_quorum: int = 3,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        if not 1 <= write_quorum <= placement.replication:
+    Reads use a read-quorum of 1: the local replica."""
+
+    fast_path = True
+
+    def __init__(self, *wiring: Any, write_quorum: int, **named: Any) -> None:
+        super().__init__(*wiring, **named)
+        if not 1 <= write_quorum <= self.placement.replication:
             raise ValueError(f"write quorum {write_quorum} out of range")
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
         self.write_quorum = write_quorum
-        self._transactions: Dict[str, _QWTx] = {}
-        self._txid_seq = itertools.count(1)
-        self._read_seq = itertools.count(1)
-        self._pending_reads: Dict[int, Future] = {}
 
-    # ------------------------------------------------------------------
-    # Reads: read-quorum of 1 (local replica)
-    # ------------------------------------------------------------------
-    def read(self, table: str, key: str, dc: Optional[str] = None) -> Future:
-        request_id = next(self._read_seq)
-        future = self.future()
-        self._pending_reads[request_id] = future
-        record = RecordId(table, key)
-        replica = self.placement.replica_in(record, dc or self.dc)
-        self.send(replica, ReadRequest(table=table, key=key, request_id=request_id))
-        return future
-
-    def handle_read_reply(self, message: ReadReply, src_id: str) -> None:
-        future = self._pending_reads.pop(message.request_id, None)
-        if future is not None:
-            future.try_resolve(message)
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def commit(self, writeset: WriteSet, txid: Optional[str] = None) -> Future:
-        txid = txid or f"{self.node_id}-tx{next(self._txid_seq)}"
-        future = self.future()
-        if not writeset:
-            future.resolve(
-                TransactionOutcome(
-                    txid=txid,
-                    committed=True,
-                    started_at=self.now,
-                    decided_at=self.now,
-                    statuses={},
-                    fast_path=True,
-                )
-            )
-            return future
-        tx = _QWTx(txid=txid, future=future, started_at=self.now)
+    def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
+        tx = _QWTx(txid, future, self.now, writeset.records())
         self._transactions[txid] = tx
         for record, update in writeset.updates.items():
-            tx.needed[record] = self.write_quorum
             tx.acks[record] = set()
             message = QWWrite(
                 txid=txid,
@@ -201,29 +118,11 @@ class QuorumWriteClient(Node):
                 writer=self.node_id,
             )
             self.broadcast(self.placement.replicas(record), message)
-        self.counters.increment("coordinator.transactions")
-        return future
 
     def handle_qw_ack(self, message: QWAck, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
-        if tx is None or tx.finished:
+        if tx is None:
             return
-        tx.acks.setdefault(message.record, set()).add(src_id)
-        if all(
-            len(tx.acks.get(record, ())) >= needed
-            for record, needed in tx.needed.items()
-        ):
-            tx.finished = True
-            outcome = TransactionOutcome(
-                txid=tx.txid,
-                committed=True,  # QW never aborts: no guarantees to violate
-                started_at=tx.started_at,
-                decided_at=self.now,
-                statuses={
-                    str(record): OptionStatus.ACCEPTED for record in tx.needed
-                },
-                fast_path=True,
-            )
-            self.counters.increment("coordinator.commits")
-            del self._transactions[tx.txid]
-            tx.future.resolve(outcome)
+        tx.acks[message.record].add(src_id)
+        if all(len(acks) >= self.write_quorum for acks in tx.acks.values()):
+            self.finish(tx, True)  # QW never aborts: no guarantees to violate

@@ -29,8 +29,8 @@ Role mapping onto the shared cluster topology:
 * the partition-0 storage node of each DC doubles as that DC's **2PC
   coordinator** (any node could; partition 0 is the deterministic pick);
 * every storage node is a 2PC **participant** for the records of its
-  partition, reusing the lock/validate vocabulary of
-  :mod:`repro.protocols.twopc`;
+  partition — the same :class:`~repro.protocols.participant.LockingStorageRole`
+  2PC uses;
 * the app-server client is the cross-DC **proposer**: it fans the
   commit request to all DC coordinators, tallies DC votes to a classic
   majority, and broadcasts the decision.
@@ -52,13 +52,10 @@ catch-up releases any lock the lost decision stranded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.config import MDCCConfig
-from repro.core.coordinator import TransactionOutcome, WriteSet
-from repro.core.demarcation import DemarcationLimits, escrow_accepts
+from repro.core.coordinator import WriteSet
 from repro.core.messages import (
     CatchUp,
     RcApply,
@@ -72,22 +69,31 @@ from repro.core.messages import (
     RepairProbe,
     RepairReply,
 )
-from repro.core.options import (
-    CommutativeUpdate,
-    OptionStatus,
-    PhysicalUpdate,
-    ReadValidation,
-    RecordId,
-    Update,
+from repro.core.options import RecordId, Update
+from repro.protocols.client import ClientRole, Tx
+from repro.protocols.participant import (
+    PREPARED,
+    LockingStorageRole,
+    apply,
+    write_base,
 )
-from repro.core.topology import ReplicaMap
-from repro.metrics import CounterSet
 from repro.trace import runtime as trace_runtime
-from repro.transport.base import Future, Node, Transport
-from repro.storage.store import RecordStore
-from repro.storage.wal import WriteAheadLog
+from repro.transport.base import Future
 
 __all__ = ["ReplicatedCommitClient", "ReplicatedCommitStorageNode"]
+
+
+def _under(span: Optional[Any], fn: Callable[..., object], *args: Any) -> None:
+    """``fn(*args)`` with ``span`` as the ambient trace context, so the
+    messages it sends stitch under that span (a plain call untraced)."""
+    if span is None:
+        fn(*args)
+        return
+    previous = trace_runtime.set_context(span.ctx)
+    try:
+        fn(*args)
+    finally:
+        trace_runtime.reset_context(previous)
 
 
 @dataclass
@@ -98,39 +104,23 @@ class _DcRound:
     reply_to: str
     updates: Tuple[Tuple[RecordId, Update], ...]
     votes: Dict[RecordId, bool] = field(default_factory=dict)
-    span: Optional[object] = None
+    span: Optional[Any] = None
 
 
-class ReplicatedCommitStorageNode(Node):
+class ReplicatedCommitStorageNode(LockingStorageRole):
     """A Replicated Commit replica: 2PC participant, and (on the DC's
     partition-0 node) the DC's 2PC coordinator."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = trace_runtime.scoped_counters(
-            node_id, counters if counters is not None else CounterSet()
-        )
+    reads_counter = "repcommit.reads"
+
+    def __init__(self, *wiring: Any, **named: Any) -> None:
+        super().__init__(*wiring, **named)
+        self.counters = trace_runtime.scoped_counters(self.node_id, self.counters)
         self.tracer = trace_runtime.current_tracer()
-        self.store = RecordStore()
-        self.wal = WriteAheadLog()
-        #: record -> (txid, update) currently prepared (locked).
-        self._locks: Dict[RecordId, Tuple[str, Update]] = {}
-        #: decisions already applied, for idempotence.
-        self._decided: Set[Tuple[str, str]] = set()
-        #: committed physical updates that arrived ahead of the version
+        #: committed full-record writes that arrived ahead of the version
         #: they build on: record -> {vread: update}, drained as applies
         #: (or catch-ups) advance the record version.
-        self._apply_buffer: Dict[RecordId, Dict[int, PhysicalUpdate]] = {}
+        self._apply_buffer: Dict[RecordId, Dict[int, Update]] = {}
         #: 2PC rounds this node is coordinating for its DC, by txid.
         self._rounds: Dict[str, _DcRound] = {}
 
@@ -153,13 +143,7 @@ class ReplicatedCommitStorageNode(Node):
                 dc=self.dc,
                 records=len(message.updates),
             )
-            previous = trace_runtime.set_context(round.span.ctx)
-            try:
-                self._fan_prepares(round)
-            finally:
-                trace_runtime.reset_context(previous)
-        else:
-            self._fan_prepares(round)
+        _under(round.span, self._fan_prepares, round)
 
     def _fan_prepares(self, round: _DcRound) -> None:
         for record, update in round.updates:
@@ -185,13 +169,7 @@ class ReplicatedCommitStorageNode(Node):
         del self._rounds[message.txid]
         if round.span is not None:
             round.span.finish(self.now, "yes" if accept else "no")
-            previous = trace_runtime.set_context(round.span.ctx)
-            try:
-                self._cast_vote(round, accept)
-            finally:
-                trace_runtime.reset_context(previous)
-        else:
-            self._cast_vote(round, accept)
+        _under(round.span, self._cast_vote, round, accept)
 
     def _cast_vote(self, round: _DcRound, accept: bool) -> None:
         self.wal.append("rc-vote", txid=round.txid, dc=self.dc, accept=accept)
@@ -225,7 +203,8 @@ class ReplicatedCommitStorageNode(Node):
     # Participant: prepare (lock + validate), apply the decision
     # ------------------------------------------------------------------
     def handle_rc_prepare(self, message: RcPrepare, src_id: str) -> None:
-        ok, reason = self._try_prepare(message.txid, message.record, message.update)
+        reason = self.prepare(message.txid, message.record, message.update)
+        ok = reason == PREPARED
         if self.tracer.enabled:
             span = self.tracer.start_span(
                 "rc-local-prepare",
@@ -245,56 +224,9 @@ class ReplicatedCommitStorageNode(Node):
             ),
         )
 
-    def _try_prepare(
-        self, txid: str, record: RecordId, update: Update
-    ) -> Tuple[bool, str]:
-        if (txid, str(record)) in self._decided:
-            # The decision overtook this prepare in flight; locking now
-            # would strand the lock — nothing is coming to release it.
-            return False, "decided"
-        held = self._locks.get(record)
-        if held is not None and held[0] != txid:
-            return False, "lock-conflict"
-        snapshot = self.store.read(record.table, record.key)
-        if isinstance(update, ReadValidation):
-            if update.vread != snapshot.version:
-                return False, "stale-read"
-        elif isinstance(update, PhysicalUpdate):
-            if update.vread != snapshot.version:
-                return False, "stale-read"
-            if not update.is_delete:
-                schema = self.store.schema(record.table)
-                if not schema.check_value(update.new_value):
-                    return False, "constraint"
-        else:
-            assert isinstance(update, CommutativeUpdate)
-            if not snapshot.exists:
-                return False, "stale-read"
-            schema = self.store.schema(record.table)
-            for attribute, delta in update.deltas:
-                constraint = schema.constraint(attribute)
-                if constraint is None:
-                    continue
-                current = snapshot.attribute(attribute, 0)
-                if not isinstance(current, (int, float)):
-                    return False, "constraint"
-                limits = DemarcationLimits(
-                    lower=constraint.minimum, upper=constraint.maximum
-                )
-                # Every replica of the DC prepares, so plain escrow works.
-                if not escrow_accepts(float(current), [], delta, limits):
-                    return False, "escrow-limit"
-        self._locks[record] = (txid, update)
-        return True, "prepared"
-
     def handle_rc_apply(self, message: RcApply, src_id: str) -> None:
-        key = (message.txid, str(message.record))
-        if key in self._decided:
+        if not self.release(message.txid, message.record):
             return
-        self._decided.add(key)
-        held = self._locks.get(message.record)
-        if held is not None and held[0] == message.txid:
-            del self._locks[message.record]
         self.wal.append("rc-apply", txid=message.txid, commit=message.commit)
         self.counters.increment(
             "repcommit.applies" if message.commit else "repcommit.releases"
@@ -316,32 +248,21 @@ class ReplicatedCommitStorageNode(Node):
 
     def _apply(self, record: RecordId, update: Update) -> str:
         stored = self.store.record(record.table, record.key)
-        if isinstance(update, ReadValidation):
-            return "noop"  # asserted state; nothing to apply
-        if isinstance(update, CommutativeUpdate):
-            for attribute, delta in update.deltas:
-                stored.commit_delta(attribute, delta)
-            return "delta"
-        assert isinstance(update, PhysicalUpdate)
-        if update.vread == stored.current_version:
-            self._apply_physical(stored, update)
+        base = write_base(update)
+        if base is None:
+            return apply(stored, update)
+        if base == stored.current_version:
+            apply(stored, update)
             self._drain_buffer(record)
             return "applied"
-        if update.vread > stored.current_version:
+        if base > stored.current_version:
             # Committed, but builds on a version this replica has not
             # applied yet (decisions from different clients race on the
             # WAN): park it until the predecessor lands.
-            self._apply_buffer.setdefault(record, {})[update.vread] = update
+            self._apply_buffer.setdefault(record, {})[base] = update
             self.counters.increment("repcommit.buffered")
             return "buffered"
         return "stale"  # already superseded here (e.g. via catch-up)
-
-    @staticmethod
-    def _apply_physical(stored, update: PhysicalUpdate) -> None:
-        if update.is_delete:
-            stored.commit_delete()
-        else:
-            stored.commit_value(update.new_value)
 
     def _drain_buffer(self, record: RecordId) -> None:
         buffered = self._apply_buffer.get(record)
@@ -352,32 +273,12 @@ class ReplicatedCommitStorageNode(Node):
             update = buffered.pop(stored.current_version, None)
             if update is None:
                 break
-            self._apply_physical(stored, update)
+            apply(stored, update)
             self.counters.increment("repcommit.drained")
         for vread in [v for v in buffered if v < stored.current_version]:
             del buffered[vread]  # superseded; can never apply
         if not buffered:
             del self._apply_buffer[record]
-
-    # ------------------------------------------------------------------
-    # Reads (same message vocabulary as MDCC)
-    # ------------------------------------------------------------------
-    def handle_read_request(self, message: ReadRequest, src_id: str) -> None:
-        snapshot = self.store.read(message.table, message.key)
-        self.counters.increment("repcommit.reads")
-        self.send(
-            src_id,
-            ReadReply(
-                request_id=message.request_id,
-                table=message.table,
-                key=message.key,
-                exists=snapshot.exists,
-                value=snapshot.value,
-                version=snapshot.version,
-                is_fast_era=False,
-                master_hint="",
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Anti-entropy (shared RepairProbe/CatchUp vocabulary)
@@ -427,47 +328,29 @@ class _RcRead:
 
 
 @dataclass
-class _RcTx:
-    txid: str
+class _RcTx(Tx):
     updates: Tuple[Tuple[RecordId, Update], ...]
-    future: Future
-    started_at: float
     votes: Dict[str, bool] = field(default_factory=dict)
     decision: Optional[bool] = None
-    root: Optional[object] = None
+    root: Optional[Any] = None
 
 
-class ReplicatedCommitClient(Node):
+class ReplicatedCommitClient(ClientRole[_RcTx]):
     """The app-server client: cross-DC Paxos proposer + majority reads."""
 
     #: read retry budget — bounded so a read issued into a partition that
     #: never fully heals still terminates (with the freshest reply seen).
     MAX_READ_RETRIES = 10
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = trace_runtime.scoped_counters(
-            node_id, counters if counters is not None else CounterSet()
-        )
+    def __init__(self, *wiring: Any, **named: Any) -> None:
+        super().__init__(*wiring, **named)
+        self.counters = trace_runtime.scoped_counters(self.node_id, self.counters)
         self.tracer = trace_runtime.current_tracer()
-        self._transactions: Dict[str, _RcTx] = {}
-        self._txid_seq = itertools.count(1)
-        self._read_seq = itertools.count(1)
         self._reads: Dict[int, _RcRead] = {}
         #: one wide-area round out and back, same budget 2PC gives its
         #: all-replica prepare round.
-        self.vote_timeout_ms = 4 * config.learn_timeout_ms
-        self.read_retry_ms = 2 * config.learn_timeout_ms
+        self.vote_timeout_ms = 4 * self.config.learn_timeout_ms
+        self.read_retry_ms = 2 * self.config.learn_timeout_ms
 
     # ------------------------------------------------------------------
     # Reads: majority of data centers (or one pinned replica)
@@ -548,42 +431,21 @@ class ReplicatedCommitClient(Node):
     # ------------------------------------------------------------------
     # Commit: propose to every DC, tally votes to a classic majority
     # ------------------------------------------------------------------
-    def commit(self, writeset: WriteSet, txid: Optional[str] = None) -> Future:
-        txid = txid or f"{self.node_id}-tx{next(self._txid_seq)}"
-        future = self.future()
-        if not writeset:
-            future.resolve(
-                TransactionOutcome(
-                    txid=txid,
-                    committed=True,
-                    started_at=self.now,
-                    decided_at=self.now,
-                    statuses={},
-                    fast_path=False,
-                )
-            )
-            return future
+    def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
         tx = _RcTx(
-            txid=txid,
+            txid,
+            future,
+            self.now,
+            writeset.records(),
             updates=tuple(writeset.updates.items()),
-            future=future,
-            started_at=self.now,
         )
         self._transactions[txid] = tx
         if self.tracer.enabled:
             tx.root = self.tracer.start_trace(
                 txid, self.node_id, self.now, records=len(tx.updates)
             )
-            previous = trace_runtime.set_context(tx.root.ctx)
-            try:
-                self._propose(tx)
-            finally:
-                trace_runtime.reset_context(previous)
-        else:
-            self._propose(tx)
+        _under(tx.root, self._propose, tx)
         self.set_timer(self.vote_timeout_ms, self._vote_timeout, txid)
-        self.counters.increment("coordinator.transactions")
-        return future
 
     def _propose(self, tx: _RcTx) -> None:
         request = RcCommitRequest(
@@ -622,30 +484,7 @@ class ReplicatedCommitClient(Node):
         tx.decision = commit
         decision = RcDecision(txid=tx.txid, commit=commit, updates=tx.updates)
         targets = [self._dc_coordinator(dc) for dc in self.placement.datacenters]
+        _under(tx.root, self.broadcast, targets, decision)
         if tx.root is not None:
-            previous = trace_runtime.set_context(tx.root.ctx)
-            try:
-                self.broadcast(targets, decision)
-            finally:
-                trace_runtime.reset_context(previous)
             tx.root.finish(self.now, "committed" if commit else reason)
-        else:
-            self.broadcast(targets, decision)
-        outcome = TransactionOutcome(
-            txid=tx.txid,
-            committed=commit,
-            started_at=tx.started_at,
-            decided_at=self.now,
-            statuses={
-                str(record): (
-                    OptionStatus.ACCEPTED if commit else OptionStatus.REJECTED
-                )
-                for record, _ in tx.updates
-            },
-            fast_path=False,
-        )
-        self.counters.increment(
-            "coordinator.commits" if commit else "coordinator.aborts"
-        )
-        del self._transactions[tx.txid]
-        tx.future.resolve(outcome)
+        self.finish(tx, commit)

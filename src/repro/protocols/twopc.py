@@ -16,27 +16,14 @@ the latency disadvantage Figure 3/5 shows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.config import MDCCConfig
-from repro.core.coordinator import TransactionOutcome, WriteSet
-from repro.core.demarcation import DemarcationLimits, escrow_accepts
-from repro.core.messages import ReadReply, ReadRequest
-from repro.core.options import (
-    CommutativeUpdate,
-    OptionStatus,
-    PhysicalUpdate,
-    ReadValidation,
-    RecordId,
-    Update,
-)
-from repro.core.topology import ReplicaMap
-from repro.metrics import CounterSet
-from repro.transport.base import Future, Node, Transport
-from repro.storage.store import RecordStore
-from repro.storage.wal import WriteAheadLog
+from repro.core.coordinator import WriteSet
+from repro.core.options import RecordId, Update
+from repro.protocols.client import ClientRole, Tx
+from repro.protocols.participant import PREPARED, LockingStorageRole, apply
+from repro.transport.base import Future
 
 __all__ = ["TwoPCCoordinator", "TwoPCStorageNode"]
 
@@ -72,93 +59,30 @@ class DecisionAck:
     record: RecordId
 
 
-class TwoPCStorageNode(Node):
+class TwoPCStorageNode(LockingStorageRole):
     """A 2PC participant replica: lock table + versioned store."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
-        self.store = RecordStore()
-        self.wal = WriteAheadLog()
-        #: record -> (txid, update) currently prepared (locked).
-        self._locks: Dict[RecordId, Tuple[str, Update]] = {}
-        #: decisions already applied, for idempotence.
-        self._decided: Set[Tuple[str, str]] = set()
+    reads_counter = "twopc.reads"
 
     # ------------------------------------------------------------------
     # Phase 1: prepare (lock + validate)
     # ------------------------------------------------------------------
     def handle_prepare_request(self, message: PrepareRequest, src_id: str) -> None:
-        ok = self._try_prepare(message.txid, message.record, message.update)
+        ok = self.prepare(message.txid, message.record, message.update) == PREPARED
         self.wal.append("2pc-prepare", txid=message.txid, ok=ok)
         self.counters.increment("twopc.prepares")
         self.send(src_id, PrepareReply(txid=message.txid, record=message.record, ok=ok))
-
-    def _try_prepare(self, txid: str, record: RecordId, update: Update) -> bool:
-        if (txid, str(record)) in self._decided:
-            # The decision overtook this prepare in flight (links reorder).
-            # Locking now would leak the lock forever: nothing is coming to
-            # release it.
-            return False
-        held = self._locks.get(record)
-        if held is not None and held[0] != txid:
-            return False  # lock conflict
-        snapshot = self.store.read(record.table, record.key)
-        if isinstance(update, ReadValidation):
-            # OCC read-set check (§4.4): version still current.  Takes the
-            # lock like any prepare — a read lock held until the decision.
-            if update.vread != snapshot.version:
-                return False
-        elif isinstance(update, PhysicalUpdate):
-            if update.vread != snapshot.version:
-                return False
-            if not update.is_delete:
-                schema = self.store.schema(record.table)
-                if not schema.check_value(update.new_value):
-                    return False
-        else:
-            assert isinstance(update, CommutativeUpdate)
-            if not snapshot.exists:
-                return False
-            schema = self.store.schema(record.table)
-            for attribute, delta in update.deltas:
-                constraint = schema.constraint(attribute)
-                if constraint is None:
-                    continue
-                current = snapshot.attribute(attribute, 0)
-                if not isinstance(current, (int, float)):
-                    return False
-                limits = DemarcationLimits(
-                    lower=constraint.minimum, upper=constraint.maximum
-                )
-                # All replicas must prepare, so plain escrow suffices.
-                if not escrow_accepts(float(current), [], delta, limits):
-                    return False
-        self._locks[record] = (txid, update)
-        return True
 
     # ------------------------------------------------------------------
     # Phase 2: decision
     # ------------------------------------------------------------------
     def handle_decision_message(self, message: DecisionMessage, src_id: str) -> None:
-        key = (message.txid, str(message.record))
-        if key not in self._decided:
-            self._decided.add(key)
-            held = self._locks.get(message.record)
-            if held is not None and held[0] == message.txid:
-                del self._locks[message.record]
+        if self.release(message.txid, message.record):
             if message.commit:
-                self._apply(message.record, message.update)
+                # Every replica prepared, so the lock just released kept the
+                # record at the version the update read.
+                record = message.record
+                apply(self.store.record(record.table, record.key), message.update)
             self.wal.append(
                 "2pc-decision", txid=message.txid, commit=message.commit
             )
@@ -167,124 +91,31 @@ class TwoPCStorageNode(Node):
             )
         self.send(src_id, DecisionAck(txid=message.txid, record=message.record))
 
-    def _apply(self, record: RecordId, update: Update) -> None:
-        stored = self.store.record(record.table, record.key)
-        if isinstance(update, ReadValidation):
-            return  # asserted state; nothing to apply
-        if isinstance(update, PhysicalUpdate):
-            if update.is_delete:
-                stored.commit_delete()
-            elif stored.current_version == update.vread:
-                stored.commit_value(update.new_value)
-            # A stale apply (already superseded) is dropped silently: the
-            # coordinator serialized decisions through the locks.
-        else:
-            for attribute, delta in update.deltas:
-                stored.commit_delta(attribute, delta)
-
-    # ------------------------------------------------------------------
-    # Reads (same message vocabulary as MDCC)
-    # ------------------------------------------------------------------
-    def handle_read_request(self, message: ReadRequest, src_id: str) -> None:
-        snapshot = self.store.read(message.table, message.key)
-        self.counters.increment("twopc.reads")
-        self.send(
-            src_id,
-            ReadReply(
-                request_id=message.request_id,
-                table=message.table,
-                key=message.key,
-                exists=snapshot.exists,
-                value=snapshot.value,
-                version=snapshot.version,
-                is_fast_era=False,
-                master_hint="",
-            ),
-        )
-
 
 @dataclass
-class _TwoPCTx:
-    txid: str
+class _TwoPCTx(Tx):
     updates: Dict[RecordId, Update]
-    future: Future
-    started_at: float
     prepare_replies: Dict[Tuple[RecordId, str], bool] = field(default_factory=dict)
     decision: Optional[bool] = None
     acks: Set[Tuple[RecordId, str]] = field(default_factory=set)
-    finished: bool = False
 
 
-class TwoPCCoordinator(Node):
+class TwoPCCoordinator(ClientRole[_TwoPCTx]):
     """The client-side transaction manager for 2PC."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        node_id: str,
-        dc: str,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: Optional[CounterSet] = None,
-    ) -> None:
-        super().__init__(transport, node_id, dc)
-        self.placement = placement
-        self.config = config
-        self.counters = counters if counters is not None else CounterSet()
-        self._transactions: Dict[str, _TwoPCTx] = {}
-        self._txid_seq = itertools.count(1)
-        self._read_seq = itertools.count(1)
-        self._pending_reads: Dict[int, Future] = {}
-        self.prepare_timeout_ms = 4 * config.learn_timeout_ms
+    @property
+    def prepare_timeout_ms(self) -> float:
+        return 4 * self.config.learn_timeout_ms
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def read(self, table: str, key: str, dc: Optional[str] = None) -> Future:
-        request_id = next(self._read_seq)
-        future = self.future()
-        self._pending_reads[request_id] = future
-        record = RecordId(table, key)
-        replica = self.placement.replica_in(record, dc or self.dc)
-        self.send(replica, ReadRequest(table=table, key=key, request_id=request_id))
-        return future
-
-    def handle_read_reply(self, message: ReadReply, src_id: str) -> None:
-        future = self._pending_reads.pop(message.request_id, None)
-        if future is not None:
-            future.try_resolve(message)
-
-    # ------------------------------------------------------------------
-    # Commit
-    # ------------------------------------------------------------------
-    def commit(self, writeset: WriteSet, txid: Optional[str] = None) -> Future:
-        txid = txid or f"{self.node_id}-tx{next(self._txid_seq)}"
-        future = self.future()
-        if not writeset:
-            future.resolve(
-                TransactionOutcome(
-                    txid=txid,
-                    committed=True,
-                    started_at=self.now,
-                    decided_at=self.now,
-                    statuses={},
-                    fast_path=False,
-                )
-            )
-            return future
+    def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
         tx = _TwoPCTx(
-            txid=txid,
-            updates=writeset.updates,
-            future=future,
-            started_at=self.now,
+            txid, future, self.now, writeset.records(), updates=writeset.updates
         )
         self._transactions[txid] = tx
         for record, update in tx.updates.items():
             request = PrepareRequest(txid=txid, record=record, update=update)
             self.broadcast(self.placement.replicas(record), request)
         self.set_timer(self.prepare_timeout_ms, self._prepare_timeout, txid)
-        self.counters.increment("coordinator.transactions")
-        return future
 
     def handle_prepare_reply(self, message: PrepareReply, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
@@ -317,34 +148,13 @@ class TwoPCCoordinator(Node):
         if not commit:
             # Aborts resolve immediately: the client's answer is final and
             # lock release needs no acknowledgment round.
-            self._finish(tx)
+            self.finish(tx, False)
 
     def handle_decision_ack(self, message: DecisionAck, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
-        if tx is None or tx.finished:
+        if tx is None:
             return
         tx.acks.add((message.record, src_id))
         expected = len(tx.updates) * self.placement.replication
         if len(tx.acks) == expected:
-            self._finish(tx)
-
-    def _finish(self, tx: _TwoPCTx) -> None:
-        tx.finished = True
-        outcome = TransactionOutcome(
-            txid=tx.txid,
-            committed=bool(tx.decision),
-            started_at=tx.started_at,
-            decided_at=self.now,
-            statuses={
-                str(record): (
-                    OptionStatus.ACCEPTED if tx.decision else OptionStatus.REJECTED
-                )
-                for record in tx.updates
-            },
-            fast_path=False,
-        )
-        self.counters.increment(
-            "coordinator.commits" if tx.decision else "coordinator.aborts"
-        )
-        del self._transactions[tx.txid]
-        tx.future.resolve(outcome)
+            self.finish(tx, True)

@@ -12,11 +12,14 @@ offending line.
 """
 
 import inspect
+import pathlib
+import re
 
 import pytest
 
 import repro.api
 import repro.db.cluster
+import repro.protocols
 from repro.core.config import MDCCConfig, ProtocolVariant
 from repro.db.cluster import build_cluster
 from repro.protocols.base import (
@@ -207,3 +210,22 @@ class TestNoSpecialCasing:
                     f"{module.__name__} names protocol {name!r} outside the "
                     f"registry: {line.strip()!r}"
                 )
+
+    def test_update_type_dispatch_only_in_the_participant_kernel(self):
+        """Validating and applying an update is stated once, in
+        ``protocols/participant.py``; quorum writes keep their own
+        last-writer-wins apply (it is the point of that baseline).  No
+        other protocol module may branch on the update's type again."""
+        package = pathlib.Path(repro.protocols.__file__).parent
+        ladder = re.compile(
+            r"isinstance\(\s*update,\s*\(?\s*"
+            r"(PhysicalUpdate|CommutativeUpdate|ReadValidation)"
+        )
+        offending = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            if path.name not in ("participant.py", "quorumwrites.py")
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if ladder.search(line)
+        ]
+        assert not offending, offending

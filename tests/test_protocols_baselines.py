@@ -111,44 +111,6 @@ class TestTwoPC:
         assert run_tx(cluster, tx2.commit()).committed
 
 
-    def test_reordered_prepare_after_decision_does_not_leak_lock(self):
-        """A prepare that arrives after its own (aborted) decision must not
-        acquire the lock: nothing would ever release it, and every later
-        transaction on the record would abort (regression for the abort
-        storm this once caused under link jitter)."""
-        from repro.core.options import PhysicalUpdate, RecordId
-        from repro.protocols.twopc import (
-            DecisionMessage,
-            PrepareRequest,
-            TwoPCStorageNode,
-        )
-
-        cluster = make_cluster("2pc", seed=7)
-        cluster.load_record("items", "i", {"stock": 10})
-        record = RecordId("items", "i")
-        node_id = cluster.placement.replica_in(record, "us-west")
-        node = cluster.storage_nodes[node_id]
-        assert isinstance(node, TwoPCStorageNode)
-        update = PhysicalUpdate(vread=1, new_value={"stock": 9})
-        client = cluster.add_client("us-west")
-
-        # Decision (abort) overtakes the prepare.  Replies go back to the
-        # coordinator, which ignores them for the unknown txid.
-        node.handle_decision_message(
-            DecisionMessage(txid="t-lost", record=record, update=update, commit=False),
-            src_id=client.node_id,
-        )
-        node.handle_prepare_request(
-            PrepareRequest(txid="t-lost", record=record, update=update),
-            src_id=client.node_id,
-        )
-        assert record not in node._locks
-        tx = cluster.begin(client)
-        run_tx(cluster, tx.read("items", "i"))
-        tx.write("items", "i", {"stock": 5})
-        assert run_tx(cluster, tx.commit()).committed
-
-
 class TestQuorumWrites:
     def test_qw3_faster_than_qw4(self):
         latencies = {}

@@ -241,21 +241,6 @@ class TestParticipantStateMachine:
         node.handle_rc_apply(message, "x")
         assert node.store.read("items", "i").version == 2
 
-    def test_prepare_after_decision_does_not_strand_lock(self):
-        """A prepare overtaken by its own decision must not lock: nothing
-        is coming to release it (same reorder hazard as 2PC)."""
-        cluster = make_cluster(seed=14)
-        cluster.load_record("items", "i", {"stock": 10})
-        node, record = self._node_and_record(cluster)
-        update = PhysicalUpdate(vread=1, new_value={"stock": 9})
-        node.handle_rc_apply(
-            RcApply(txid="t-lost", record=record, update=update, commit=False), "x"
-        )
-        node.handle_rc_prepare(
-            RcPrepare(txid="t-lost", record=record, update=update, reply_to="x"), "x"
-        )
-        assert record not in node._locks
-
     def test_catch_up_releases_stranded_lock(self):
         """Adopting repaired state supersedes whatever decision the
         replica missed — the stranded lock must not block future writes."""

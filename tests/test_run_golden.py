@@ -1,7 +1,7 @@
 """Golden trajectories: tiny specs whose full result is pinned by digest.
 
 Every way of starting a run funnels through ``run_scenario(spec)`` and
-:func:`repro.bench.driver.run`; these twelve specs cover each
+:func:`repro.bench.driver.run`; these sixteen specs cover each
 combination whose defaults differ (workload × fault-free / single outage
 / named schedule, protocol-specific client placement and partition
 collapse, audit off, custom data-center sets).  Every committed write's
@@ -85,6 +85,12 @@ SPECS = {
         measure_s=8.0,
         bucket_s=2.0,
     ),
+    # the four baselines' participants fault-free: the hot spot drives
+    # 2PC lock conflicts, megastore validation aborts and qw4 lost updates.
+    "micro-2pc-hotspot": _spec("2pc", 13, hotspot=0.5),
+    "micro-repcommit": _spec("repcommit", 14),
+    "micro-megastore": _spec("megastore", 15, hotspot=0.1),
+    "micro-qw4": _spec("qw4", 16, hotspot=0.1),
 }
 
 DIGESTS = {
@@ -100,6 +106,10 @@ DIGESTS = {
     "follow-the-sun-outage-multi": "dbfb9fa380f7ddae82dad63c319dea94ae752e291221c3a6d492b939aa8ac262",
     "flaky-wan-repcommit": "272a5641267b8a2c61613a8d14635559cbc8b1017bdf7575bdf8727a65f83232",
     "dc-replace-3dc": "2bf2d8f7dd13d5c507996b61c4e848fc04039d890e48ca4320f8be9ec8cb0316",
+    "micro-2pc-hotspot": "9024b8a9a9c33e054bda2499a0b566edf243c4096deb1311df8e23c294585fb7",
+    "micro-repcommit": "0a23983f9eaf30858925f435b47cc90ece4efe736306d108398c05ad7b9a07af",
+    "micro-megastore": "585c9b9c8218624c901762bf9dc1f2b16dee7098f37ec1049e55379546856d30",
+    "micro-qw4": "0277e671022e0d0ac7ff30196c6306dcfdd8f374bfd985a15918528642928ebf",
 }
 
 
