@@ -6,7 +6,10 @@ asyncio TCP.  This generalizes the original
 ``tests/test_transport_isolation.py`` AST walk into per-package
 allowlists: everything transport-neutral forbids ``repro.sim``; the sim
 backend, the fault controller (which drives the simulated network), the
-cluster builders and the CLI are exempt by construction.
+cluster builders and the CLI are exempt by construction.  The run loop —
+the workloads, the run driver and the checkers — is transport-neutral
+too: it advances a run through the ``Transport`` verbs, so the same loop
+drives the simulator and a cluster of processes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ from repro.analysis.engine import Finding, Project, Rule
 
 __all__ = ["ISO_SIM_FREE"]
 
+#: the run loop — it advances a run through the Transport verbs only.
+RUN_LOOP = (
+    "src/repro/workloads/",
+    "src/repro/bench/driver.py",
+    "src/repro/db/checkers.py",
+)
+
 #: path prefix -> module prefixes its files must not import.  A file is
 #: governed by the longest matching prefix, so transport/base.py and
 #: transport/codec.py are restricted while the rest of transport/ (the
@@ -28,15 +38,17 @@ FORBIDDEN_IMPORTS: Dict[str, Tuple[str, ...]] = {
     "src/repro/placement/": ("repro.sim",),
     "src/repro/reconfig/": ("repro.sim",),
     "src/repro/analysis/": ("repro.sim",),
+    **dict.fromkeys(RUN_LOOP, ("repro.sim",)),
     "src/repro/transport/base.py": ("repro.sim",),
     "src/repro/transport/codec.py": ("repro.sim",),
     "src/repro/transport/": (),
     "src/repro/faults/": (),  # drives SimulationError/LinkPolicy by design
 }
 
-#: packages where even a ``.sim`` attribute access is forbidden (role
-#: classes must use Node.now/set_timer/future(), not a simulator handle).
-_NO_SIM_ATTRIBUTE = ("src/repro/core/",)
+#: paths where even a ``.sim`` attribute access is forbidden: role classes
+#: use Node.now/set_timer/future(), the run loop uses the transport's
+#: now/schedule/spawn/run/run_until — never a simulator handle.
+_NO_SIM_ATTRIBUTE = ("src/repro/core/", *RUN_LOOP)
 
 
 def _forbidden_for(path: str) -> Tuple[str, ...]:
@@ -105,8 +117,9 @@ def _check_isolation(project: Project) -> Iterable[Finding]:
                             rule="ISO-sim-free",
                             message=(
                                 ".sim attribute access — role classes use "
-                                "Node.now/set_timer/future(), never a "
-                                "simulator handle"
+                                "Node.now/set_timer/future(), the run loop "
+                                "the Transport verbs, never a simulator "
+                                "handle"
                             ),
                         )
                     )

@@ -12,13 +12,20 @@ is three already-built pieces handed to :func:`run`:
 plus the run knobs that belong to neither: client count and placement,
 the warm-up and measurement windows, the Figure-8 single outage, whether
 to audit, and the availability-timeline bucket.  The lifecycle is the
-same for all of them:
+same for all of them — and for both transports: it advances the run only
+through the cluster's :class:`~repro.transport.base.Transport` verbs
+(``schedule`` / ``spawn`` / ``run`` / ``run_until``), so the simulator
+and a cluster of real processes (:mod:`repro.transport.runner`) execute
+every line below; what differs per transport is how time advances, how
+a replica's snapshot is read, how a fault is applied, and process
+spawn/reap — none of it here:
 
 1. install the :class:`~repro.faults.controller.ChaosController` (if a
    schedule was given) and the single outage (if asked);
 2. drive the workload's closed loop through warm-up + measurement;
 3. heal every injected fault and let in-flight commits settle
-   (:data:`DRAIN_MS`, or the schedule's ``settle_ms``);
+   (:data:`DRAIN_MS`, or the schedule's ``settle_ms`` — the whole span
+   in simulated time, an upper bound in wall time);
 4. after a fault schedule, run anti-entropy sweeps so replicas that
    missed visibilities catch up (the paper's §5.3.4 "background
    process");
@@ -26,9 +33,10 @@ same for all of them:
    convergence, schema constraints, dangling-probe verdicts.
 
 Scaling note: the paper measured 100 clients for 2-3 wall-clock minutes
-on EC2.  We run the same protocols above a discrete-event simulation, so
-"time" is simulated milliseconds; shapes, orderings and ratios are
-preserved, absolute throughput numbers are not comparable.
+on EC2.  The figures run the same protocols above a discrete-event
+simulation, so "time" is simulated milliseconds; shapes, orderings and
+ratios are preserved, absolute throughput numbers are not comparable.
+Over TCP the same fields are wall-clock milliseconds on loopback.
 """
 
 from __future__ import annotations
@@ -178,9 +186,10 @@ def run(
     """Drive ``workload`` on ``cluster`` while ``schedule``'s faults fire.
 
     ``fail_dc_at=(dc, at_ms)`` is Figure 8's fault without the chaos
-    machinery: ``dc`` goes dark at the given simulated offset and is
-    never recovered.  ``client_dcs`` pins every client to the listed
-    data centers (round-robin); the default spreads them over all.
+    machinery: ``dc`` goes dark at the given offset and is never
+    recovered (simulated network only).  ``client_dcs`` pins every client
+    to the listed data centers (round-robin); the default spreads them
+    over all.
     """
     controller = None
     if schedule is not None:
@@ -192,7 +201,7 @@ def run(
         controller.install()
     if fail_dc_at is not None:
         dc, at_ms = fail_dc_at
-        cluster.sim.schedule(at_ms, cluster.fail_datacenter, dc)
+        cluster.transport.schedule(at_ms, cluster.fail_datacenter, dc)
     stats, pool = workload.run(
         cluster,
         num_clients=num_clients,
@@ -279,17 +288,18 @@ def _run_antientropy(
         agent.attach_recovery(
             cluster.add_recovery_agent(cluster.placement.datacenters[0])
         )
+    transport = cluster.transport
     for _round in range(4):
-        report = cluster.sim.run_until(
-            agent.sweep(table, keys), limit=cluster.sim.now + 120_000
+        report = transport.run_until(
+            agent.sweep(table, keys), limit=transport.now + 120_000
         )
         if controller.probe_keys:
-            probe_report = cluster.sim.run_until(
+            probe_report = transport.run_until(
                 agent.sweep(CHAOS_TABLE, controller.probe_keys),
-                limit=cluster.sim.now + 120_000,
+                limit=transport.now + 120_000,
             )
             report.merge(probe_report)
-        cluster.sim.run(until=cluster.sim.now + 10_000)
+        transport.run(until=transport.now + 10_000, waiting_for=())
         if (
             report.records_with_lag == 0
             and report.unreachable_replies == 0

@@ -140,25 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=("sim", "tcp"),
         default="sim",
-        help="sim (deterministic, default) or tcp (live local cluster; "
-        "needs --topology)",
+        help="sim (deterministic, default) or tcp (the same run against a "
+        "live local cluster; needs --topology; windows are wall-clock)",
     )
     run.add_argument(
         "--topology",
         default=None,
-        help="tcp only: topology file (see `repro topology` to generate one)",
+        help="tcp only: topology file (see `repro topology` to generate "
+        "one); protocol, seed, items and data centers come from it",
     )
     run.add_argument(
         "--spawn-servers",
         action="store_true",
         help="tcp only: launch `repro serve` subprocesses for every "
         "topology node, shut them down afterwards",
-    )
-    run.add_argument(
-        "--txns-per-client",
-        type=int,
-        default=10,
-        help="tcp only: transactions each driver client issues",
     )
     run.add_argument(
         "--trace",
@@ -476,6 +471,9 @@ def _cluster_spec_from_args(
         return ClusterSpec(
             protocol=protocol,
             datacenters=getattr(args, "datacenters", None),
+            partitions_per_table=getattr(
+                args, "partitions_per_table", ClusterSpec.partitions_per_table
+            ),
             master_policy=getattr(args, "master_policy", None),
             seed=args.seed,
             gamma_policy=getattr(args, "gamma_policy", "static"),
@@ -791,26 +789,55 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+#: `run` flags that configure the *simulated* deployment; a cluster of
+#: real processes cannot honour them, so setting one is an error
+#: (--fail-at-s is an error without --fail-dc already).
+_SIM_ONLY_FLAGS = (
+    "spec",
+    "fail_dc",
+    "master_policy",
+    "gamma_policy",
+    "batch_ms",
+    "no_demarcation",
+)
+
+
 def _run_tcp(args: argparse.Namespace) -> int:
-    from repro.transport.runner import run_tcp_workload
+    from repro.transport.runner import run_topology
+    from repro.transport.topology import Topology
 
     if args.topology is None:
         raise SystemExit("--transport tcp requires --topology (see `repro topology`)")
     if args.workload != "micro":
         raise SystemExit("the tcp transport currently drives the micro workload only")
+    defaults = build_parser().parse_args(["run"])
+    for name in _SIM_ONLY_FLAGS:
+        if getattr(args, name) != getattr(defaults, name):
+            raise SystemExit(
+                f"--{name.replace('_', '-')} needs the simulated deployment, not --transport tcp"
+            )
+    topology = Topology.load(args.topology)
+    # What the topology file fixes is echoed in the envelope's spec.
+    args.seed, args.datacenters = topology.seed, topology.datacenters
+    args.items = len(topology.item_keys())
+    args.partitions_per_table = topology.partitions_per_table
+    spec = _spec_from_args(args, topology.protocol)
     result = _run_traced(
-        args.seed,
+        topology.seed,
         args.trace,
-        lambda: run_tcp_workload(
+        lambda: run_topology(
             args.topology,
-            clients=args.clients,
-            transactions_per_client=args.txns_per_client,
+            topology.build_workload(hotspot_fraction=spec.hotspot, locality=spec.locality),
             spawn_servers=args.spawn_servers,
+            num_clients=spec.clients,
+            warmup_ms=spec.warmup_s * 1_000.0,
+            measure_ms=spec.measure_s * 1_000.0,
+            audit=spec.audit,
         ),
     )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    ok = result["committed"] > 0 and not result.get("servers_killed")
-    return 0 if ok else 1
+    print(json.dumps({**_as_dict(result, spec), "tcp": result.extra["tcp"]}, indent=2))
+    crashed = any(result.extra["tcp"]["servers"].values())
+    return 0 if result.commits > 0 and result.clean and not crashed else 1
 
 
 _SUBCOMMANDS = {
@@ -834,8 +861,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         return _run_list(args.json)
     if args.command == "run" and args.transport == "tcp":
-        if args.spec is not None:
-            raise SystemExit("--spec drives the sim transport only")
         return _run_tcp(args)
     if args.command == "run" and args.spec is not None:
         return _run_spec_file(args)

@@ -1,9 +1,11 @@
-"""Post-simulation consistency auditors.
+"""Post-run consistency auditors.
 
 The paper's guarantees (§4) are claims about *observable history*: atomic
 durability, no lost updates, read-committed visibility, and value
 constraints that hold despite quorum replication.  These checkers verify
-them mechanically against a finished simulation:
+them mechanically against a finished run, reading replicas only through
+``cluster.committed_snapshots`` — direct store reads under the
+simulator, reads over the wire against a cluster of processes:
 
 * :func:`check_replica_convergence` — after the network drains, every
   replica of every record holds the same committed value.
@@ -69,7 +71,7 @@ def check_replica_convergence(cluster, table: str, keys) -> List[Divergence]:
 def check_constraints(cluster, table: str, keys) -> List[ConstraintViolation]:
     """Committed values that violate the table's declared constraints."""
     violations = []
-    schema = next(iter(cluster.storage_nodes.values())).store.schema(table)
+    schema = cluster.schema(table)
     for key in keys:
         record = RecordId(table, key)
         for node_id, snapshot in cluster.committed_snapshots(table, key).items():

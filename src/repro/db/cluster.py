@@ -6,6 +6,11 @@ setup (§5.1): every data center holds a full replica, tables are
 partitioned across storage nodes within a data center, and clients are
 app-server nodes in a chosen data center.
 
+:class:`Cluster` itself is transport-neutral — one process's view of a
+deployment.  :func:`build_cluster` hosts every storage node in this
+process over the simulator; over TCP a ``repro serve`` process hosts one
+and the driver hosts none (:mod:`repro.transport.runner`).
+
 Which protocols exist, how their roles are built, and what features they
 can run all come from the :mod:`repro.protocols.base` registry — this
 module asks the :class:`~repro.protocols.base.Protocol` descriptor and
@@ -62,7 +67,7 @@ class Cluster:
         self.storage_nodes: Dict[str, object] = {}
         self.clients: List[object] = []
         self._client_seq = itertools.count(1)
-        self._schemas: List[TableSchema] = []
+        self._schemas: Dict[str, TableSchema] = {}
         #: the adaptive-placement control plane (None under static policies).
         self.placement_manager = None
         #: elastic-membership state (None unless built with elastic=True).
@@ -74,16 +79,23 @@ class Cluster:
     # ------------------------------------------------------------------
     def register_table(self, schema: TableSchema) -> None:
         """Register ``schema`` on every storage node."""
-        self._schemas.append(schema)
+        self._schemas[schema.name] = schema
         for node in self.storage_nodes.values():
             node.store.register_table(schema)
 
+    def schema(self, table: str) -> TableSchema:
+        """The registered schema of ``table``."""
+        return self._schemas[table]
+
     def load_record(self, table: str, key: str, value: Dict[str, object]) -> None:
-        """Pre-load a committed record (version 1) on all replicas."""
+        """Pre-load a committed record (version 1) on all replicas this
+        process hosts — every replica under the simulator, one storage
+        node's share in a ``repro serve`` process."""
         record = RecordId(table, key)
         for node_id in self.placement.replicas(record):
-            node = self.storage_nodes[node_id]
-            node.store.record(table, key).commit_value(value)
+            node = self.storage_nodes.get(node_id)
+            if node is not None:
+                node.store.record(table, key).commit_value(value)
 
     def read_committed(self, table: str, key: str, dc: Optional[str] = None):
         """Directly inspect a replica's committed snapshot (no messages)."""
@@ -186,7 +198,7 @@ class Cluster:
                 config=self.config,
                 counters=self.counters,
             )
-            for schema in self._schemas:
+            for schema in self._schemas.values():
                 node.store.register_table(schema)
             self.storage_nodes[node_id] = node
             node_ids.append(node_id)

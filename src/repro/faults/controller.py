@@ -1,10 +1,12 @@
 """The chaos controller: interprets a :class:`FaultSchedule` over a cluster.
 
 The controller is the bridge between declarative fault timelines and the
-simulation substrate.  At :meth:`install` time it schedules one simulator
-event per fault event; at fire time it drives the
-:class:`~repro.sim.network.Network` fault API (outages, N-way partitions,
-link policies, node crashes) or runs the two protocol-level faults that
+substrate.  At :meth:`install` time it schedules one transport timer per
+fault event; at fire time it drives the fault API of ``cluster.network``
+— the simulated :class:`~repro.sim.network.Network` (outages, N-way
+partitions, link policies, node crashes), or over TCP
+:class:`~repro.transport.tcp.ClusterLinks`, which has the link-policy
+and drop-rate verbs only — or runs the two protocol-level faults that
 need more than the network:
 
 * **master crash** — resolve the master storage node of a workload record
@@ -98,8 +100,9 @@ class ChaosController:
                 self.cluster.load_record(
                     CHAOS_TABLE, self._probe_key(index), {"value": 0}
                 )
+        transport = self.cluster.transport
         for event in self.schedule.sorted_events():
-            self.cluster.sim.schedule_at(event.at_ms, self._apply, event)
+            transport.schedule(event.at_ms - transport.now, self._apply, event)
 
     @staticmethod
     def _probe_key(index: int) -> str:
@@ -121,7 +124,7 @@ class ChaosController:
 
     def _record(self, action: str, **details: object) -> None:
         self.log.append(
-            {"t_ms": round(self.cluster.sim.now, 3), "event": action, **details}
+            {"t_ms": round(self.cluster.transport.now, 3), "event": action, **details}
         )
 
     def _on_network_event(self, now: float, event: str, details: Dict[str, object]) -> None:
@@ -293,9 +296,9 @@ class ChaosController:
             # The coordinator "crashes" here: _finish never runs, so the
             # learned options are never driven to visibility.
 
-        self.cluster.sim.spawn(dangling_commit(), name=f"chaos-dangling-{index}")
+        self.cluster.transport.spawn(dangling_commit(), name=f"chaos-dangling-{index}")
         recover_after = params.get("recover_after_ms", 6_000.0)
-        self.cluster.sim.schedule(
+        self.cluster.transport.schedule(
             recover_after, self._dispatch_recovery, index, txid, record, home
         )
 
@@ -324,7 +327,7 @@ class ChaosController:
             "txid": txid,
             "agent_dc": agent_dc,
             "committed": committed,
-            "t_ms": round(self.cluster.sim.now, 3),
+            "t_ms": round(self.cluster.transport.now, 3),
         }
         self.recovery_outcomes.append(outcome)
         self.probe_expectations[record.key]["verdicts"].append(committed)

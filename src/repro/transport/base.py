@@ -16,11 +16,19 @@ implement) and :class:`Node` (the actor base class with the
 ``handle_<TypeName>`` dispatch convention).  It must not import anything
 from :mod:`repro.sim` — the simulator depends on this module, not the
 other way around.
+
+:class:`Transport` has two groups of verbs.  Roles use ``now``,
+``schedule``, ``future``, ``send``/``broadcast`` and ``register``.  The
+run loop (:mod:`repro.bench.driver`, :mod:`repro.workloads.generator`,
+the chaos controller) adds the three that *advance* a run — ``spawn`` a
+client generator, ``run`` until a time, ``run_until`` a future resolves
+— so one closed loop drives both backends: the simulator pops its event
+heap, the TCP backend waits wall time on its asyncio loop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 __all__ = [
     "Future",
@@ -192,6 +200,30 @@ class Transport:
     def future(self) -> Future:
         """A fresh :class:`Future` bound to this transport."""
         return Future(self)
+
+    def spawn(self, generator: Generator, name: str = "") -> Any:
+        """Start a generator-based process now (the client model of
+        :class:`repro.sim.core.Process`: it yields futures and delays).
+        Returns the process; its ``completion`` future resolves with the
+        generator's return value."""
+        raise NotImplementedError
+
+    def run(self, until: float, waiting_for: Optional[Iterable[Future]] = None) -> None:
+        """Advance to time ``until`` (ms), delivering everything due on
+        the way.
+
+        ``waiting_for`` marks the advance as a *settle*: the caller has
+        nothing to do but let in-flight work finish, and names the
+        futures it is waiting on (possibly none).  Where waiting costs
+        real time, ``until`` is then an upper bound — the backend returns
+        as soon as those futures are done.  Simulated time is free, so
+        the simulator always advances the whole span."""
+        raise NotImplementedError
+
+    def run_until(self, future: Future, limit: float = 1e9) -> Any:
+        """Advance until ``future`` resolves and return its result; raise
+        :class:`TransportError` if time ``limit`` (ms) passes first."""
+        raise NotImplementedError
 
     def send(self, src_id: str, dst_id: str, message: object) -> None:
         """Deliver ``message`` to ``dst_id``, fire and forget."""

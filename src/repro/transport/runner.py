@@ -1,16 +1,22 @@
-"""Processes for the TCP backend: `repro serve` and the workload driver.
+"""Process plumbing for the TCP backend: serve, spawn, connect, reap.
 
-``serve_node`` is the body of one ``repro serve`` process — a single
-storage node listening on its topology address until told to shut down
-(SIGTERM/SIGINT or a ``@ctrl`` shutdown frame).
+A TCP deployment is the simulator's :class:`~repro.db.cluster.Cluster`
+split across OS processes.  ``serve_node`` — the body of one ``repro
+serve`` process — is a cluster hosting a single storage node, listening
+on its topology address until told to shut down (SIGTERM/SIGINT or a
+``@ctrl`` shutdown frame).  ``run_topology`` — the driver behind ``repro
+run --transport tcp`` — is a cluster hosting *no* storage node: it
+optionally spawns the servers, hands (cluster, workload, schedule) to
+the one run driver :func:`repro.bench.driver.run`, then shuts the servers
+down and reaps them.
 
-``run_tcp_workload`` is the driver behind ``repro run --transport tcp``:
-it hosts app-server coordinators over an :class:`AsyncioTcpTransport`
-(no listening socket — replies ride the learned routes), optionally
-spawns the server processes itself, drives micro-benchmark buy
-transactions, and returns a JSON-friendly result.  The driver reuses the
-workload's seeded RNG streams, so the transaction *mix* is reproducible
-even though wall-clock interleaving is not.
+Nothing here drives a transaction.  The workload, the closed loop, the
+ledger, the checkers and the fault timeline are the simulator's; what is
+particular to real processes is (a) how time advances — the verbs of
+:class:`~repro.transport.tcp.AsyncioTcpTransport`, (b) how a replica's
+committed snapshot is obtained — :class:`RemoteCluster` reads it over
+the wire, (c) how a fault event reaches every process —
+:class:`~repro.transport.tcp.ClusterLinks`, and (d) spawning and reaping.
 """
 
 from __future__ import annotations
@@ -19,80 +25,94 @@ import asyncio
 import contextlib
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional
 
-from repro.metrics import CounterSet, LatencyRecorder
+from repro.bench.driver import RunResult, run
+from repro.core.options import RecordId
+from repro.db.cluster import Cluster
+from repro.faults.schedule import FaultSchedule
+from repro.metrics import CounterSet
 from repro.sim.rng import RngRegistry
-from repro.transport.base import Future, TransportError
-from repro.transport.tcp import AsyncioTcpTransport
-from repro.transport.topology import Topology
+from repro.storage.record import Snapshot
+from repro.transport.base import TransportError, all_of
+from repro.transport.tcp import AsyncioTcpTransport, ClusterLinks
+from repro.transport.topology import NodeAddress, Topology
+from repro.workloads.base import Workload
 
 __all__ = [
-    "run_flaky_wan_parity",
-    "run_tcp_workload",
+    "RemoteCluster",
+    "driver_transport",
+    "host_node",
+    "run_topology",
     "serve_node",
-    "spawn_server_processes",
+    "spawned_servers",
     "terminate_servers",
 ]
 
-ITEMS_TABLE = "items"
+#: how long replicas of one record may keep disagreeing before
+#: :meth:`RemoteCluster.committed_snapshots` reports them as they are
+#: (visibilities are asynchronous; counted from the first snapshot read).
+REPLICA_SETTLE_MS = 10_000.0
+#: how long a replica may take to answer a snapshot read before it counts
+#: as down — less than the coordinators' own read failover (4 × the learn
+#: timeout), which would have another data center answer in its place.
+REPLICA_READ_MS = 5_000.0
 
 
-def _await_future(fut: Future) -> "asyncio.Future":
-    """Bridge a transport Future into the running asyncio loop."""
-    loop = asyncio.get_event_loop()
-    result: asyncio.Future = loop.create_future()
-
-    def on_done(done: Future) -> None:
-        if result.done():
-            return
-        try:
-            result.set_result(done.result())
-        except BaseException as exc:  # noqa: BLE001 - surface via the await
-            result.set_exception(exc)
-
-    fut.add_done_callback(on_done)
-    return result
+def _pieces(topology: Topology, transport: AsyncioTcpTransport) -> Dict[str, Any]:
+    """The :class:`Cluster` constructor arguments of one process — derived
+    from the topology alone, so every process of the deployment builds the
+    same placement, config and RNG streams."""
+    return dict(
+        protocol=topology.protocol,
+        transport=transport,
+        placement=topology.build_placement(),
+        config=topology.build_config(),
+        counters=CounterSet(),
+        rng=RngRegistry(seed=topology.seed),
+    )
 
 
 # ----------------------------------------------------------------------
 # Server process
 # ----------------------------------------------------------------------
-async def _serve_async(topology: Topology, node_id: str) -> None:
-    from repro.protocols.base import get_protocol
-    from repro.workloads.micro import MicroBenchmark
-
+async def host_node(topology: Topology, node_id: str) -> AsyncioTcpTransport:
+    """Host one storage node on the running loop: a :class:`Cluster` of
+    that single node, its replicas populated from the topology's workload,
+    listening on its topology address.  Returns the node's transport."""
     address = topology.nodes.get(node_id)
     if address is None:
         raise SystemExit(f"node {node_id!r} is not in the topology")
-    placement = topology.build_placement()
-    config = topology.build_config()
     transport = AsyncioTcpTransport(
         topology, local_dc=address.dc, listen=(address.host, address.port)
     )
-    node = get_protocol(topology.protocol).make_storage_node(
+    cluster = Cluster(**_pieces(topology, transport))
+    node = cluster.descriptor.make_storage_node(
         transport,
         node_id,
         address.dc,
-        placement=placement,
-        config=config,
-        counters=CounterSet(),
+        placement=cluster.placement,
+        config=cluster.config,
+        counters=cluster.counters,
     )
-    node.store.register_table(MicroBenchmark.schema())
-    preloaded = 0
-    for key, stock in topology.local_records(node_id, placement):
-        node.store.record(ITEMS_TABLE, key).commit_value({"stock": stock})
-        preloaded += 1
+    cluster.storage_nodes[node_id] = node
+    topology.build_workload().populate(cluster)
     await transport.start()
     print(
-        f"[serve] {node_id} ({address.dc}) listening on "
-        f"{address.host}:{address.port}, {preloaded} records preloaded",
+        f"[serve] {node_id} ({address.dc}) listening on {address.host}:{address.port}, "
+        f"{sum(node.store.count(table) for table in node.store.tables)} records preloaded",
         file=sys.stderr,
         flush=True,
     )
+    return transport
+
+
+async def _serve_async(topology: Topology, node_id: str) -> None:
+    transport = await host_node(topology, node_id)
     loop = asyncio.get_event_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError):
@@ -112,52 +132,69 @@ def serve_node(topology_path: str, node_id: str) -> int:
 # ----------------------------------------------------------------------
 # Server process management (driver side)
 # ----------------------------------------------------------------------
-def spawn_server_processes(
+@contextlib.contextmanager
+def spawned_servers(
     topology_path: str, topology: Topology
-) -> Dict[str, subprocess.Popen]:
-    """One `repro serve` subprocess per topology node."""
+) -> Iterator[Dict[str, subprocess.Popen]]:
+    """One `repro serve` subprocess per topology node, each accepting
+    connections by the time the block is entered (so a run's first dial
+    lands instead of backing off) and none outliving it: whatever was
+    started — even by a spawn that failed half-way — is killed and reaped
+    on the way out."""
     env = dict(os.environ)
     src_dir = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    processes = {}
-    for node_id in sorted(topology.nodes):
-        processes[node_id] = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--topology",
-                topology_path,
-                "--node",
-                node_id,
-            ],
-            env=env,
-        )
-    return processes
+    processes: Dict[str, subprocess.Popen] = {}
+    try:
+        for node_id in sorted(topology.nodes):
+            processes[node_id] = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro",
+                    "serve",
+                    "--topology",
+                    topology_path,
+                    "--node",
+                    node_id,
+                ],
+                env=env,
+            )
+        for node_id, process in processes.items():
+            _await_listening(node_id, topology.nodes[node_id], process)
+        yield processes
+    finally:
+        for process in processes.values():
+            if process.poll() is None:
+                process.kill()
+            process.wait()
 
 
-async def _shutdown_servers(
-    transport: AsyncioTcpTransport, node_ids: Sequence[str]
-) -> None:
-    for node_id in node_ids:
-        # An unreachable or already-gone server must not stop the others
-        # from being told; terminate_servers() escalates for stragglers.
-        with contextlib.suppress(asyncio.TimeoutError, TransportError, OSError):
-            await transport.ctrl(node_id, {"op": "shutdown"}, timeout_s=5.0)
+def _await_listening(node_id: str, address: NodeAddress, process: subprocess.Popen) -> None:
+    deadline = time.monotonic() + 30.0
+    while process.poll() is None and time.monotonic() < deadline:
+        try:
+            socket.create_connection((address.host, address.port), timeout=1.0).close()
+            return
+        except OSError:
+            time.sleep(0.01)
+    raise TransportError(
+        f"server {node_id} never listened on {address.host}:{address.port} "
+        f"(exit code {process.poll()})"
+    )
 
 
 def terminate_servers(
     processes: Dict[str, subprocess.Popen], grace_s: float = 10.0
-) -> List[str]:
-    """Wait for clean exits; escalate to SIGKILL.  Returns ids that had
-    to be killed (the CI smoke job asserts this list is empty)."""
-    killed: List[str] = []
+) -> Dict[str, int]:
+    """Wait for the servers to exit by themselves; escalate to SIGTERM,
+    then SIGKILL.  Returns every server's exit code — 0 only for one that
+    shut down cleanly; a crash is its status, a signal the negative signal
+    number (the CLI and the CI smoke job fail on any non-zero)."""
     deadline = time.monotonic() + grace_s
-    for node_id, process in processes.items():
-        remaining = max(0.1, deadline - time.monotonic())
+    for process in processes.values():
         try:
-            process.wait(timeout=remaining)
+            process.wait(timeout=max(0.1, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             process.terminate()
             try:
@@ -165,392 +202,114 @@ def terminate_servers(
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-                killed.append(node_id)
-    return killed
+    return {node_id: process.returncode for node_id, process in processes.items()}
 
 
 # ----------------------------------------------------------------------
-# Workload driver
+# Driver process
 # ----------------------------------------------------------------------
-def _pick_buy(keys: Sequence[str], rng) -> Tuple[List[str], List[int]]:
-    """The micro-benchmark's buy: up to 3 distinct keys, each with a
-    decrement of 1-3 (keys first, then amounts — the RNG draw order)."""
-    chosen: List[str] = []
-    while len(chosen) < min(3, len(keys)):
-        key = keys[rng.randrange(len(keys))]
-        if key not in chosen:
-            chosen.append(key)
-    return chosen, [rng.randint(1, 3) for _ in chosen]
-
-
-async def _drive_client(
-    coordinator,
-    commutative: bool,
-    topology: Topology,
-    rng,
-    transactions: int,
-    latencies: LatencyRecorder,
-    outcomes: Dict[str, int],
-    tx_timeout_s: float,
-) -> None:
-    from repro.db.client import Transaction
-
-    keys = topology.item_keys()
-    for _ in range(transactions):
-        chosen, amounts = _pick_buy(keys, rng)
-        tx = Transaction(coordinator, commutative=commutative)
-        started = time.monotonic()
+@contextlib.contextmanager
+def driver_transport(topology: Topology) -> Iterator[AsyncioTcpTransport]:
+    """A transport without a listening socket (replies ride the learned
+    routes) on an event loop of its own, which the transport's run verbs
+    drive; both are closed on the way out."""
+    loop = asyncio.new_event_loop()
+    asyncio.set_event_loop(loop)
+    try:
+        transport = AsyncioTcpTransport(topology, local_dc=topology.datacenters[0])
         try:
-            for key in chosen:
-                await asyncio.wait_for(
-                    _await_future(tx.read(ITEMS_TABLE, key)), tx_timeout_s
-                )
-            for key, amount in zip(chosen, amounts):
-                tx.decrement(ITEMS_TABLE, key, "stock", amount)
-            outcome = await asyncio.wait_for(
-                _await_future(tx.commit()), tx_timeout_s
-            )
-        except asyncio.TimeoutError:
-            outcomes["timeouts"] += 1
-            continue
-        latencies.add((time.monotonic() - started) * 1000.0)
-        if outcome.committed:
-            outcomes["committed"] += 1
-            if outcome.fast_path:
-                outcomes["fast_path"] += 1
-        else:
-            outcomes["aborted"] += 1
-
-
-def _driver_side(topology: Topology, clients: int, dcs: Sequence[str], tag: str):
-    """The driver process's half of a TCP run: one non-listening transport
-    hosting ``clients`` app-server coordinators round-robin over ``dcs``.
-
-    Returns ``(transport, roles, commutative, drivers)`` — ``roles`` the
-    placement/config/counters keywords every role constructor takes,
-    ``drivers`` one ``(coordinator, seeded rng stream)`` per client.
-    """
-    from repro.protocols.base import get_protocol
-
-    descriptor = get_protocol(topology.protocol)
-    config = topology.build_config()
-    roles = dict(placement=topology.build_placement(), config=config, counters=CounterSet())
-    transport = AsyncioTcpTransport(topology, local_dc=dcs[0], listen=None)
-    rng_registry = RngRegistry(seed=topology.seed)
-    drivers = []
-    for index in range(clients):
-        dc = dcs[index % len(dcs)]
-        coordinator = descriptor.make_client(
-            transport, f"app-{dc}-{tag}{index + 1}", dc, **roles
-        )
-        drivers.append((coordinator, rng_registry.stream(f"workload.client.{index}")))
-    commutative = descriptor.supports_commutative and config.commutative_enabled
-    return transport, roles, commutative, drivers
-
-
-async def _run_workload_async(
-    topology: Topology,
-    *,
-    clients: int,
-    transactions_per_client: int,
-    client_dcs: Optional[Sequence[str]],
-    tx_timeout_s: float,
-    shutdown_servers: bool,
-) -> Dict[str, object]:
-    dcs = list(client_dcs) if client_dcs else list(topology.datacenters)
-    transport, _roles, commutative, drivers = _driver_side(topology, clients, dcs, "driver")
-    latencies = LatencyRecorder("tcp.commit")
-    outcomes = {"committed": 0, "aborted": 0, "fast_path": 0, "timeouts": 0}
-    started = time.monotonic()
-    tasks = [
-        _drive_client(
-            coordinator,
-            commutative,
-            topology,
-            rng,
-            transactions_per_client,
-            latencies,
-            outcomes,
-            tx_timeout_s,
-        )
-        for coordinator, rng in drivers
-    ]
-    try:
-        await asyncio.gather(*tasks)
+            yield transport
+        finally:
+            loop.run_until_complete(transport.close())
     finally:
-        if shutdown_servers:
-            await _shutdown_servers(transport, sorted(topology.nodes))
-        await transport.close()
-    elapsed_s = time.monotonic() - started
-    total = outcomes["committed"] + outcomes["aborted"]
-    return {
-        "transport": "tcp",
-        "protocol": topology.protocol,
-        "codec": transport.codec_name,
-        "seed": topology.seed,
-        "clients": clients,
-        "transactions_per_client": transactions_per_client,
-        "transactions": total,
-        "committed": outcomes["committed"],
-        "aborted": outcomes["aborted"],
-        "fast_path_commits": outcomes["fast_path"],
-        "timeouts": outcomes["timeouts"],
-        "wall_clock_s": round(elapsed_s, 3),
-        "throughput_tps": round(total / elapsed_s, 3) if elapsed_s > 0 else 0.0,
-        "latency_ms": {
-            key: round(value, 3)
-            for key, value in sorted(latencies.summary().items())
-        },
-        "frames": dict(transport.stats),
-    }
+        asyncio.set_event_loop(None)
+        loop.close()
 
 
-# ----------------------------------------------------------------------
-# Chaos parity: the flaky-wan schedule against the real backend
-# ----------------------------------------------------------------------
-async def _set_cluster_link(
-    transport: AsyncioTcpTransport,
-    topology: Topology,
-    src_dc: str,
-    dst_dc: str,
-    **fault,
-) -> None:
-    """Apply one link fault on the driver and every server process."""
-    if fault:
-        transport.set_link_fault(src_dc, dst_dc, **fault)
-    else:
-        transport.clear_link_fault(src_dc, dst_dc)
-    op = {"op": "set_link", "src_dc": src_dc, "dst_dc": dst_dc, **fault}
-    for node_id in sorted(topology.nodes):
-        with contextlib.suppress(asyncio.TimeoutError):
-            await transport.ctrl(node_id, op, timeout_s=5.0)
+class RemoteCluster(Cluster):
+    """The driver's view of a topology: app servers here, every storage
+    node in another process — so a replica's committed snapshot is a read
+    over the wire, and link faults go through :class:`ClusterLinks`."""
 
+    def __init__(self, topology: Topology, transport: AsyncioTcpTransport) -> None:
+        super().__init__(**_pieces(topology, transport))
+        self.network = ClusterLinks(transport)
+        self._reader: Any = None
 
-async def _heal_cluster(transport: AsyncioTcpTransport, topology: Topology) -> None:
-    transport.heal_all()
-    for node_id in sorted(topology.nodes):
-        with contextlib.suppress(asyncio.TimeoutError):
-            await transport.ctrl(node_id, {"op": "heal"}, timeout_s=5.0)
-
-
-async def _flaky_wan_nemesis(
-    transport: AsyncioTcpTransport, topology: Topology, scale_s: float
-) -> None:
-    """The PR 2 flaky-wan schedule, scaled to ``scale_s`` wall seconds.
-
-    Same shape as :func:`repro.faults.schedule._flaky_wan`: a degraded
-    us-west↔us-east link (extra latency + 10% loss), a background 2%
-    loss on everything, and a flapping eu-west↔us-east route; all healed
-    before the end.
-    """
-    both = lambda a, b, **f: [(a, b, f), (b, a, f)]  # noqa: E731
-    await asyncio.sleep(0.20 * scale_s)
-    for src, dst, fault in both(
-        "us-west", "us-east", drop_rate=0.10, extra_latency_ms=40.0
-    ):
-        await _set_cluster_link(transport, topology, src, dst, **fault)
-    background = [
-        (a, b)
-        for a in topology.datacenters
-        for b in topology.datacenters
-        if a != b and {a, b} != {"us-west", "us-east"}
-    ]
-    for src, dst in background:
-        await _set_cluster_link(transport, topology, src, dst, drop_rate=0.02)
-    # Flap eu-west<->us-east: 4 cycles of total blackout / recovery.
-    half_period = 0.075 * scale_s / 2.0
-    for _cycle in range(4):
-        for src, dst, fault in both("eu-west", "us-east", drop_rate=1.0):
-            await _set_cluster_link(transport, topology, src, dst, **fault)
-        await asyncio.sleep(half_period)
-        for src, dst in (("eu-west", "us-east"), ("us-east", "eu-west")):
-            await _set_cluster_link(transport, topology, src, dst, drop_rate=0.02)
-        await asyncio.sleep(half_period)
-    await asyncio.sleep(0.10 * scale_s)
-    await _heal_cluster(transport, topology)
-
-
-async def _chaos_client(
-    coordinator, commutative, topology: Topology, rng, stop: asyncio.Event, ledger: Dict
-) -> Dict[str, int]:
-    """Issue buys until ``stop``; record committed deltas in ``ledger``."""
-    from repro.db.client import Transaction
-
-    keys = topology.item_keys()
-    outcomes = {"committed": 0, "aborted": 0}
-    pending = []
-    while not stop.is_set():
-        chosen, amounts = _pick_buy(keys, rng)
-        tx = Transaction(coordinator, commutative=commutative)
-        try:
-            for key in chosen:
-                await asyncio.wait_for(
-                    _await_future(tx.read(ITEMS_TABLE, key)), 20.0
+    def committed_snapshots(self, table: str, key: str) -> Dict[str, Snapshot]:
+        """Every replica's snapshot, re-read while they disagree (bounded
+        by :data:`REPLICA_SETTLE_MS`): visibilities are asynchronous."""
+        transport, placement = self.transport, self.placement
+        if self._reader is None:
+            self._reader = self.add_client(placement.datacenters[0])
+            self._settle_by = transport.now + REPLICA_SETTLE_MS
+        while True:
+            # One replica per data center, in data-center order.
+            reads = [self._reader.read(table, key, dc=dc) for dc in placement.datacenters]
+            try:
+                replies = transport.run_until(
+                    all_of(transport, reads), limit=transport.now + REPLICA_READ_MS
                 )
-        except asyncio.TimeoutError:
-            # Reads under total partition can starve past their failover
-            # budget; skip this attempt, the link will heal.
-            continue
-        for key, amount in zip(chosen, amounts):
-            tx.decrement(ITEMS_TABLE, key, "stock", amount)
-        pending.append((tx.commit(), chosen, amounts))
-        await asyncio.sleep(0.01)
-    # Every commit future must settle — the coordinator re-escalates to
-    # the (rotating) master until each option is decided, so an unresolved
-    # outcome here is a protocol bug, not chaos.
-    for future, chosen, amounts in pending:
-        outcome = await asyncio.wait_for(_await_future(future), 60.0)
-        if outcome.committed:
-            outcomes["committed"] += 1
-            for key, amount in zip(chosen, amounts):
-                ledger[key] = ledger.get(key, 0) - amount
-        else:
-            outcomes["aborted"] += 1
-    return outcomes
+            except TransportError:
+                raise TransportError(f"no snapshot of {table}/{key}: is a server down?") from None
+            if (
+                all(reply.value == replies[0].value for reply in replies)
+                or transport.now > self._settle_by
+            ):
+                return {
+                    node_id: Snapshot(reply.exists, reply.value, reply.version)
+                    for node_id, reply in zip(
+                        placement.replicas(RecordId(table, key)), replies
+                    )
+                }
+            transport.run(until=transport.now + 20.0)
 
 
-async def _flaky_wan_async(
-    topology: Topology, *, clients: int, chaos_s: float
-) -> Dict[str, object]:
-    from repro.core.antientropy import AntiEntropyAgent
-    from repro.core.recovery import RecoveryAgent
-    from repro.protocols.base import get_protocol
-
-    dcs = list(topology.datacenters)
-    transport, roles, commutative, drivers = _driver_side(topology, clients, dcs, "chaos")
-    ledger: Dict[str, int] = {}
-    stop = asyncio.Event()
-    workers = [
-        asyncio.create_task(
-            _chaos_client(coordinator, commutative, topology, rng, stop, ledger)
-        )
-        for coordinator, rng in drivers
-    ]
-    try:
-        await _flaky_wan_nemesis(transport, topology, chaos_s)
-        stop.set()
-        per_client = await asyncio.gather(*workers)
-        committed = sum(o["committed"] for o in per_client)
-        aborted = sum(o["aborted"] for o in per_client)
-
-        # Post-heal repair: anti-entropy sweeps re-drive lost visibilities
-        # (with a recovery agent for options pending everywhere).
-        agent = AntiEntropyAgent(transport, "antientropy-driver", dcs[0], **roles)
-        if get_protocol(topology.protocol).supports_recovery:
-            agent.attach_recovery(
-                RecoveryAgent(transport, "recovery-driver", dcs[0], **roles)
-            )
-        keys = topology.item_keys()
-        for _round in range(4):
-            await asyncio.wait_for(_await_future(agent.sweep(ITEMS_TABLE, keys)), 120.0)
-
-        # Invariants: every replica of every item converged to the
-        # ledger's expected stock, and no stock went negative.
-        initial = dict(topology.preload_plan())
-        violations: List[str] = []
-        reader = drivers[0][0]
-        for key in keys:
-            expected = initial[key] + ledger.get(key, 0)
-            values = {}
-            for dc in dcs:
-                reply = await asyncio.wait_for(
-                    _await_future(reader.read(ITEMS_TABLE, key, dc=dc)), 30.0
-                )
-                values[dc] = (reply.version, reply.value.get("stock") if reply.value else None)
-            stocks = {stock for _version, stock in values.values()}
-            if len(stocks) != 1:
-                violations.append(f"{key}: replicas diverge {values}")
-                continue
-            stock = stocks.pop()
-            if stock != expected:
-                violations.append(f"{key}: stock {stock} != ledger {expected}")
-            elif stock < 0:
-                violations.append(f"{key}: negative stock {stock}")
-        return {
-            "schedule": "flaky-wan",
-            "transport": "tcp",
-            "committed": committed,
-            "aborted": aborted,
-            "frames": dict(transport.stats),
-            "violations": violations,
-            "clean": not violations,
-        }
-    finally:
-        stop.set()
-        for task in workers:
-            if not task.done():
-                task.cancel()
-        await _shutdown_servers(transport, sorted(topology.nodes))
-        await transport.close()
-
-
-def _run_with_servers(topology_path: str, spawn_servers: bool, body) -> Dict[str, object]:
-    """``asyncio.run(body(topology))`` against the topology's servers —
-    launched first, and reaped afterwards, when ``spawn_servers``."""
-    topology = Topology.load(topology_path)
-    processes: Dict[str, subprocess.Popen] = {}
-    if spawn_servers:
-        processes = spawn_server_processes(topology_path, topology)
-    try:
-        result = asyncio.run(body(topology))
-    except BaseException:
-        for process in processes.values():
-            process.kill()
-        raise
-    if processes:
-        result["servers"] = len(processes)
-        result["servers_killed"] = terminate_servers(processes)
-    return result
-
-
-def run_flaky_wan_parity(
+def run_topology(
     topology_path: str,
+    workload: Optional[Workload] = None,
+    schedule: Optional[FaultSchedule] = None,
     *,
-    clients: int = 3,
-    chaos_s: float = 4.0,
-    spawn_servers: bool = True,
-) -> Dict[str, object]:
-    """The flaky-wan schedule against the TCP backend, end to end.
-
-    Returns a verdict dict; ``clean`` means zero post-heal invariant
-    violations (replica convergence + ledger consistency + the stock
-    constraint) — the same bar the simulator scenario sets.
-    """
-    return _run_with_servers(
-        topology_path,
-        spawn_servers,
-        lambda topology: _flaky_wan_async(topology, clients=clients, chaos_s=chaos_s),
-    )
-
-
-def run_tcp_workload(
-    topology_path: str,
-    *,
-    clients: int = 3,
-    transactions_per_client: int = 10,
-    client_dcs: Optional[Sequence[str]] = None,
-    tx_timeout_s: float = 30.0,
     spawn_servers: bool = False,
-    shutdown_servers: Optional[bool] = None,
-) -> Dict[str, object]:
-    """Drive the micro workload against a live TCP cluster.
+    **run_keywords: Any,
+) -> RunResult:
+    """:func:`repro.bench.driver.run` against the cluster ``topology_path``
+    describes; ``workload`` (default: the topology's, no access-pattern
+    knobs), ``schedule`` and ``run_keywords`` are ``run``'s own arguments.
 
-    With ``spawn_servers=True`` the driver launches one ``repro serve``
-    subprocess per topology node first and shuts them down afterwards
-    (asserting clean exits); otherwise it expects the cluster to already
-    be listening.
+    With ``spawn_servers`` the servers are launched first and shut down
+    afterwards; otherwise the cluster must already be listening and is
+    left running.  ``result.extra["tcp"]`` holds the wire codec, the
+    driver's frame counters and each spawned server's exit code.  Over
+    TCP a schedule may only contain link-level faults
+    (:attr:`ClusterLinks.ACTIONS`) — anything else, ``fail_dc_at``
+    included, is rejected here, before any process exists.
     """
-    if shutdown_servers is None:
-        shutdown_servers = spawn_servers
-    return _run_with_servers(
-        topology_path,
-        spawn_servers,
-        lambda topology: _run_workload_async(
-            topology,
-            clients=clients,
-            transactions_per_client=transactions_per_client,
-            client_dcs=client_dcs,
-            tx_timeout_s=tx_timeout_s,
-            shutdown_servers=shutdown_servers,
-        ),
-    )
+    topology = Topology.load(topology_path)
+    actions = {event.action for event in schedule.events} if schedule else set()
+    if run_keywords.get("fail_dc_at") is not None:
+        actions.add("fail-dc")
+    if actions - ClusterLinks.ACTIONS:
+        raise TransportError(
+            f"{', '.join(sorted(actions - ClusterLinks.ACTIONS))} cannot reach a cluster "
+            f"of processes; only {', '.join(sorted(ClusterLinks.ACTIONS))} can"
+        )
+    servers = contextlib.nullcontext({})
+    if spawn_servers:
+        servers = spawned_servers(topology_path, topology)
+    with servers as processes:
+        with driver_transport(topology) as transport:
+            result = run(
+                RemoteCluster(topology, transport),
+                workload or topology.build_workload(),
+                schedule,
+                **run_keywords,
+            )
+            if processes:
+                transport.run_until(transport.ctrl_all({"op": "shutdown"}))
+        result.extra["tcp"] = {
+            "codec": transport.codec_name,
+            "frames": dict(transport.stats),
+            "servers": terminate_servers(processes),
+        }
+    return result

@@ -14,12 +14,12 @@ and this adapter only *holds* sim objects handed to it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.transport.base import Future, Node, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.core import Event, Simulator
+    from repro.sim.core import Event, Process, Simulator
     from repro.sim.network import Network
 
 __all__ = ["SimTransport"]
@@ -50,6 +50,17 @@ class SimTransport(Transport):
         # Bind to the simulator (not the adapter) so futures created by
         # roles and by drivers calling sim.future() are indistinguishable.
         return self.sim.future()
+
+    def spawn(self, generator: Generator, name: str = "") -> "Process":
+        return self.sim.spawn(generator, name=name)
+
+    def run(self, until: float, waiting_for: Optional[Iterable[Future]] = None) -> None:
+        # Simulated time is free: a settle advances the whole span too,
+        # which keeps the fixed drains of the byte-identical artifacts.
+        self.sim.run(until=until)
+
+    def run_until(self, future: Future, limit: float = 1e9) -> Any:
+        return self.sim.run_until(future, limit=limit)
 
     def send(self, src_id: str, dst_id: str, message: object) -> None:
         self.network.send(src_id, dst_id, message)

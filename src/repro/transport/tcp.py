@@ -20,7 +20,16 @@ Control frames addressed to ``@ctrl`` administer a remote transport:
 ``shutdown``, ``set_link``, ``heal``, ``ping``.
 
 Time here is wall-clock (``time.monotonic``), still reported in
-milliseconds so protocol timeouts keep their configured meaning.
+milliseconds so protocol timeouts keep their configured meaning.  The
+run-loop verbs (``spawn`` / ``run`` / ``run_until``) step the same client
+generators the simulator steps, off Future callbacks, and wait wall time
+on the transport's own loop — they are for a driver that owns that loop
+and is not itself running inside it.
+
+:class:`ClusterLinks` is the simulated network's fault state machine over
+a cluster of processes: of the faults it can hold it can apply the link
+policies and the uniform loss, by keeping the driver's own nemesis and
+— over ``@ctrl`` — every server's in line with them.
 """
 
 from __future__ import annotations
@@ -31,17 +40,19 @@ import random
 import struct
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, Optional, Tuple
 
 from collections import deque
 
+from repro.sim.core import Process
+from repro.sim.network import DEFAULT_RTT_MATRIX, LinkPolicy, Network
 from repro.trace import runtime as trace_runtime
 from repro.transport import codec as wire
-from repro.transport.base import Node, Transport, TransportError
+from repro.transport.base import Future, Node, Transport, TransportError, all_of
 from repro.transport.topology import Topology
 
-__all__ = ["AsyncioTcpTransport", "LinkFault", "CTRL_DST"]
+__all__ = ["AsyncioTcpTransport", "ClusterLinks", "LinkFault", "CTRL_DST"]
 
 CTRL_DST = "@ctrl"
 _CTRL_REPLY = "@ctrl-reply"
@@ -101,6 +112,7 @@ class AsyncioTcpTransport(Transport):
         self._queues: Dict[str, Deque[bytes]] = {}
         self._dial_tasks: Dict[str, asyncio.Task] = {}
         self._reader_tasks: set = set()
+        self._ctrl_tasks: set = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._faults: Dict[Tuple[str, str], LinkFault] = {}
         self._nemesis_rng = random.Random(
@@ -132,11 +144,41 @@ class AsyncioTcpTransport(Transport):
     def deregister(self, node_id: str) -> None:
         self._nodes.pop(node_id, None)
 
+    def post(self, delay_ms: float, callback: Callable, args: tuple = ()) -> None:
+        """:meth:`repro.sim.core.Simulator.post` on the asyncio loop — what
+        a :class:`~repro.sim.core.Process` steps itself with."""
+        self._loop.call_later(delay_ms / 1000.0, callback, *args)
+
+    def spawn(self, generator: Generator, name: str = "") -> Process:
+        process = Process(self, generator, name=name)
+        self._loop.call_soon(process._step)
+        return process
+
+    def _advance(self, until: float, done: Optional[Future]) -> None:
+        """Run the loop until time ``until``, or until ``done`` resolves."""
+        if done is not None:
+            done.add_done_callback(lambda _done: self._loop.stop())
+        # Re-checked after every stop: a future an earlier, timed-out wait
+        # was watching may stop the loop while this one is still pending.
+        while self.now < until and not (done is not None and done.done):
+            timer = self._loop.call_later((until - self.now) / 1000.0, self._loop.stop)
+            self._loop.run_forever()
+            timer.cancel()
+
+    def run(self, until: float, waiting_for: Optional[Iterable[Future]] = None) -> None:
+        # A settle (``waiting_for`` given): wall time is not free, so stop
+        # as soon as the work the caller is waiting on is done.
+        self._advance(until, None if waiting_for is None else all_of(self, waiting_for))
+
+    def run_until(self, future: Future, limit: float = 1e9) -> Any:
+        self._advance(limit, future)
+        if not future.done:
+            raise TransportError(f"future unresolved at time limit {limit} ms")
+        return future.result()
+
     def base_rtt(self, dc_a: str, dc_b: str) -> float:
         # Advisory only (read-strategy ordering); reuse the evaluation's
         # EC2 distance table when it knows both regions.
-        from repro.sim.network import DEFAULT_RTT_MATRIX
-
         if dc_a == dc_b:
             return 0.0
         return DEFAULT_RTT_MATRIX.get(frozenset((dc_a, dc_b)), 1.0)
@@ -209,7 +251,7 @@ class AsyncioTcpTransport(Transport):
         self._closed = True
         for task in self._dial_tasks.values():
             task.cancel()
-        for task in list(self._reader_tasks):
+        for task in list(self._reader_tasks) + list(self._ctrl_tasks):
             task.cancel()
         if self._server is not None:
             self._server.close()
@@ -250,9 +292,6 @@ class AsyncioTcpTransport(Transport):
             duplicate=duplicate,
         )
 
-    def clear_link_fault(self, src_dc: str, dst_dc: str) -> None:
-        self._faults.pop((src_dc, dst_dc), None)
-
     def heal_all(self) -> None:
         self._faults.clear()
 
@@ -275,6 +314,25 @@ class AsyncioTcpTransport(Transport):
             return await asyncio.wait_for(waiter, timeout_s)
         finally:
             self._ctrl_waiters.pop(req_id, None)
+
+    def ctrl_all(self, op: Dict[str, Any]) -> Future:
+        """Send ``op`` to every topology server without waiting; the
+        returned future resolves once each has acknowledged or 5 s passed.
+        An unreachable or already-gone server must not stop the others
+        from being told, so failures are not raised."""
+        told = self.future()
+
+        async def tell() -> None:
+            await asyncio.gather(
+                *(self.ctrl(n, op, timeout_s=5.0) for n in sorted(self.topology.nodes)),
+                return_exceptions=True,
+            )
+            told.resolve(None)
+
+        task = self._loop.create_task(tell())
+        self._ctrl_tasks.add(task)
+        task.add_done_callback(self._ctrl_tasks.discard)
+        return told
 
     def _handle_ctrl(self, envelope: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
         op = envelope["msg"]
@@ -451,3 +509,61 @@ class AsyncioTcpTransport(Transport):
                 f"{type(message).__name__}: {exc!r}",
                 file=sys.stderr,
             )
+
+
+class ClusterLinks(Network):
+    """The fabric of a cluster of processes, as the chaos controller sees it.
+
+    A :class:`~repro.sim.network.Network` that hosts no node and carries no
+    message: the fault bookkeeping, the subscriber hook and the heal are
+    the simulated fabric's, but instead of deciding each message's fate
+    itself it keeps the framing nemesis of *every* process — a fault on a
+    DC pair must bite wherever a frame is sent on that link — set to what
+    its state implies: this driver's transport directly, each topology
+    server's over ``set_link`` / ``heal`` control frames.  The nemesis
+    knows one fault per directed link: a link policy and the uniform drop
+    rate compose into it (independent losses), and a policy's
+    ``jitter_sigma`` has no counterpart there — it is dropped, and the
+    event log says so.  ``stats`` stays empty: frames are counted by the
+    transports (``AsyncioTcpTransport.stats``, ``ping``).
+    """
+
+    #: the schedule actions this fabric can apply; an outage, partition,
+    #: crash or membership change cannot reach other processes.
+    ACTIONS = frozenset({"degrade-link", "restore-link", "drop-rate"})
+
+    def __init__(self, transport: AsyncioTcpTransport) -> None:
+        super().__init__(transport)  # a Network reads only its clock's ``now``
+        self.transport = transport
+
+    def _notify(self, event: str, **details: object) -> None:
+        if "jitter_sigma" in details:
+            details["jitter_sigma_dropped"] = details.pop("jitter_sigma")
+        super()._notify(event, **details)
+        self._push()
+
+    def set_drop_rate(self, rate: float) -> None:
+        super().set_drop_rate(rate)
+        self._push()
+
+    def heal_all(self) -> None:
+        super().heal_all()
+        self.transport.heal_all()
+        self.transport.ctrl_all({"op": "heal"})
+
+    def _push(self) -> None:
+        """Bring every directed link's nemesis fault in line with the state."""
+        if not self._fault_free:
+            raise TransportError(f"only link faults reach every process: {self.active_faults()}")
+        datacenters = self.transport.topology.datacenters
+        for link in itertools.product(datacenters, repeat=2):
+            policy = self.link_policy(*link) or LinkPolicy()
+            fault = LinkFault(
+                drop_rate=1.0 - (1.0 - self.drop_rate) * (1.0 - policy.drop_rate),
+                extra_latency_ms=policy.extra_latency_ms,
+            )
+            if self.transport._faults.get(link, LinkFault()) != fault:
+                self.transport._faults[link] = fault
+                self.transport.ctrl_all(
+                    {"op": "set_link", "src_dc": link[0], "dst_dc": link[1], **asdict(fault)}
+                )

@@ -20,9 +20,12 @@ same placement, configuration and preloaded data:
 
 ``nodes`` lists only the *server* processes (one per storage node);
 driver/coordinator processes dial in and are reached over learned reply
-routes, so they need no address.  ``seed`` feeds both the data preload
-(every replica loads identical stock values) and the framing-layer
-nemesis RNG.
+routes, so they need no address.  ``seed`` feeds the data preload (every
+replica loads identical stock values), the clients' transaction mix and
+the framing-layer nemesis RNG.  ``workload`` parameterizes the one
+:class:`~repro.workloads.micro.MicroBenchmark` every process builds
+(:meth:`Topology.build_workload`): servers populate their replicas from
+it, the driver runs its closed loop and ledger from it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import MDCCConfig
-from repro.core.options import RecordId
 from repro.core.topology import ReplicaMap
 from repro.protocols.base import get_protocol, protocols_supporting
 from repro.sim.rng import RngRegistry
 from repro.transport.base import TransportError
+from repro.workloads.micro import MicroBenchmark
 
 __all__ = ["NodeAddress", "Topology", "make_local_topology"]
 
@@ -140,31 +143,24 @@ class Topology:
         return get_protocol(self.protocol).default_config(len(self.datacenters))
 
     # ------------------------------------------------------------------
-    # Workload preload
+    # Workload
     # ------------------------------------------------------------------
+    def build_workload(self, **knobs: object) -> MicroBenchmark:
+        """The deployment's micro-benchmark; ``knobs`` are the access-pattern
+        keywords (``hotspot_fraction``, ``locality``) only a driver sets."""
+        return MicroBenchmark(
+            num_items=int(self.workload.get("items", 100)),
+            min_stock=int(self.workload.get("min_stock", 100)),
+            max_stock=int(self.workload.get("max_stock", 200)),
+            **knobs,
+        )
+
     def item_keys(self) -> List[str]:
-        count = int(self.workload.get("items", 100))
-        return [f"item:{i:06d}" for i in range(count)]
+        return self.build_workload().keys
 
     def preload_plan(self) -> List[Tuple[str, int]]:
-        """(key, stock) for every item — identical in every process.
-
-        Mirrors :meth:`repro.workloads.micro.MicroBenchmark.populate`: the
-        ``micro.populate`` stream of the topology seed drives the stock
-        draw, so servers preloading their replicas and the driver tracking
-        its ledger agree byte-for-byte without any data transfer.
-        """
-        rng = RngRegistry(seed=self.seed).stream("micro.populate")
-        min_stock = int(self.workload.get("min_stock", 100))
-        max_stock = int(self.workload.get("max_stock", 200))
-        return [(key, rng.randint(min_stock, max_stock)) for key in self.item_keys()]
-
-    def local_records(self, node_id: str, placement: Optional[ReplicaMap] = None):
-        """(key, stock) pairs whose replica set includes ``node_id``."""
-        placement = placement or self.build_placement()
-        for key, stock in self.preload_plan():
-            if node_id in placement.replicas(RecordId("items", key)):
-                yield key, stock
+        """(key, stock) for every item — identical in every process."""
+        return self.build_workload().stock_plan(RngRegistry(seed=self.seed))
 
 
 def make_local_topology(

@@ -3,9 +3,15 @@
 The evaluation drives every protocol with the same client model (§5.1):
 clients "evenly distributed across all five data centers", each issuing
 transactions back-to-back ("we forego the wait-time between requests").
-:class:`ClientPool` spawns one simulated process per client; each runs the
+:class:`ClientPool` spawns one process per client; each runs the
 workload's transaction generator in a closed loop until the measurement
 window ends.
+
+The pool is written against the :class:`~repro.transport.base.Transport`
+run verbs (``now``, ``spawn``, ``run``) and nothing else, so the same
+loop — same key picks, same outcome accounting — drives the simulator
+and a cluster of real processes over TCP; only what a millisecond costs
+differs.
 
 Statistics follow the paper's reporting: committed-write response-time
 distributions (Figures 3 and 5 report only *write* transactions and only
@@ -16,7 +22,7 @@ throughput (Figure 4), and a latency time series (Figure 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.metrics import CounterSet, LatencyRecorder, TimeSeries
 
@@ -88,14 +94,14 @@ class WorkloadStats:
 class ClientPool:
     """Spawns closed-loop clients over a cluster and collects statistics.
 
-    ``transaction_factory(client, rng)`` must return a simulation
-    generator (see :class:`repro.sim.core.Process`) that runs ONE
-    transaction and returns ``(committed, is_write, interaction_name)``.
+    ``transaction_factory(client, rng)`` must return a process
+    generator (see :meth:`repro.transport.base.Transport.spawn`) that runs
+    ONE transaction and returns ``(committed, is_write, interaction_name)``.
     """
 
     def __init__(
         self,
-        cluster,
+        cluster: Any,
         num_clients: int,
         transaction_factory: Callable,
         client_dcs: Optional[Sequence[str]] = None,
@@ -123,46 +129,54 @@ class ClientPool:
     def run(self, warmup_ms: float, measure_ms: float) -> WorkloadStats:
         """Run the closed loop: warm-up, then the measurement window.
 
-        The simulation is advanced to the end of the measurement window
-        plus a drain period for in-flight visibilities.
+        The transport is advanced to the end of the measurement window;
+        each client finishes the transaction it has in flight afterwards
+        (see :meth:`drain`).
         """
-        sim = self.cluster.sim
-        start = sim.now
+        transport = self.cluster.transport
+        start = transport.now
         measure_start = start + warmup_ms
         measure_end = measure_start + measure_ms
         self.stats.measure_start = measure_start
         self.stats.measure_end = measure_end
 
-        for index, client in enumerate(self.clients):
-            sim.spawn(
+        self._processes = [
+            transport.spawn(
                 self._client_loop(client, self._rngs[index], measure_end),
                 name=f"client-{index}",
             )
-        sim.run(until=measure_end)
+            for index, client in enumerate(self.clients)
+        ]
+        transport.run(until=measure_end)
         return self.stats
 
     def drain(self, ms: float = 10_000.0) -> None:
-        """Let in-flight messages (visibilities, acks) settle."""
-        self.cluster.sim.run(until=self.cluster.sim.now + ms)
+        """Let the clients' last transactions and in-flight messages
+        (visibilities, acks) settle, for at most ``ms``."""
+        transport = self.cluster.transport
+        transport.run(
+            until=transport.now + ms,
+            waiting_for=[process.completion for process in self._processes],
+        )
 
-    def _client_loop(self, client, rng, stop_at: float) -> Generator:
-        sim = self.cluster.sim
-        while sim.now < stop_at:
+    def _client_loop(self, client: Any, rng: Any, stop_at: float) -> Generator:
+        transport = self.cluster.transport
+        while transport.now < stop_at:
             if self._admission is not None:
-                pause = self._admission(client, rng, sim.now)
+                pause = self._admission(client, rng, transport.now)
                 if pause:
                     yield float(pause)
                     continue
-            started = sim.now
+            started = transport.now
             result = yield from self._factory(client, rng)
             committed, is_write, interaction = result
             measuring = (
                 self.stats.measure_start <= started
-                and sim.now <= self.stats.measure_end
+                and transport.now <= self.stats.measure_end
             )
             self.stats.note_outcome(
-                now=sim.now,
-                latency_ms=sim.now - started,
+                now=transport.now,
+                latency_ms=transport.now - started,
                 committed=committed,
                 is_write=is_write,
                 measuring=measuring,

@@ -20,7 +20,7 @@ Two knobs reproduce the sensitivity studies:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.options import RecordId
 from repro.storage.schema import Constraint, TableSchema
@@ -78,12 +78,19 @@ class MicroBenchmark(Workload):
             ITEMS_TABLE, constraints={"stock": Constraint(minimum=0)}
         )
 
+    def stock_plan(self, rng_registry) -> List[Tuple[str, int]]:
+        """(key, initial stock) for every item: the ``micro.populate``
+        stream of the run's seed, so every process of a deployment that
+        shares the seed derives the same table without any data transfer."""
+        rng = rng_registry.stream("micro.populate")
+        return [
+            (key, rng.randint(self.min_stock, self.max_stock)) for key in self._keys
+        ]
+
     def populate(self, cluster) -> None:
         """Register the table, pre-load items, index masters for locality."""
         cluster.register_table(self.schema())
-        rng = cluster.rng.stream("micro.populate")
-        for key in self._keys:
-            stock = rng.randint(self.min_stock, self.max_stock)
+        for key, stock in self.stock_plan(cluster.rng):
             cluster.load_record(ITEMS_TABLE, key, {"stock": stock})
             self.ledger.track(ITEMS_TABLE, key, "stock", stock)
         if self.locality is not None:

@@ -310,14 +310,8 @@ class TestTcpStitching:
         """One transport per storage node + a driver transport, all in one
         process under one ambient tracer: the envelope's trace context must
         stitch coordinator spans to storage-node spans across real TCP."""
-        from repro.core.coordinator import MDCCCoordinator
-        from repro.core.storage_node import MDCCStorageNode
-        from repro.db.client import Transaction
-        from repro.metrics import CounterSet
-        from repro.transport.runner import _await_future
-        from repro.transport.tcp import AsyncioTcpTransport
+        from repro.transport.runner import RemoteCluster, driver_transport, host_node
         from repro.transport.topology import make_local_topology
-        from repro.workloads.micro import MicroBenchmark
 
         topology = make_local_topology(
             datacenters=("us-west", "us-east", "eu-west"),
@@ -327,60 +321,29 @@ class TestTcpStitching:
         )
         tracer = Tracer(seed=5)
         trace_runtime.install(tracer, MetricsRegistry())
-
-        async def drive():
-            placement = topology.build_placement()
-            config = topology.build_config()
-            transports = []
-            try:
-                for node_id, address in sorted(topology.nodes.items()):
-                    transport = AsyncioTcpTransport(
-                        topology,
-                        local_dc=address.dc,
-                        listen=(address.host, address.port),
-                    )
-                    node = MDCCStorageNode(
-                        transport,
-                        node_id,
-                        address.dc,
-                        placement=placement,
-                        config=config,
-                        counters=CounterSet(),
-                    )
-                    node.store.register_table(MicroBenchmark.schema())
-                    for key, stock in topology.local_records(node_id, placement):
-                        node.store.record("items", key).commit_value({"stock": stock})
-                    await transport.start()
-                    transports.append(transport)
-                driver = AsyncioTcpTransport(topology, local_dc="us-west", listen=None)
-                transports.append(driver)
-                coordinator = MDCCCoordinator(
-                    driver,
-                    "app-us-west-driver1",
-                    "us-west",
-                    placement=placement,
-                    config=config,
-                    counters=CounterSet(),
-                )
-                outcomes = []
-                for key in topology.item_keys()[:2]:
-                    tx = Transaction(
-                        coordinator, commutative=config.commutative_enabled
-                    )
-                    await asyncio.wait_for(
-                        _await_future(tx.read("items", key)), 30.0
-                    )
-                    tx.decrement("items", key, "stock", 1)
-                    outcomes.append(
-                        await asyncio.wait_for(_await_future(tx.commit()), 30.0)
-                    )
-                return outcomes
-            finally:
-                for transport in transports:
-                    await transport.close()
-
         try:
-            outcomes = asyncio.run(drive())
+            with driver_transport(topology) as driver:
+                loop = asyncio.get_event_loop()
+                servers = [
+                    loop.run_until_complete(host_node(topology, node_id))
+                    for node_id in sorted(topology.nodes)
+                ]
+                try:
+                    cluster = RemoteCluster(topology, driver)
+                    coordinator = cluster.add_client("us-west")
+                    outcomes = []
+                    for key in topology.item_keys()[:2]:
+                        tx = cluster.begin(coordinator)
+                        driver.run_until(
+                            tx.read("items", key), limit=driver.now + 30_000.0
+                        )
+                        tx.decrement("items", key, "stock", 1)
+                        outcomes.append(
+                            driver.run_until(tx.commit(), limit=driver.now + 30_000.0)
+                        )
+                finally:
+                    for server in servers:
+                        loop.run_until_complete(server.close())
         finally:
             trace_runtime.uninstall()
 

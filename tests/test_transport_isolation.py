@@ -10,6 +10,8 @@ of truth — plus a fixture check that the rule still fires.
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.analysis.engine import Project, SourceFile
 from repro.analysis.rules_isolation import ISO_SIM_FREE
 
@@ -28,6 +30,19 @@ def test_rule_covers_the_original_scope():
     assert "repro.sim" in FORBIDDEN_IMPORTS["src/repro/core/"]
     assert "repro.sim" in FORBIDDEN_IMPORTS["src/repro/transport/base.py"]
     assert "repro.sim" in FORBIDDEN_IMPORTS["src/repro/protocols/"]
+
+
+def test_rule_covers_the_run_loop():
+    """Workloads, the run driver and the checkers run on both transports:
+    no ``repro.sim`` import and no ``.sim`` reach in any of them."""
+    from repro.analysis.rules_isolation import FORBIDDEN_IMPORTS
+
+    for path in (
+        "src/repro/workloads/",
+        "src/repro/bench/driver.py",
+        "src/repro/db/checkers.py",
+    ):
+        assert "repro.sim" in FORBIDDEN_IMPORTS[path]
 
 
 def test_tree_is_isolation_clean():
@@ -69,6 +84,38 @@ def test_rule_fires_on_sim_attribute_access_in_core():
     assert len(hits) == 1
     assert hits[0].line == 3
     assert ".sim attribute access" in hits[0].message
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "src/repro/workloads/generator.py",
+        "src/repro/bench/driver.py",
+        "src/repro/db/checkers.py",
+    ],
+)
+def test_rule_fires_on_a_simulator_handle_in_the_run_loop(path):
+    """What workloads/generator.py did until the run loop moved onto the
+    Transport verbs: ``sim = self.cluster.sim``."""
+    offender = SourceFile(
+        path,
+        "from repro.sim.core import Simulator\n\n"
+        "def drain(cluster, ms):\n"
+        "    cluster.sim.run(until=cluster.sim.now + ms)\n",
+    )
+    hits = _findings(Project(REPO_ROOT, files=[offender]))
+    assert [hit.line for hit in hits] == [1, 4, 4]
+    assert "transport-neutral" in hits[0].message
+    assert ".sim attribute access" in hits[1].message
+
+
+def test_bench_perf_may_still_read_the_simulator():
+    """Only driver.py is restricted under bench/: perf.py reports
+    simulator events per second by design."""
+    perf = SourceFile(
+        "src/repro/bench/perf.py", "def f(cluster):\n    return cluster.sim.now\n"
+    )
+    assert not _findings(Project(REPO_ROOT, files=[perf]))
 
 
 def test_sim_backend_itself_is_exempt():

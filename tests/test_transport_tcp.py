@@ -1,20 +1,43 @@
 """The asyncio TCP backend, end to end.
 
 Spawns real ``repro serve`` subprocesses (one OS process per storage
-node) on freshly-bound loopback ports, drives the micro workload over
-the wire, and checks the issue's acceptance bar: transactions commit
-across process boundaries, shutdown is clean (no orphans), and the PR 2
-flaky-wan chaos schedule — replayed through the framing-layer nemesis —
+node) on freshly-bound loopback ports and hands the cluster to the *same*
+run driver the simulator uses (``run_topology`` → ``bench.driver.run``):
+transactions commit across process boundaries, the ledger / convergence /
+constraint audit runs over the wire and comes back clean, shutdown is
+clean (every server exits 0, no orphans), and the flaky-wan schedule —
+the simulator's own timeline, applied through the framing-layer nemesis —
 leaves zero post-heal invariant violations.
 """
 
+import asyncio
+import contextlib
+import json
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
+from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
+from repro.bench.driver import run
+from repro.core.options import RecordId
+from repro.faults.schedule import named_schedule
+from repro.transport import runner
 from repro.transport.base import TransportError
-from repro.transport.runner import run_flaky_wan_parity, run_tcp_workload
+from repro.transport.runner import (
+    RemoteCluster,
+    driver_transport,
+    host_node,
+    run_topology,
+)
 from repro.transport.topology import Topology, make_local_topology
+
+#: a window that starts once the spawned servers are listening
+#: (``spawned_servers`` waits for that), so it only has to be long enough
+#: for a handful of loopback commits.
+WINDOW = dict(num_clients=2, warmup_ms=50.0, measure_ms=300.0)
 
 
 def _free_ports(count):
@@ -39,6 +62,38 @@ def _write_topology(tmp_path, **kwargs):
     return str(path), topology
 
 
+def _assert_clean_live_run(result, topology):
+    """The bar every live run clears: commits, an audit that ran over the
+    wire and found nothing, frames in both directions, servers exit 0."""
+    assert result.commits >= 1
+    assert result.audit_problems == []
+    assert result.divergent_records == 0
+    assert result.constraint_violations == 0
+    assert result.clean
+    assert result.extra["tcp"]["servers"] == dict.fromkeys(topology.nodes, 0), (
+        "servers did not shut down cleanly"
+    )
+    frames = result.extra["tcp"]["frames"]
+    assert frames["sent"] > 0 and frames["received"] > 0
+
+
+@contextlib.contextmanager
+def _in_process_cluster(topology):
+    """Every storage node and the driver on one event loop in this
+    process — real sockets, no subprocess start-up."""
+    with driver_transport(topology) as driver:
+        loop = asyncio.get_event_loop()
+        servers = [
+            loop.run_until_complete(host_node(topology, node_id))
+            for node_id in sorted(topology.nodes)
+        ]
+        try:
+            yield driver
+        finally:
+            for server in servers:
+                loop.run_until_complete(server.close())
+
+
 # ----------------------------------------------------------------------
 # Topology files
 # ----------------------------------------------------------------------
@@ -58,21 +113,43 @@ def test_topology_preload_is_deterministic(tmp_path):
     assert all(100 <= stock <= 200 for _key, stock in first)
 
 
-def test_topology_preload_splits_by_placement(tmp_path):
-    path, topology = _write_topology(tmp_path, items=30, partitions_per_table=2)
-    placement = topology.build_placement()
+def test_topology_preload_is_the_workloads_population():
+    """The plan a topology hands out is the one ``MicroBenchmark.populate``
+    loads under the simulator at the same seed — stated once."""
+    topology = make_local_topology(items=30, seed=11)
+    cluster = build_cluster(
+        ClusterSpec(datacenters=topology.datacenters, partitions_per_table=1, seed=11)
+    )
+    topology.build_workload().populate(cluster)
+    for key, stock in topology.preload_plan():
+        assert cluster.read_committed("items", key).value == {"stock": stock}
+
+
+def test_served_node_preloads_its_partition_only():
+    """Each server hosts — and loads — exactly its own share of the plan:
+    every key lands on one partition per DC, with the plan's stock."""
+    topology = make_local_topology(
+        items=30, partitions_per_table=2, ports=_free_ports(6)
+    )
     plan = dict(topology.preload_plan())
-    per_node = {
-        node_id: dict(topology.local_records(node_id, placement))
-        for node_id in topology.nodes
-    }
-    # every key lands on exactly one partition per DC, with the same stock
+    placement = topology.build_placement()
+    per_node = {}
+    with driver_transport(topology):
+        loop = asyncio.get_event_loop()
+        for node_id in topology.nodes:
+            transport = loop.run_until_complete(host_node(topology, node_id))
+            store = transport._nodes[node_id].store
+            per_node[node_id] = {
+                key: snapshot.value["stock"] for key, snapshot in store.scan("items")
+            }
+            loop.run_until_complete(transport.close())
     for node_id, records in per_node.items():
         for key, stock in records.items():
             assert plan[key] == stock
-    us_west = [n for n in topology.nodes if "us-west" in n]
+            assert node_id in placement.replicas(RecordId("items", key))
     covered = set()
-    for node_id in us_west:
+    for node_id in (n for n in topology.nodes if "us-west" in n):
+        assert not covered & set(per_node[node_id])
         covered.update(per_node[node_id])
     assert covered == set(plan)
 
@@ -85,39 +162,201 @@ def test_topology_rejects_non_mdcc_protocols():
 # ----------------------------------------------------------------------
 # Live cluster smoke
 # ----------------------------------------------------------------------
-def test_tcp_cluster_commits_across_processes(tmp_path):
+@pytest.mark.parametrize("protocol", ["mdcc", "fast", "multi"])
+def test_tcp_variants_commit_across_processes(tmp_path, protocol):
+    path, topology = _write_topology(tmp_path, items=30, seed=5, protocol=protocol)
+    result = run_topology(path, spawn_servers=True, **WINDOW)
+    assert result.protocol == protocol
+    assert result.seed == 5
+    _assert_clean_live_run(result, topology)
+
+
+def test_hotspot_run_over_tcp_audits_clean(tmp_path):
+    """An access-pattern knob of the shared workload, honoured over TCP
+    because the loop that honours it is the simulator's."""
+    path, topology = _write_topology(tmp_path, items=30, seed=5)
+    workload = topology.build_workload(hotspot_fraction=0.1)
+    result = run_topology(path, workload, spawn_servers=True, **WINDOW)
+    _assert_clean_live_run(result, topology)
+    hot = set(workload.keys[:3])
+    bought = {
+        key
+        for (_table, key, _attribute), entry in workload.ledger._entries.items()
+        if entry.committed_delta
+    }
+    assert bought & hot, "no committed buy touched the hot spot"
+
+
+# ----------------------------------------------------------------------
+# Reaping: a crash is not a clean shutdown, and nothing is left behind
+# ----------------------------------------------------------------------
+def test_terminate_servers_reports_every_nonzero_exit():
+    crashed = subprocess.Popen([sys.executable, "-c", "import sys; sys.exit(3)"])
+    stuck = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    clean = subprocess.Popen([sys.executable, "-c", "pass"])
+    exits = runner.terminate_servers(
+        {"crashed": crashed, "clean": clean, "stuck": stuck}, grace_s=0.5
+    )
+    assert exits == {"crashed": 3, "clean": 0, "stuck": -signal.SIGTERM}
+
+
+def test_failed_spawn_reaps_the_servers_already_started(tmp_path, monkeypatch):
+    path, topology = _write_topology(tmp_path, items=30, seed=5)
+    started = []
+    popen = subprocess.Popen
+
+    def flaky_popen(command, **kwargs):
+        if len(started) == 2:
+            raise OSError("out of processes")
+        started.append(popen([sys.executable, "-c", "import time; time.sleep(60)"]))
+        return started[-1]
+
+    monkeypatch.setattr(runner.subprocess, "Popen", flaky_popen)
+    with pytest.raises(OSError, match="out of processes"):
+        with runner.spawned_servers(path, topology):
+            pytest.fail("entered the block although a spawn failed")
+    assert len(started) == 2
+    assert all(process.returncode == -signal.SIGKILL for process in started)
+
+
+def test_cli_exits_1_when_a_server_did_not_exit_cleanly(tmp_path, monkeypatch, capsys):
+    from repro import cli
+
+    path, topology = _write_topology(tmp_path, items=30, seed=5)
+    result = run_scenario(ScenarioSpec(clients=2, items=30, warmup_s=0.1, measure_s=1.0))
+    servers = dict.fromkeys(topology.nodes, 0)
+    result.extra["tcp"] = {"codec": "json", "frames": {}, "servers": servers}
+    monkeypatch.setattr(runner, "run_topology", lambda *a, **k: result)
+    argv = ["run", "--transport", "tcp", "--topology", path, "--clients", "2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    servers[sorted(topology.nodes)[0]] = 1
+    assert cli.main(argv) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["spec"]["cluster"]["seed"] == 5
+    assert envelope["spec"]["items"] == 30
+    assert envelope["spec"]["cluster"]["partitions_per_table"] == 1
+    assert 1 in envelope["tcp"]["servers"].values()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--fail-dc", "us-east"],
+        ["--master-policy", "adaptive"],
+        ["--gamma-policy", "adaptive"],
+        ["--batch-ms", "5"],
+        ["--no-demarcation"],
+        ["--spec", "scenario.json"],
+    ],
+)
+def test_cli_rejects_flags_tcp_cannot_honour(tmp_path, flag):
+    from repro import cli
+
     path, _ = _write_topology(tmp_path, items=30, seed=5)
-    result = run_tcp_workload(
-        path, clients=2, transactions_per_client=3, spawn_servers=True
-    )
-    assert result["transport"] == "tcp"
-    assert result["committed"] >= 1
-    assert result["committed"] + result["aborted"] + result["timeouts"] == 6
-    assert result["servers_killed"] == [], "servers did not shut down cleanly"
-    assert result["frames"]["sent"] > 0 and result["frames"]["received"] > 0
-
-
-@pytest.mark.parametrize("protocol", ["fast", "multi"])
-def test_tcp_variants_commit(tmp_path, protocol):
-    path, _ = _write_topology(tmp_path, items=30, seed=5, protocol=protocol)
-    result = run_tcp_workload(
-        path, clients=2, transactions_per_client=2, spawn_servers=True
-    )
-    assert result["protocol"] == protocol
-    assert result["committed"] >= 1
-    assert result["servers_killed"] == []
+    with pytest.raises(SystemExit, match=flag[0]):
+        cli.main(["run", "--transport", "tcp", "--topology", path, *flag])
 
 
 # ----------------------------------------------------------------------
-# Chaos parity: flaky-wan over the real backend
+# Fault schedules: the simulator's timeline over the real backend
 # ----------------------------------------------------------------------
-def test_flaky_wan_parity_no_post_heal_violations(tmp_path):
-    path, _ = _write_topology(tmp_path, items=40, seed=7)
-    result = run_flaky_wan_parity(path, clients=3, chaos_s=2.0)
-    assert result["schedule"] == "flaky-wan"
-    assert result["committed"] >= 1, "chaos throttled the workload to zero commits"
-    assert result["violations"] == []
-    assert result["clean"] is True
-    assert result["servers_killed"] == []
+_LOGGED_AS = {
+    "degrade-link": "link-degraded",
+    "restore-link": "link-restored",
+    "drop-rate": "drop-rate",
+}
+
+
+def test_flaky_wan_over_tcp_no_post_heal_violations(tmp_path):
+    path, topology = _write_topology(tmp_path, items=40, seed=7)
+    schedule = named_schedule("flaky-wan", start_ms=100.0, duration_ms=1_500.0)
+    result = run_topology(
+        path,
+        None,
+        schedule,
+        spawn_servers=True,
+        num_clients=3,
+        warmup_ms=100.0,
+        measure_ms=1_500.0,
+    )
+    assert result.schedule == "flaky-wan"
+    assert result.commits >= 1, "chaos throttled the workload to zero commits"
+    _assert_clean_live_run(result, topology)
+    assert result.probe_problems == []
+    # the event log is the schedule's own timeline, in schedule order
+    expected = [
+        (_LOGGED_AS[event.action], event.params_dict.get("pair"))
+        for event in schedule.sorted_events()
+    ]
+    assert [(row["event"], row.get("pair")) for row in result.chaos_events] == expected
+    degraded = result.chaos_events[0]
+    assert degraded["extra_latency_ms"] == 40.0 and degraded["drop_rate"] == 0.10
+    assert degraded["jitter_sigma_dropped"] == 0.3  # no framing-layer counterpart
     # the nemesis actually bit: frames were dropped at the framing layer
-    assert result["frames"]["dropped"] > 0
+    assert result.extra["tcp"]["frames"]["dropped"] > 0
+
+
+def test_unsupported_schedule_is_rejected_before_spawning(tmp_path, monkeypatch):
+    """dc-outage needs fail-dc, which no framing nemesis can apply: the
+    run must refuse before a single server process exists."""
+    path, _ = _write_topology(tmp_path, items=30, seed=5)
+    spawned = []
+    monkeypatch.setattr(
+        runner.subprocess, "Popen", lambda *a, **k: spawned.append(a) or 1 / 0
+    )
+    schedule = named_schedule("dc-outage", start_ms=100.0, duration_ms=1_000.0)
+    with pytest.raises(TransportError, match="fail-dc"):
+        run_topology(path, None, schedule, spawn_servers=True, **WINDOW)
+    assert spawned == []
+
+
+# ----------------------------------------------------------------------
+# One client loop: the transaction mix does not depend on the transport
+# ----------------------------------------------------------------------
+def _first_buys(cluster, topology, count, measure_ms):
+    """The first ``count`` buys — its (key, amount) pairs — of every client."""
+    buys = {}
+    begin = cluster.begin
+
+    def recording_begin(client):
+        tx = begin(client)
+        items = []
+        buys.setdefault(client.node_id, []).append(items)
+        decrement = tx.decrement
+
+        def recording_decrement(table, key, attribute, amount):
+            items.append((key, amount))
+            decrement(table, key, attribute, amount)
+
+        tx.decrement = recording_decrement
+        return tx
+
+    cluster.begin = recording_begin
+    result = run(
+        cluster,
+        topology.build_workload(),
+        num_clients=3,
+        warmup_ms=0.0,
+        measure_ms=measure_ms,
+    )
+    assert result.commits >= 1
+    assert all(len(client_buys) >= count for client_buys in buys.values()), buys
+    return {node_id: client_buys[:count] for node_id, client_buys in buys.items()}
+
+
+def test_same_seed_same_transaction_mix_on_both_transports():
+    """Keys and amounts come from per-client streams of the run's seed and
+    the one ``MicroBenchmark``: transport and timing do not enter."""
+    topology = make_local_topology(items=30, seed=13, ports=_free_ports(3))
+    simulated = build_cluster(
+        ClusterSpec(datacenters=topology.datacenters, partitions_per_table=1, seed=13)
+    )
+    over_sim = _first_buys(simulated, topology, count=4, measure_ms=5_000.0)
+    with _in_process_cluster(topology) as driver:
+        over_tcp = _first_buys(
+            RemoteCluster(topology, driver), topology, count=4, measure_ms=250.0
+        )
+    assert sorted(over_sim) == ["app-eu-west-3", "app-us-east-2", "app-us-west-1"]
+    assert all(len(buy) == 3 for buys in over_sim.values() for buy in buys)
+    assert over_tcp == over_sim
