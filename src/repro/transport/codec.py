@@ -1,17 +1,29 @@
 """Wire codec for the protocol message dataclasses.
 
 The TCP backend ships the same frozen dataclasses the simulator delivers
-by reference.  Encoding is a tagged recursive transform to plain
-JSON/msgpack-compatible values:
+by reference.  Encoding maps them to plain JSON/msgpack-compatible
+values in which every list is tagged by its first element:
 
-* a registered dataclass ``T(f1=..., f2=...)`` becomes
-  ``{"__k": "T", "f": {encoded fields}}``;
-* a tuple becomes ``{"__t": [...]}`` (tuple-ness must survive the trip —
-  frozen dataclasses hash their tuple fields);
-* an :class:`~repro.core.options.OptionStatus` becomes ``{"__e": value}``;
-* a :class:`~repro.paxos.cstruct.CStruct` becomes ``{"__c": [commands]}``;
-* ``None``/``bool``/``int``/``float``/``str`` pass through; lists map
-  element-wise; dicts (string keys only) map value-wise.
+* a registered dataclass ``T(f1=..., f2=...)`` becomes ``["T", f1, f2]``
+  — its init fields, positional, in declaration order (non-init fields
+  are caches ``__post_init__`` derives again on the other side);
+* a tuple becomes ``[0, ...]`` (tuple-ness must survive the trip — frozen
+  dataclasses hash their tuple fields) and a list ``[1, ...]``;
+* an :class:`~repro.core.options.OptionStatus` becomes ``[2, value]``;
+* a :class:`~repro.paxos.cstruct.CStruct` becomes ``[3, commands...]``;
+* ``None``/``bool``/``int``/``float``/``str`` pass through; dicts (string
+  keys only) map value-wise — no tag lives in a dict key, so no key a
+  user's dict may carry collides with one.
+
+**Built once.**  One encoder and one decoder per registered class are
+made at import from ``dataclasses.fields(cls)``; a value dispatches on
+its exact class (encoding) or its tag (decoding), and decoders call the
+real constructor, so validation and derived fields run as they would
+locally.  Field *names* are not on the wire, so the shape is only as
+stable as the class definitions: every process of a cluster runs from
+one source tree — mixed-version clusters are not a supported deployment,
+and the shape is not versioned (the tag byte still fails mixed *byte
+codecs* loudly).
 
 **Registration is explicit.**  :data:`MESSAGE_TYPES` must list every
 wire-reachable message dataclass — all of :mod:`repro.core.messages`
@@ -22,14 +34,15 @@ round-trip tests require a worst-case sample per registered type.
 
 Two byte codecs wrap the transform: JSON (always available) and msgpack
 (the optional ``repro[transport]`` extra).  Frames on the wire are
-``4-byte big-endian length | 1 codec tag byte | payload``.
+``4-byte big-endian length | 1 codec tag byte | payload``, the payload
+an envelope ``{"src", "src_dc", "dst", "msg"[, "trace"]}``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional, Protocol, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Type
 
 from repro.core import messages as _messages
 from repro.core.options import (
@@ -58,6 +71,7 @@ from repro.protocols.twopc import (
 from repro.transport.base import TransportError
 
 __all__ = [
+    "BODY",
     "ByteCodec",
     "CodecError",
     "MESSAGE_TYPES",
@@ -67,6 +81,7 @@ __all__ = [
     "encode",
     "encode_frame_payload",
     "resolve_codec",
+    "split_frame_payload",
 ]
 
 
@@ -129,68 +144,99 @@ VALUE_TYPES: Tuple[type, ...] = (
     RecordId,
 )
 
-_REGISTRY: Dict[str, Type[Any]] = {
-    cls.__name__: cls for cls in (*MESSAGE_TYPES, *VALUE_TYPES)
+_PLAIN = frozenset({type(None), bool, int, float, str})
+#: list tags of the built-in shapes; a registered class's tag is its name
+_TUPLE, _LIST, _STATUS, _CSTRUCT = 0, 1, 2, 3
+_STATUSES = {status.value: status for status in OptionStatus}
+
+
+def _encode_value(value: Any) -> Any:
+    return value if value.__class__ in _PLAIN else _ENCODERS[value.__class__](value)
+
+
+def _encode_dict(obj: Dict[Any, Any]) -> Dict[str, Any]:
+    if any(key.__class__ is not str for key in obj):
+        raise CodecError(f"non-string dict key in {obj!r} is not encodable")
+    return {key: _encode_value(value) for key, value in obj.items()}
+
+
+def _decode_value(data: Any) -> Any:
+    cls = data.__class__
+    if cls is list:
+        return _DECODERS[data[0]](data)
+    if cls in _PLAIN:
+        return data
+    if cls is dict:
+        return {key: _decode_value(value) for key, value in data.items()}
+    raise CodecError(f"cannot decode {cls.__name__}: {data!r}")
+
+
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {
+    tuple: lambda items: [_TUPLE, *map(_encode_value, items)],
+    list: lambda items: [_LIST, *map(_encode_value, items)],
+    dict: _encode_dict,
+    OptionStatus: lambda status: [_STATUS, status.value],
+    CStruct: lambda cstruct: [_CSTRUCT, *map(_encode_value, cstruct.commands)],
+}
+_DECODERS: Dict[Any, Callable[[List[Any]], Any]] = {
+    _TUPLE: lambda data: tuple(map(_decode_value, data[1:])),
+    _LIST: lambda data: list(map(_decode_value, data[1:])),
+    _STATUS: lambda data: _STATUSES[data[1]],
+    _CSTRUCT: lambda data: CStruct(map(_decode_value, data[1:])),
 }
 
-_TAG_KEYS = frozenset({"__k", "__t", "__e", "__c", "f"})
+#: one field on its way through: plain values as they are, the rest dispatched
+_FIELD = "{0} if {0}.__class__ in _PLAIN else {1}"
+
+
+def _register(cls: Type[Any]) -> None:
+    """Compile ``cls``'s encoder and decoder (as ``dataclasses`` compiles
+    ``__init__``): init fields only, positional, in declaration order;
+    the decoder unpacks exactly that many and calls the constructor."""
+    names = [field.name for field in dataclasses.fields(cls) if field.init]
+    slots = [f"v{i}" for i in range(len(names))]
+    encoded = (_FIELD.format(v, f"_ENCODERS[{v}.__class__]({v})") for v in slots)
+    decoded = (_FIELD.format(v, f"_decode_value({v})") for v in slots)
+    source = (
+        "def encode(obj, tag=tag):\n"
+        f"    {', '.join(slots)}, = {', '.join('obj.' + name for name in names)},\n"
+        f"    return [tag, {', '.join(encoded)}]\n"
+        "def decode(data, cls=cls):\n"
+        f"    _tag, {', '.join(slots)}, = data\n"
+        f"    return cls({', '.join(decoded)})\n"
+    )
+    # Module globals, so the helpers resolve; the two per-class names are
+    # bound as defaults when the ``def``s run.
+    compiled: Dict[str, Any] = {"cls": cls, "tag": cls.__name__}
+    exec(source, globals(), compiled)  # noqa: S102 - built from our own field names
+    _ENCODERS[cls] = compiled["encode"]
+    _DECODERS[cls.__name__] = compiled["decode"]
+
+
+for _cls in (*MESSAGE_TYPES, *VALUE_TYPES):
+    _register(_cls)
 
 
 def encode(obj: Any) -> Any:
     """Transform ``obj`` into JSON/msgpack-compatible values."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, OptionStatus):
-        return {"__e": obj.value}
-    if isinstance(obj, CStruct):
-        return {"__c": [encode(command) for command in obj.commands]}
-    if isinstance(obj, tuple):
-        return {"__t": [encode(item) for item in obj]}
-    if isinstance(obj, list):
-        return [encode(item) for item in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise CodecError(f"non-string dict key {key!r} is not encodable")
-            out[key] = encode(value)
-        return out
-    name = type(obj).__name__
-    cls = _REGISTRY.get(name)
-    if cls is None or type(obj) is not cls:
+    try:
+        return _encode_value(obj)
+    except KeyError as exc:
+        cls = exc.args[0]
         raise CodecError(
-            f"{type(obj).__module__}.{name} has no codec entry; add it to "
+            f"{cls.__module__}.{cls.__name__} has no codec entry; add it to "
             "repro.transport.codec.MESSAGE_TYPES or VALUE_TYPES"
-        )
-    fields = {
-        field.name: encode(getattr(obj, field.name))
-        for field in dataclasses.fields(obj)
-        if field.init  # non-init fields are derived caches, not payload
-    }
-    return {"__k": name, "f": fields}
+        ) from None
 
 
 def decode(data: Any) -> Any:
-    """Inverse of :func:`encode`."""
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if isinstance(data, list):
-        return [decode(item) for item in data]
-    if isinstance(data, dict):
-        if "__e" in data:
-            return OptionStatus(data["__e"])
-        if "__c" in data:
-            return CStruct(tuple(decode(item) for item in data["__c"]))
-        if "__t" in data:
-            return tuple(decode(item) for item in data["__t"])
-        if "__k" in data:
-            cls = _REGISTRY.get(data["__k"])
-            if cls is None:
-                raise CodecError(f"unknown wire type {data['__k']!r}")
-            fields = {key: decode(value) for key, value in data["f"].items()}
-            return cls(**fields)
-        return {key: decode(value) for key, value in data.items()}
-    raise CodecError(f"cannot decode {type(data).__name__}: {data!r}")
+    """Inverse of :func:`encode`; anything it cannot rebuild — unknown tag,
+    wrong field count, a value the constructor refuses — is a
+    :class:`CodecError`."""
+    try:
+        return _decode_value(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CodecError(f"cannot decode {data!r}: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -210,14 +256,16 @@ class ByteCodec(Protocol):
 class JsonCodec:
     name = "json"
     tag = b"J"
+    _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    _decode = json.JSONDecoder().decode
 
     @staticmethod
     def dumps(obj: Any) -> bytes:
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        return JsonCodec._encode(obj).encode("utf-8")
 
     @staticmethod
     def loads(payload: bytes) -> Any:
-        return json.loads(payload.decode("utf-8"))
+        return JsonCodec._decode(payload.decode("utf-8"))
 
 
 class MsgpackCodec:
@@ -260,15 +308,31 @@ def resolve_codec(preferred: str = "json") -> Tuple[ByteCodec, Optional[str]]:
 _CODECS_BY_TAG: Dict[bytes, ByteCodec] = {b"J": JsonCodec()}
 
 
+#: stands where the message body goes in an envelope handed to
+#: :func:`split_frame_payload`
+BODY = "\x00body\x00"
+
+
 def encode_frame_payload(envelope: Dict[str, Any], codec: ByteCodec) -> bytes:
     """``codec tag byte + serialized envelope`` (length prefix added by
     the framing layer)."""
     return codec.tag + codec.dumps(envelope)
 
 
+def split_frame_payload(envelope: Dict[str, Any], codec: ByteCodec) -> Tuple[bytes, bytes]:
+    """The frame payload of an envelope whose ``"msg"`` is :data:`BODY`,
+    cut around it: ``prefix + codec.dumps(msg) + suffix`` is the payload
+    of the same envelope around ``msg`` — one serialised message body can
+    go to many destinations, each splicing its own header on."""
+    prefix, suffix = encode_frame_payload(envelope, codec).split(codec.dumps(BODY))
+    return prefix, suffix
+
+
 def decode_frame_payload(payload: bytes) -> Dict[str, Any]:
     """Inverse of :func:`encode_frame_payload`; the tag byte selects the
-    codec so mixed-codec peers fail loudly instead of garbling."""
+    codec so mixed-codec peers fail loudly instead of garbling.  Bytes
+    that are not an envelope carrying a ``"msg"`` are a
+    :class:`CodecError`."""
     if not payload:
         raise CodecError("empty frame")
     tag = payload[:1]
@@ -285,4 +349,10 @@ def decode_frame_payload(payload: bytes) -> Dict[str, Any]:
                 ) from None
         else:
             raise CodecError(f"unknown codec tag {tag!r}")
-    return codec.loads(payload[1:])
+    try:
+        envelope = codec.loads(payload[1:])
+    except ValueError as exc:  # malformed JSON/msgpack, invalid UTF-8
+        raise CodecError(f"malformed {codec.name} frame: {exc}") from exc
+    if envelope.__class__ is not dict or "msg" not in envelope:
+        raise CodecError(f"frame is not an envelope: {envelope!r}")
+    return envelope

@@ -13,11 +13,31 @@ Frames are ``4-byte big-endian length | codec tag | payload`` (see
    exponential backoff, queueing frames per destination until the
    connection lands.
 
+**One socket write per connection per loop tick.**  ``send`` never
+writes: a frame joins its connection's pending list and one ``_flush``,
+scheduled with ``call_soon``, writes each list out joined — so the three
+``ProposeFast`` a commit sends to one replica inside one handler call
+are one ``send(2)``, in ``send`` order.  The trigger is the end of the
+loop iteration; there is no timer or size threshold.  ``close()`` flushes
+first.  A message object sent to several destinations within a tick is
+encoded and serialised once (memo keyed by object identity, emptied by
+the same ``_flush``); only the envelope header, cached per (src, dst),
+differs per destination.  Inbound, every complete frame of each chunk
+read is dispatched; an oversized or undecodable frame is logged, counted
+as dropped and closes *that* connection.
+
 A framing-layer **nemesis** applies per-(src DC, dst DC) link faults —
 drop / extra delay / duplicate — on the outbound path, so the PR 2 chaos
 schedules drive real processes the same way they drive the simulator.
-Control frames addressed to ``@ctrl`` administer a remote transport:
-``shutdown``, ``set_link``, ``heal``, ``ping``.
+It decides per logical frame, in ``send``, before the frame is queued
+(a delayed frame is queued when its timer fires).  Control frames
+addressed to ``@ctrl`` administer a remote transport: ``shutdown``,
+``set_link``, ``heal``, ``ping``.
+
+``stats`` counts logical frames — ``sent``, ``received``, ``dropped``
+(nemesis, no route, bad frame), ``duplicated`` — and what reached the
+sockets: ``writes`` and ``bytes_sent``; ``sent / writes`` is frames per
+socket write.  ``ping`` returns them.
 
 Time here is wall-clock (``time.monotonic``), still reported in
 milliseconds so protocol timeouts keep their configured meaning.  The
@@ -41,7 +61,7 @@ import struct
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from collections import deque
 
@@ -59,6 +79,7 @@ _CTRL_REPLY = "@ctrl-reply"
 
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
+_READ_CHUNK = 64 * 1024
 
 #: dial retry/backoff schedule (seconds): fast first attempts for a
 #: cluster that is still starting up, then a steady 1 s cadence.
@@ -110,6 +131,14 @@ class AsyncioTcpTransport(Transport):
         #: peers learned from inbound frames: node_id -> (writer, src_dc)
         self._learned: Dict[str, Tuple[asyncio.StreamWriter, str]] = {}
         self._queues: Dict[str, Deque[bytes]] = {}
+        #: frames bound for each connection since the last flush
+        self._pending: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        #: id(message) -> (message, serialised body) for this loop tick:
+        #: holding the message keeps its id from being reused meanwhile
+        self._bodies: Dict[int, Tuple[object, bytes]] = {}
+        #: (src, dst) -> the frame payload either side of the body
+        self._affixes: Dict[Tuple[str, str], Tuple[bytes, bytes]] = {}
+        self._flush_scheduled = False
         self._dial_tasks: Dict[str, asyncio.Task] = {}
         self._reader_tasks: set = set()
         self._ctrl_tasks: set = set()
@@ -122,7 +151,11 @@ class AsyncioTcpTransport(Transport):
         self._ctrl_waiters: Dict[int, asyncio.Future] = {}
         self._closed = False
         self.shutdown_requested = asyncio.Event()
-        self.stats = {"sent": 0, "received": 0, "dropped": 0, "duplicated": 0}
+        #: logical frames, but for ``writes`` / ``bytes_sent``: what went to
+        #: the sockets (``sent / writes`` = frames per socket write)
+        self.stats = dict.fromkeys(
+            ("sent", "received", "dropped", "duplicated", "writes", "bytes_sent"), 0
+        )
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -202,15 +235,7 @@ class AsyncioTcpTransport(Transport):
         if dst_dc is None and dst_id in self._learned:
             dst_dc = self._learned[dst_id][1]
         src_dc = self._nodes[src_id].dc if src_id in self._nodes else self.local_dc
-        envelope = {
-            "src": src_id,
-            "src_dc": src_dc,
-            "dst": dst_id,
-            "msg": wire.encode(message),
-        }
-        if ctx is not None:
-            envelope["trace"] = [ctx[0], ctx[1]]
-        frame = self._frame(envelope)
+        frame = self._message_frame(src_id, src_dc, dst_id, message, ctx)
         fault = self._faults.get((src_dc, dst_dc)) if dst_dc else None
         if fault is not None:
             if fault.drop_rate and self._nemesis_rng.random() < fault.drop_rate:
@@ -247,8 +272,10 @@ class AsyncioTcpTransport(Transport):
             self._server = await asyncio.start_server(self._on_connection, host, port)
 
     async def close(self) -> None:
-        """Graceful shutdown: stop dialing, close every stream."""
+        """Graceful shutdown: stop dialing, write out what is pending,
+        close every stream."""
         self._closed = True
+        self._flush()
         for task in self._dial_tasks.values():
             task.cancel()
         for task in list(self._reader_tasks) + list(self._ctrl_tasks):
@@ -371,10 +398,50 @@ class AsyncioTcpTransport(Transport):
         payload = wire.encode_frame_payload(envelope, self._codec)
         return _LEN.pack(len(payload)) + payload
 
-    @staticmethod
-    def _write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-        if not writer.is_closing():
-            writer.write(frame)
+    def _message_frame(
+        self, src_id: str, src_dc: str, dst_id: str, message: object, ctx: Optional[tuple]
+    ) -> bytes:
+        """The frame carrying ``message``: its body is encoded and
+        serialised once per loop tick however many destinations it goes
+        to (messages are frozen, so same object ⇒ same bytes); only the
+        header — cached per (src, dst) unless it carries a trace context —
+        is per destination."""
+        memo = self._bodies.get(id(message))
+        if memo is None:
+            memo = self._bodies[id(message)] = (message, self._codec.dumps(wire.encode(message)))
+            self._schedule_flush()  # which also empties the memo
+        affixes = self._affixes.get((src_id, dst_id)) if ctx is None else None
+        if affixes is None:
+            envelope = {"src": src_id, "src_dc": src_dc, "dst": dst_id, "msg": wire.BODY}
+            if ctx is not None:
+                envelope["trace"] = [ctx[0], ctx[1]]
+            affixes = wire.split_frame_payload(envelope, self._codec)
+            if ctx is None:
+                self._affixes[(src_id, dst_id)] = affixes
+        payload = affixes[0] + memo[1] + affixes[1]
+        return _LEN.pack(len(payload)) + payload
+
+    def _write_frame(self, writer: asyncio.StreamWriter, frame: bytes) -> None:
+        """Queue ``frame`` for ``writer``; everything queued during this
+        loop iteration leaves in one write per connection."""
+        self._pending.setdefault(writer, []).append(frame)
+        self._schedule_flush()
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        self._bodies.clear()
+        pending, self._pending = self._pending, {}
+        for writer, frames in pending.items():
+            if not writer.is_closing():
+                data = b"".join(frames)
+                writer.write(data)
+                self.stats["writes"] += 1
+                self.stats["bytes_sent"] += len(data)
 
     def _transmit(self, dst_id: str, frame: bytes) -> None:
         learned = self._learned.get(dst_id)
@@ -438,29 +505,41 @@ class AsyncioTcpTransport(Transport):
     async def _read_frames(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Dispatch every complete frame of each chunk read, until the
+        peer hangs up — or sends a frame that is oversized or does not
+        decode, which costs it this connection and nobody else theirs."""
+        buffer = bytearray()
         try:
-            while True:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > _MAX_FRAME:
-                    raise TransportError(f"frame of {length} bytes exceeds limit")
-                payload = await reader.readexactly(length)
-                self._on_frame(payload, writer)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+            while chunk := await reader.read(_READ_CHUNK):
+                buffer += chunk
+                start = 0
+                while len(buffer) - start >= _LEN.size:
+                    (length,) = _LEN.unpack_from(buffer, start)
+                    if length > _MAX_FRAME:
+                        raise TransportError(f"frame of {length} bytes exceeds limit")
+                    end = start + _LEN.size + length
+                    if end > len(buffer):
+                        break
+                    self._on_frame(bytes(buffer[start + _LEN.size : end]), writer)
+                    start = end
+                del buffer[:start]
+        except (ConnectionError, asyncio.CancelledError):
             pass
+        except TransportError as exc:
+            self.stats["dropped"] += 1
+            print(f"[transport] closing a connection on a bad frame: {exc}", file=sys.stderr)
         finally:
             stale = [
                 peer for peer, (w, _dc) in self._learned.items() if w is writer
             ]
             for peer in stale:
                 del self._learned[peer]
+            for route in [route for route in self._affixes if route[1] in stale]:
+                del self._affixes[route]
+            writer.close()
 
     def _on_frame(self, payload: bytes, writer: asyncio.StreamWriter) -> None:
-        try:
-            envelope = wire.decode_frame_payload(payload)
-        except wire.CodecError as exc:
-            print(f"[transport] undecodable frame: {exc}", file=sys.stderr)
-            return
+        envelope = wire.decode_frame_payload(payload)
         self.stats["received"] += 1
         src = envelope.get("src", "")
         dst = envelope.get("dst", "")
@@ -474,11 +553,7 @@ class AsyncioTcpTransport(Transport):
             if waiter is not None and not waiter.done():
                 waiter.set_result(envelope["msg"])
             return
-        try:
-            message = wire.decode(envelope["msg"])
-        except wire.CodecError as exc:
-            print(f"[transport] undecodable message for {dst}: {exc}", file=sys.stderr)
-            return
+        message = wire.decode(envelope["msg"])
         trace = envelope.get("trace")
         if trace is not None:
             self._dispatch_traced(dst, message, src, (trace[0], trace[1]))

@@ -422,6 +422,108 @@ def test_cstruct_and_status_round_trip():
     assert msg.cstruct.commands[0].status is OptionStatus.PENDING
 
 
+# ----------------------------------------------------------------------
+# Differential oracle: the generic transform the compiled codec replaced
+# ----------------------------------------------------------------------
+_ORACLE_REGISTRY = {cls.__name__: cls for cls in (*codec.MESSAGE_TYPES, *codec.VALUE_TYPES)}
+
+
+def oracle_encode(obj):
+    """The reflective codec of the parent commit: an ``isinstance`` ladder
+    and ``dataclasses.fields`` per value, fields by name.  Kept as the
+    model the per-class encoders are checked against."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, OptionStatus):
+        return {"__e": obj.value}
+    if isinstance(obj, CStruct):
+        return {"__c": [oracle_encode(command) for command in obj.commands]}
+    if isinstance(obj, tuple):
+        return {"__t": [oracle_encode(item) for item in obj]}
+    if isinstance(obj, list):
+        return [oracle_encode(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: oracle_encode(value) for key, value in obj.items()}
+    assert type(obj) is _ORACLE_REGISTRY[type(obj).__name__]
+    fields = {
+        field.name: oracle_encode(getattr(obj, field.name))
+        for field in dataclasses.fields(obj)
+        if field.init
+    }
+    return {"__k": type(obj).__name__, "f": fields}
+
+
+def oracle_decode(data):
+    if isinstance(data, list):
+        return [oracle_decode(item) for item in data]
+    if isinstance(data, dict):
+        if "__e" in data:
+            return OptionStatus(data["__e"])
+        if "__c" in data:
+            return CStruct(tuple(oracle_decode(item) for item in data["__c"]))
+        if "__t" in data:
+            return tuple(oracle_decode(item) for item in data["__t"])
+        if "__k" in data:
+            fields = {key: oracle_decode(value) for key, value in data["f"].items()}
+            return _ORACLE_REGISTRY[data["__k"]](**fields)
+        return {key: oracle_decode(value) for key, value in data.items()}
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_compiled_codec_agrees_with_the_generic_oracle(name):
+    """Field for field — ``_equal`` walks every dataclass field, the
+    ``__post_init__``-derived ones included — after a trip through JSON."""
+    original = SAMPLES[name]
+    compiled = decode(JsonCodec.loads(JsonCodec.dumps(encode(original))))
+    modelled = oracle_decode(JsonCodec.loads(JsonCodec.dumps(oracle_encode(original))))
+    assert _equal(compiled, modelled)
+    assert _equal(modelled, original)
+    assert len(JsonCodec.dumps(encode(original))) < len(JsonCodec.dumps(oracle_encode(original)))
+
+
+def test_derived_fields_are_rebuilt_by_the_real_constructor():
+    option = decode(encode(COMMUTATIVE))
+    assert option.option_id == COMMUTATIVE.option_id == "tx-17:items/item:000042"
+    assert str(option.record) == "items/item:000042"
+    assert hash(option.record) == hash(RECORD)
+    assert "option_id" not in JsonCodec.dumps(encode(COMMUTATIVE)).decode()
+
+
+def test_fields_are_enumerated_when_the_tables_are_built_not_per_message(monkeypatch):
+    def refuse(_cls):
+        raise AssertionError("dataclasses.fields called on the message path")
+
+    monkeypatch.setattr(dataclasses, "fields", refuse)
+    assert decode(encode(SAMPLES["MPhase1b"])).epoch == 1
+
+
+def test_lists_and_string_keyed_dicts_pass_through():
+    value = {"rows": [1, "a", None, (2.5, [True])], "nested": {"empty": [], "unit": ()}}
+    assert decode(encode(value)) == value
+    assert isinstance(decode(encode(value))["rows"][3], tuple)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"__t": [1]},
+        {"__k": "Ballot", "f": {"round": 1}},
+        {"__e": "accepted"},
+        {"__c": []},
+        {"Ballot": [1, True, "x"]},
+        ["Ballot", 1, True, "x"],
+        [0, 1, 2],
+    ],
+)
+def test_no_user_value_collides_with_a_tag(value):
+    """The parent's tags lived in dict keys, so ``{"__t": [1]}`` came back
+    as the tuple ``(1,)``.  Tags now lead lists, every list the encoder
+    emits is tagged, and dicts carry none — user data comes back as sent."""
+    restored = decode(JsonCodec.loads(JsonCodec.dumps(encode(value))))
+    assert restored == value and type(restored) is type(value)
+
+
 def test_unregistered_type_is_a_loud_error():
     @dataclasses.dataclass(frozen=True)
     class Rogue:
@@ -429,11 +531,63 @@ def test_unregistered_type_is_a_loud_error():
 
     with pytest.raises(CodecError, match="no codec entry"):
         encode(Rogue(x=1))
+    with pytest.raises(CodecError, match="no codec entry"):
+        encode(messages.Visibility(option=Rogue(x=1), committed=True))
 
 
 def test_non_string_dict_keys_rejected():
     with pytest.raises(CodecError, match="non-string dict key"):
         encode({1: "a"})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        ["Ballot", 1],  # too few fields
+        ["Ballot", 1, True, "x", "extra"],
+        ["NoSuchType", 1],
+        [],  # no tag
+        [[1], 2],  # unhashable tag
+        [7, 1],  # unknown built-in tag
+        [2, "no-such-status"],
+        ["ReadValidation", -1],  # the constructor refuses it
+        ["CommutativeUpdate", 5],  # __post_init__ trips over it
+        {"key": ["NoSuchType"]},
+        b"bytes",
+    ],
+)
+def test_every_decode_failure_is_a_codec_error(value):
+    with pytest.raises(CodecError):
+        decode(value)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"",
+        b"J{not json",
+        b"J\xff\xfe",
+        b"J[1,2]",  # JSON, but not an envelope
+        b'J{"src":"a","dst":"b"}',  # no message
+        b"Xwhatever",
+    ],
+)
+def test_every_malformed_frame_payload_is_a_codec_error(payload):
+    with pytest.raises(CodecError):
+        decode_frame_payload(payload)
+
+
+@pytest.mark.parametrize("trace", [None, ["trace-1", "span-2"]])
+def test_split_frame_payload_splices_to_the_whole_envelope(trace):
+    byte_codec = JsonCodec()
+    envelope = {"src": "app-1", "src_dc": "us-west", "dst": "store-1", "msg": codec.BODY}
+    if trace:
+        envelope["trace"] = trace
+    prefix, suffix = codec.split_frame_payload(envelope, byte_codec)
+    body = encode(SAMPLES["ProposeFast"])
+    whole = encode_frame_payload({**envelope, "msg": body}, byte_codec)
+    assert prefix + byte_codec.dumps(body) + suffix == whole
+    assert decode_frame_payload(whole).get("trace") == trace
 
 
 def test_resolve_codec_json_default():
@@ -461,6 +615,12 @@ def test_msgpack_round_trip_if_available():
     envelope = {"src": "a", "src_dc": "us-west", "dst": "b", "msg": encode(CSTRUCT)}
     back = decode(decode_frame_payload(encode_frame_payload(envelope, byte_codec))["msg"])
     assert _equal(back, CSTRUCT)
+    prefix, suffix = codec.split_frame_payload({**envelope, "msg": codec.BODY}, byte_codec)
+    assert prefix + byte_codec.dumps(envelope["msg"]) + suffix == encode_frame_payload(
+        envelope, byte_codec
+    )
+    with pytest.raises(CodecError):
+        decode_frame_payload(b"M\xc1")
 
 
 def test_unknown_codec_rejected():

@@ -13,8 +13,11 @@ leaves zero post-heal invariant violations.
 import asyncio
 import contextlib
 import json
+import os
+import pathlib
 import signal
 import socket
+import struct
 import subprocess
 import sys
 
@@ -75,6 +78,9 @@ def _assert_clean_live_run(result, topology):
     )
     frames = result.extra["tcp"]["frames"]
     assert frames["sent"] > 0 and frames["received"] > 0
+    # coalescing happened: fewer socket writes than logical frames
+    assert 0 < frames["writes"] < frames["sent"]
+    assert frames["bytes_sent"] > 0
 
 
 @contextlib.contextmanager
@@ -185,6 +191,79 @@ def test_hotspot_run_over_tcp_audits_clean(tmp_path):
         if entry.committed_delta
     }
     assert bought & hot, "no committed buy touched the hot spot"
+
+
+# ----------------------------------------------------------------------
+# A bad frame costs its sender the connection, not the server its life
+# ----------------------------------------------------------------------
+def _framed(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+_GARBAGE = {
+    "garbage payload": _framed(b"J{not json"),
+    "invalid utf-8": _framed(b"J\xff\xfe"),
+    "unknown message type": _framed(b'J{"src":"x","src_dc":"y","dst":"z","msg":["Nope"]}'),
+    "oversized length header": struct.pack(">I", 0xFFFFFFFF) + b"J",
+}
+
+
+@pytest.mark.parametrize("case", [*_GARBAGE, "truncated frame"])
+def test_bad_frame_closes_that_connection_and_the_server_keeps_serving(case, capfd):
+    topology = make_local_topology(items=30, seed=5, ports=_free_ports(3))
+    victim = sorted(topology.nodes)[0]
+    address = topology.nodes[victim]
+
+    async def offend():
+        reader, writer = await asyncio.open_connection(address.host, address.port)
+        if case == "truncated frame":
+            writer.write(struct.pack(">I", 100) + b"J{")
+            await writer.drain()
+            writer.close()
+        else:
+            writer.write(_GARBAGE[case])
+            # the server hangs up on us: EOF, not a hang
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+        await writer.wait_closed()
+
+    with _in_process_cluster(topology) as driver:
+        loop = asyncio.get_event_loop()
+        loop.run_until_complete(offend())
+        stats = loop.run_until_complete(driver.ctrl(victim, {"op": "ping"}))["stats"]
+        assert stats["dropped"] == (0 if case == "truncated frame" else 1)
+        result = run(
+            RemoteCluster(topology, driver),
+            topology.build_workload(),
+            num_clients=2,
+            warmup_ms=0.0,
+            measure_ms=250.0,
+        )
+    assert result.commits >= 1 and result.clean
+    errors = capfd.readouterr().err
+    assert "Task exception was never retrieved" not in errors
+    assert errors.count("closing a connection on a bad frame") == (
+        0 if case == "truncated frame" else 1
+    )
+
+
+def test_simulated_runs_load_no_codec_no_tcp_no_asyncio():
+    """The wire codec, the TCP transport and asyncio are the TCP backend's
+    alone: a simulated scenario through ``repro.api`` imports none."""
+    script = (
+        "import sys, repro.api as api\n"
+        "r = api.run_scenario(api.ScenarioSpec(clients=2, items=30, warmup_s=0.1, measure_s=1.0))\n"
+        "assert r.commits >= 1\n"
+        "loaded = [m for m in ('repro.transport.codec', 'repro.transport.tcp', 'asyncio')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------
