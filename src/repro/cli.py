@@ -257,13 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE",
         default=None,
         help="gate against a committed baseline JSON: exit 1 on any "
-        "deterministic drift or a >10%% events/wall-s regression",
-    )
-    bench.add_argument(
-        "--regression-tolerance",
-        type=float,
-        default=None,
-        help="override the --compare wall-clock tolerance (default 0.10)",
+        "deterministic drift (wall-clock numbers are advisory)",
     )
 
     compare = sub.add_parser(
@@ -747,12 +741,7 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (
-        REGRESSION_TOLERANCE,
-        compare_to_baseline,
-        render_bench_json,
-        run_bench,
-    )
+    from repro.bench.perf import compare_to_baseline, render_bench_json, run_bench
 
     overrides = None
     if args.measure_s is not None:
@@ -771,21 +760,12 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.compare is not None:
         with open(args.compare, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
-        tolerance = (
-            REGRESSION_TOLERANCE
-            if args.regression_tolerance is None
-            else args.regression_tolerance
-        )
-        failures = compare_to_baseline(payload, baseline, tolerance=tolerance)
+        failures = compare_to_baseline(payload, baseline)
         if failures:
             for failure in failures:
                 print(f"[bench-gate] FAIL {failure}", file=sys.stderr)
             return 1
-        print(
-            f"[bench-gate] OK — matches {args.compare} "
-            f"(wall-clock within {tolerance:.0%})",
-            file=sys.stderr,
-        )
+        print(f"[bench-gate] OK — matches {args.compare}", file=sys.stderr)
     return 0
 
 

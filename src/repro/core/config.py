@@ -71,8 +71,6 @@ class MDCCConfig:
             option to the master (StartRecovery), Algorithm 1 line 19.
         recovery_timeout_ms: wait on a master during recovery before trying
             the next master candidate (master failover).
-        visibility_resend_ms: lost Visibility messages are re-driven by the
-            coordinator after this delay (0 disables).
         visibility_batch_ms: buffer visibility notifications per destination
             for this long and ship them as one
             :class:`~repro.core.messages.VisibilityBatch` (§7's "batching
@@ -96,7 +94,6 @@ class MDCCConfig:
     demarcation_enabled: bool = True
     learn_timeout_ms: float = 2_000.0
     recovery_timeout_ms: float = 3_000.0
-    visibility_resend_ms: float = 0.0
     visibility_batch_ms: float = 0.0
 
     def __post_init__(self) -> None:

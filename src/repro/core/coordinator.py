@@ -172,10 +172,7 @@ class MDCCCoordinator(Node):
         super().__init__(transport, node_id, dc)
         self.placement = placement
         self.config = config
-        self._elastic = placement.is_elastic
         self._fast_ballots = config.fast_ballots_enabled
-        #: static clusters never change quorum sizes, so resolve once.
-        self._static_spec = None if self._elastic else config.quorums
         self.counters = trace_runtime.scoped_counters(
             node_id, counters if counters is not None else CounterSet()
         )
@@ -191,13 +188,6 @@ class MDCCCoordinator(Node):
         #: visibility batching (§7): destination -> buffered visibilities.
         self._visibility_buffer: Dict[str, List[Visibility]] = {}
         self._visibility_flush_scheduled = False
-
-    @property
-    def spec(self):
-        """Quorum sizes under the current membership epoch."""
-        if self._elastic:
-            return self.placement.quorums()
-        return self._static_spec
 
     def _home_dc(self) -> str:
         """This node's DC, or the first active DC once its own has been
@@ -296,18 +286,12 @@ class MDCCCoordinator(Node):
             started_at=self.now,
         )
         self._transactions[txid] = tx
+        root = None
         if self.tracer.enabled:
-            root = self.tracer.start_trace(
+            root = self._tx_spans[txid] = self.tracer.start_trace(
                 txid, self.node_id, self.now, records=len(records)
             )
-            self._tx_spans[txid] = root
-            previous = trace_runtime.set_context(root.ctx)
-            try:
-                for option in options.values():
-                    self._propose(tx, option)
-            finally:
-                trace_runtime.reset_context(previous)
-        else:
+        with trace_runtime.under(root):
             for option in options.values():
                 self._propose(tx, option)
         self.set_timer(self.config.learn_timeout_ms, self._learn_timeout, txid)
@@ -318,9 +302,7 @@ class MDCCCoordinator(Node):
         if self._fast_ballots:
             replicas = self.placement.replicas(option.record)
             message = ProposeFast(
-                option=option,
-                reply_to=self.node_id,
-                epoch=self.placement.epoch if self._elastic else 0,
+                option=option, reply_to=self.node_id, epoch=self.placement.epoch
             )
             self.broadcast(replicas, message)
             self.counters.increment("coordinator.fast_proposals")
@@ -342,7 +324,7 @@ class MDCCCoordinator(Node):
         tx = self._transactions.get(message.txid)
         if tx is None or tx.finished or message.option_id in tx.learned:
             return
-        epoch = self.placement.epoch if self._elastic else 0
+        epoch = self.placement.epoch
         if message.epoch < epoch:
             # A vote cast under the previous configuration: dropping it is
             # what keeps a fast quorum from straddling a resize.
@@ -375,7 +357,7 @@ class MDCCCoordinator(Node):
                 accepted += 1
             elif status is OptionStatus.REJECTED:
                 rejected += 1
-        spec = self.spec
+        spec = self.placement.quorums()
         if accepted >= spec.fast_size:
             self._learn(tx, message.option_id, OptionStatus.ACCEPTED)
         elif rejected >= spec.fast_size:
@@ -399,7 +381,7 @@ class MDCCCoordinator(Node):
         if (
             status is OptionStatus.REJECTED
             and option.is_commutative
-            and self.config.fast_ballots_enabled
+            and self._fast_ballots
         ):
             # Lines 24-26: a rejected commutative option during a fast
             # ballot signals a demarcation limit hit — refresh the base.
@@ -425,6 +407,7 @@ class MDCCCoordinator(Node):
             option=option,
             reply_to=self.node_id,
         )
+        span = None
         if self.tracer.enabled:
             # Slow-path attribution at the decision site: the reason the
             # fast path was abandoned (collision / timeout /
@@ -444,14 +427,10 @@ class MDCCCoordinator(Node):
             )
             if root is not None:
                 root.event(self.now, reason, option_id=option.option_id)
-            previous = trace_runtime.set_context(span.ctx)
-            try:
-                self.send(target, message)
-            finally:
-                trace_runtime.reset_context(previous)
-            span.finish(self.now, "sent")
-        else:
+        with trace_runtime.under(span):
             self.send(target, message)
+        if span is not None:
+            span.finish(self.now, "sent")
 
     def _learn_timeout(self, txid: str) -> None:
         tx = self._transactions.get(txid)
@@ -475,6 +454,7 @@ class MDCCCoordinator(Node):
         committed = all(
             status is OptionStatus.ACCEPTED for status in tx.learned.values()
         )
+        root = fanout = None
         if self.tracer.enabled:
             root = self._tx_spans.pop(tx.txid, None)
             fanout = self.tracer.start_span(
@@ -486,22 +466,7 @@ class MDCCCoordinator(Node):
                 options=len(tx.options),
                 committed=committed,
             )
-            previous = trace_runtime.set_context(fanout.ctx)
-            try:
-                for option in tx.options.values():
-                    visibility = Visibility(option=option, committed=committed)
-                    for replica in self.placement.replicas_for_repair(option.record):
-                        self._send_visibility(replica, visibility)
-            finally:
-                trace_runtime.reset_context(previous)
-            fanout.finish(self.now, "sent")
-            if root is not None:
-                root.attrs["fast_path"] = not tx.learned_via_master
-                root.finish(self.now, "committed" if committed else "aborted")
-            trace_runtime.record_latency(
-                self.node_id, self.now - tx.started_at, tx.started_at
-            )
-        else:
+        with trace_runtime.under(fanout):
             for option in tx.options.values():
                 visibility = Visibility(option=option, committed=committed)
                 # Repair scope, not quorum scope: joining replicas receive
@@ -509,6 +474,14 @@ class MDCCCoordinator(Node):
                 # instead of deferring everything to the catch-up sweeps.
                 for replica in self.placement.replicas_for_repair(option.record):
                     self._send_visibility(replica, visibility)
+        if fanout is not None:
+            fanout.finish(self.now, "sent")
+            if root is not None:
+                root.attrs["fast_path"] = not tx.learned_via_master
+                root.finish(self.now, "committed" if committed else "aborted")
+            trace_runtime.record_latency(
+                self.node_id, self.now - tx.started_at, tx.started_at
+            )
         outcome = TransactionOutcome(
             txid=tx.txid,
             committed=committed,

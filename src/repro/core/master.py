@@ -97,22 +97,9 @@ class MasterRole:
     def __init__(self, node, config: MDCCConfig) -> None:
         self.node = node
         self.config = config
+        self.placement = node.placement
         self.policy = make_policy(config)
         self._records: Dict[RecordId, _MasterRecordState] = {}
-
-    @property
-    def spec(self):
-        """Quorum sizes under the current membership epoch (via the node)."""
-        return self.node.spec
-
-    def _epoch(self) -> int:
-        return self.node.placement.epoch
-
-    def _fence_stale(self, message_epoch: int) -> bool:
-        if message_epoch < self._epoch():
-            self.node.counters.increment("reconfig.stale_epoch_dropped")
-            return True
-        return False
 
     def _state(self, record: RecordId) -> _MasterRecordState:
         ms = self._records.get(record)
@@ -156,17 +143,25 @@ class MasterRole:
     # ------------------------------------------------------------------
     # Inbound: proposals routed through the master
     # ------------------------------------------------------------------
-    def on_propose(self, message: ProposeClassic, src_id: str) -> None:
-        ms = self._state(message.option.record)
-        option_id = message.option.option_id
-        ms.waiters.setdefault(option_id, set()).add(message.reply_to)
+    def _enqueue(self, record: RecordId, option: Option, reply_to: str) -> bool:
+        """Register ``reply_to`` as a learner of ``option`` and queue the
+        option for the next classic round.  False when the outcome is
+        already known: the waiter has been told, nothing is left to run."""
+        ms = self._state(record)
+        option_id = option.option_id
+        ms.waiters.setdefault(option_id, set()).add(reply_to)
         if option_id in ms.outcome_cache:
-            self._notify(message.option.record, message.option, ms.outcome_cache[option_id])
-            return
+            self._notify(record, option, ms.outcome_cache[option_id])
+            return False
         if option_id not in ms.queued_ids and not self._inflight(ms, option_id):
-            ms.queue.append(message.option.with_status(OptionStatus.PENDING))
+            ms.queue.append(option.with_status(OptionStatus.PENDING))
             ms.queued_ids.add(option_id)
-        self._pump(message.option.record)
+        return True
+
+    def on_propose(self, message: ProposeClassic, src_id: str) -> None:
+        record = message.option.record
+        if self._enqueue(record, message.option, message.reply_to):
+            self._pump(record)
 
     def on_start_recovery(self, message: StartRecovery, src_id: str) -> None:
         ms = self._state(message.record)
@@ -175,16 +170,10 @@ class MasterRole:
             # under our ballot; if a round is already running its
             # completion doubles as the takeover.
             ms.migration_notify = message.reply_to or src_id
-        if message.option is not None:
-            option_id = message.option.option_id
-            reply_to = message.reply_to or src_id
-            ms.waiters.setdefault(option_id, set()).add(reply_to)
-            if option_id in ms.outcome_cache:
-                self._notify(message.record, message.option, ms.outcome_cache[option_id])
-                return
-            if option_id not in ms.queued_ids and not self._inflight(ms, option_id):
-                ms.queue.append(message.option.with_status(OptionStatus.PENDING))
-                ms.queued_ids.add(option_id)
+        if message.option is not None and not self._enqueue(
+            message.record, message.option, message.reply_to or src_id
+        ):
+            return
         if ms.phase == "idle":
             ms.recovery_reason = message.reason
             self._start_phase1(message.record)
@@ -201,10 +190,10 @@ class MasterRole:
         ballot = Ballot(round=ms.round_counter, fast=False, proposer=self.node.node_id)
         ms.ballot = ballot
         ms.phase1_replies = {}
-        ms.round_epoch = self._epoch()
+        ms.round_epoch = self.placement.epoch
         version = self._local_version(record)
         grant = BallotRange(version, None, ballot)
-        replicas = self.node.placement.replicas(record)
+        replicas = self.placement.replicas(record)
         span = self._trace_phase(
             "phase1-takeover",
             record,
@@ -213,8 +202,7 @@ class MasterRole:
             reason=ms.recovery_reason or "route",
             epoch=ms.round_epoch,
         )
-        previous = trace_runtime.set_context(span.ctx) if span is not None else None
-        try:
+        with trace_runtime.under(span):
             for replica in replicas:
                 self.node.send(
                     replica,
@@ -225,9 +213,6 @@ class MasterRole:
                         epoch=ms.round_epoch,
                     ),
                 )
-        finally:
-            if span is not None:
-                trace_runtime.reset_context(previous)
         self.node.set_timer(
             self.config.recovery_timeout_ms + self._stagger(ms.round_counter),
             self._phase1_timeout,
@@ -237,7 +222,7 @@ class MasterRole:
         self.node.counters.increment("master.phase1_started")
 
     def on_phase1b(self, message: MPhase1b, src_id: str) -> None:
-        if self._fence_stale(message.epoch):
+        if self.node.fence_stale(message.epoch):
             # A promise from the old configuration must not count toward
             # a quorum sized for the new one.
             return
@@ -250,7 +235,7 @@ class MasterRole:
             ms.highest_seen = message.promised
         if ms.phase != "phase1" or message.ballot != ms.ballot:
             return
-        if ms.round_epoch != self._epoch():
+        if ms.round_epoch != self.placement.epoch:
             # Membership changed since this round started: restart it so
             # the promise set is collected entirely under one epoch.
             self.node.counters.increment("reconfig.epoch_round_restarts")
@@ -264,7 +249,7 @@ class MasterRole:
             self._start_phase1(message.record)
             return
         ms.phase1_replies[src_id] = message
-        if len(ms.phase1_replies) < self.spec.classic_size:
+        if len(ms.phase1_replies) < self.placement.quorums().classic_size:
             return
         self._finish_phase1(message.record)
 
@@ -302,7 +287,9 @@ class MasterRole:
             )
             for replica_id, reply in ms.phase1_replies.items()
         ]
-        safe = proved_safe(reports, self.spec, self.node.placement.replicas(record))
+        safe = proved_safe(
+            reports, self.placement.quorums(), self.placement.replicas(record)
+        )
         normalized = self._normalize(record, list(safe), newest)
         ms.established = True
         ms.phase = "idle"
@@ -401,7 +388,8 @@ class MasterRole:
             if not isinstance(current, (int, float)):
                 return False
             # Classic round: full escrow window (no fast-quorum slack).
-            limits = demarcation_limits(self.spec.n, self.spec.n, float(current), constraint)
+            n = self.placement.quorums().n
+            limits = demarcation_limits(n, n, float(current), constraint)
             if not escrow_accepts(
                 float(current), pending_deltas.get(attribute, []), delta, limits
             ):
@@ -494,8 +482,8 @@ class MasterRole:
         if not ms.established:
             if (
                 not self.config.fast_ballots_enabled
-                and not self.node.placement.is_adaptive
-                and not self.node.placement.is_elastic
+                and not self.placement.is_adaptive
+                and not self.placement.is_elastic
             ):
                 # Multi variant: "a stable master can skip Phase 1"
                 # (§5.3.1).  Mastership is structurally unique (placement
@@ -522,7 +510,7 @@ class MasterRole:
             record,
             ms,
             ballot=repr(ms.ballot),
-            epoch=self._epoch(),
+            epoch=self.placement.epoch,
         )
         self._prune_live(record, ms)
         cstruct = base_cstruct
@@ -537,7 +525,7 @@ class MasterRole:
         ms.phase = "phase2"
         ms.phase2_replies = {}
         ms.phase2_cstruct = cstruct
-        ms.round_epoch = self._epoch()
+        ms.round_epoch = self.placement.epoch
         message = MPhase2a(
             record=record,
             ballot=ms.ballot,
@@ -548,13 +536,9 @@ class MasterRole:
         )
         if span is not None:
             span.attrs["options"] = sum(1 for _ in cstruct)
-        previous = trace_runtime.set_context(span.ctx) if span is not None else None
-        try:
-            for replica in self.node.placement.replicas(record):
+        with trace_runtime.under(span):
+            for replica in self.placement.replicas(record):
                 self.node.send(replica, message)
-        finally:
-            if span is not None:
-                trace_runtime.reset_context(previous)
         self.node.set_timer(
             self.config.recovery_timeout_ms + self._stagger(ms.round_counter + 7),
             self._phase2_timeout,
@@ -564,7 +548,7 @@ class MasterRole:
         self.node.counters.increment("master.phase2_started")
 
     def on_phase2b(self, message: MPhase2b, src_id: str) -> None:
-        if self._fence_stale(message.epoch):
+        if self.node.fence_stale(message.epoch):
             return
         ms = self._state(message.record)
         versions = ms.replica_versions
@@ -573,7 +557,7 @@ class MasterRole:
             versions[src_id] = message.committed_version
         if ms.phase != "phase2" or message.ballot != ms.ballot:
             return
-        if ms.round_epoch != self._epoch():
+        if ms.round_epoch != self.placement.epoch:
             # The round's Phase2a predates the current configuration;
             # re-establish mastership under the new epoch from Phase 1.
             self.node.counters.increment("reconfig.epoch_round_restarts")
@@ -594,7 +578,7 @@ class MasterRole:
 
     def _try_decide_phase2(self, record: RecordId) -> None:
         ms = self._state(record)
-        spec = self.spec
+        spec = self.placement.quorums()
         classic_size = spec.classic_size
         replies = ms.phase2_replies
         if len(replies) < classic_size:
@@ -660,8 +644,7 @@ class MasterRole:
             span.finish(self.node.now, "decided")
             ms.trace_span = None
             ms.trace_ctx = None
-        previous = trace_runtime.set_context(span.ctx) if span is not None else None
-        try:
+        with trace_runtime.under(span):
             for option in cstruct:
                 status = decided[option.option_id]
                 ms.outcome_cache[option.option_id] = status
@@ -670,9 +653,6 @@ class MasterRole:
                 else:
                     ms.live.pop(option.option_id, None)
                 self._notify(record, option, status)
-        finally:
-            if span is not None:
-                trace_runtime.reset_context(previous)
         self._prune_live(record, ms)
         self.node.counters.increment("master.phase2_decided")
         if ms.migration_notify is not None:
@@ -723,7 +703,7 @@ class MasterRole:
         """
         return min(
             ms.replica_versions.get(replica, 0)
-            for replica in self.node.placement.replicas(record)
+            for replica in self.placement.replicas(record)
         )
 
     def _phase2_timeout(self, record: RecordId, ballot: Ballot) -> None:
@@ -780,7 +760,7 @@ class MasterRole:
         messages; its Phase-1 takeover already carried over any accepted
         options via the replicas' cstructs.
         """
-        placement = self.node.placement
+        placement = self.placement
         if not (placement.is_adaptive or placement.is_elastic):
             return False
         new_master = placement.master_node(record)

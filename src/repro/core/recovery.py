@@ -89,11 +89,6 @@ class RecoveryAgent(Node):
         #: retry rounds before declaring the quorum unreachable.
         self._max_retry_rounds = 100
 
-    @property
-    def spec(self):
-        """Quorum sizes under the current membership epoch."""
-        return self.placement.quorum_spec(self.config)
-
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
@@ -128,12 +123,7 @@ class RecoveryAgent(Node):
                 record=f"{hint_record.table}/{hint_record.key}",
                 reason="dangling",
             )
-            previous = trace_runtime.set_context(state.trace_span.ctx)
-            try:
-                self._probe(state, hint_record)
-            finally:
-                trace_runtime.reset_context(previous)
-        else:
+        with trace_runtime.under(state.trace_span):
             self._probe(state, hint_record)
         self.counters.increment("recovery.started")
         self.set_timer(self.config.recovery_timeout_ms, self._retry, state)
@@ -169,7 +159,8 @@ class RecoveryAgent(Node):
         if record in state.decisions or state.finished:
             return
         replies = state.replies.get(record, {})
-        if len(replies) < self.spec.classic_size:
+        spec = self.placement.quorums()
+        if len(replies) < spec.classic_size:
             return
         # Any executed replica proves the commit decision for this option.
         if any(reply.executed for reply in replies.values()):
@@ -177,7 +168,7 @@ class RecoveryAgent(Node):
             return
         option = state.options.get(record)
         if option is None:
-            if len(replies) == self.spec.n:
+            if len(replies) == spec.n:
                 # No replica knows an option for this record: it cannot
                 # have been accepted by any quorum, so the transaction
                 # cannot have committed.
@@ -231,12 +222,7 @@ class RecoveryAgent(Node):
             return
         # Timer callbacks run with no ambient context; restore the
         # recovery span's so re-driven probes stitch into the trace.
-        previous = (
-            trace_runtime.set_context(state.trace_span.ctx)
-            if state.trace_span is not None
-            else None
-        )
-        try:
+        with trace_runtime.under(state.trace_span):
             # Sorted: `probed` is a set of RecordIds whose iteration order is
             # salted per interpreter (PYTHONHASHSEED), and send order decides
             # which shared-stream jitter draw each message gets — an unsorted
@@ -261,9 +247,6 @@ class RecoveryAgent(Node):
                     )
                 state.escalated.discard(record)
                 self._evaluate(state, record)
-        finally:
-            if state.trace_span is not None:
-                trace_runtime.reset_context(previous)
         self.counters.increment("recovery.retries")
         self.set_timer(self.config.recovery_timeout_ms, self._retry, state)
 
@@ -289,20 +272,12 @@ class RecoveryAgent(Node):
         )
         # The visibility fan-out belongs to the recovery span, not to
         # whatever message handler happened to deliver the last verdict.
-        previous = (
-            trace_runtime.set_context(state.trace_span.ctx)
-            if state.trace_span is not None
-            else None
-        )
-        try:
+        with trace_runtime.under(state.trace_span):
             for record, option in state.options.items():
                 self.broadcast(
                     self.placement.replicas(record),
                     Visibility(option=option, committed=committed),
                 )
-        finally:
-            if state.trace_span is not None:
-                trace_runtime.reset_context(previous)
         if state.trace_span is not None:
             state.trace_span.finish(
                 self.now, "committed" if committed else "aborted"

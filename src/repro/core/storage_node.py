@@ -73,11 +73,6 @@ class MDCCStorageNode(Node):
         super().__init__(transport, node_id, dc)
         self.placement = placement
         self.config = config
-        #: fixed at construction — a membership directory is attached to
-        #: the ReplicaMap before any node is built.
-        self._elastic = placement.is_elastic
-        #: static clusters never change quorum sizes, so resolve once.
-        self._static_spec = None if self._elastic else config.quorums
         self._fast_ballots = config.fast_ballots_enabled
         self.counters = trace_runtime.scoped_counters(
             node_id, counters if counters is not None else CounterSet()
@@ -96,26 +91,9 @@ class MDCCStorageNode(Node):
     # ------------------------------------------------------------------
     # State access
     # ------------------------------------------------------------------
-    @property
-    def spec(self):
-        """Quorum sizes under the current membership epoch.
-
-        Static clusters read the frozen config (resolved once at
-        construction); elastic clusters derive sizes from the membership
-        directory so an admit/retire resizes every quorum check instantly.
-        """
-        if self._elastic:
-            return self.placement.quorums()
-        return self._static_spec
-
-    def _epoch(self) -> int:
-        if not self._elastic:
-            return 0
-        return self.placement.epoch
-
-    def _fence_stale(self, message_epoch: int) -> bool:
+    def fence_stale(self, message_epoch: int) -> bool:
         """True (and counted) when a message predates the current epoch."""
-        if message_epoch < self._epoch():
+        if message_epoch < self.placement.epoch:
             self.counters.increment("reconfig.stale_epoch_dropped")
             return True
         return False
@@ -126,18 +104,11 @@ class MDCCStorageNode(Node):
             state = self._states[record] = RecordState(
                 record=self.store.record(record.table, record.key),
                 schema=self.store.schema(record.table),
-                spec=self.spec,
+                spec=self.placement.quorums(),
                 demarcation=self.config.demarcation_enabled,
             )
             if self.tracer.enabled:
                 state.trace_hook = self._demarcation_hook(record)
-        if self._elastic:
-            # Quorum sizes feed the escrow/demarcation windows; keep the
-            # cached state on the current epoch's sizes.  quorums() is
-            # memoized, so this is an identity-equal no-op between bumps.
-            spec = self.spec
-            if state.spec is not spec:
-                state.spec = spec
         return state
 
     def is_master_for(self, record: RecordId) -> bool:
@@ -168,7 +139,7 @@ class MDCCStorageNode(Node):
     # Fast path
     # ------------------------------------------------------------------
     def handle_propose_fast(self, message: ProposeFast, src_id: str) -> None:
-        if self._fence_stale(message.epoch):
+        if self.fence_stale(message.epoch):
             # Proposed under an old configuration: accepting it would cast
             # a vote that could complete a quorum of the wrong size.  The
             # coordinator's learn timeout re-drives under the new epoch.
@@ -195,53 +166,23 @@ class MDCCStorageNode(Node):
                 ProposeClassic(option=option, reply_to=message.reply_to),
             )
             return
+        # Quorum sizes feed the escrow/demarcation windows the decision
+        # below consults: decide under the current epoch's sizes.
+        state.spec = self.placement.quorums()
+        span = None
         if self.tracer.enabled:
-            self._traced_fast_accept(message, state)
-            return
-        decided = state.accept_fast(option)
-        self._option_log[option.option_id] = decided
-        self.wal.append(
-            "option-learned",
-            option_id=decided.option_id,
-            txid=decided.txid,
-            status=decided.status.value,
-            writeset=[r._str for r in decided.writeset],
-        )
-        self.counters.increment("acceptor.fast_proposals")
-        self.send(
-            message.reply_to,
-            FastReply(
-                option_id=decided.option_id,
-                txid=decided.txid,
-                record=decided.record,
-                status=decided.status,
-                committed_version=state.version,
-                is_fast_era=True,
-                master_hint=self.placement.master_node(option.record),
-                epoch=self._epoch(),
-            ),
-        )
-
-    def _traced_fast_accept(self, message: ProposeFast, state: RecordState) -> None:
-        """The Phase2bFast body with a ``fast-accept`` span around it.
-
-        Kept separate so the untraced handler stays the PR-5-optimized
-        straight line; the decide runs inside the span's context so a
-        demarcation rejection stitches underneath it.
-        """
-        option = message.option
-        span = self.tracer.start_span(
-            "fast-accept",
-            self.node_id,
-            self.now,
-            parent=trace_runtime.current_context(),
-            txid=option.txid,
-            record=f"{option.record.table}/{option.record.key}",
-            ballot=repr(state.effective_ballot()),
-            epoch=message.epoch,
-        )
-        previous = trace_runtime.set_context(span.ctx)
-        try:
+            span = self.tracer.start_span(
+                "fast-accept",
+                self.node_id,
+                self.now,
+                parent=trace_runtime.current_context(),
+                txid=option.txid,
+                record=f"{option.record.table}/{option.record.key}",
+                ballot=repr(state.effective_ballot()),
+                epoch=message.epoch,
+            )
+        # Inside the span, so a demarcation rejection stitches beneath it.
+        with trace_runtime.under(span):
             decided = state.accept_fast(option)
             self._option_log[option.option_id] = decided
             self.wal.append(
@@ -262,21 +203,20 @@ class MDCCStorageNode(Node):
                     committed_version=state.version,
                     is_fast_era=True,
                     master_hint=self.placement.master_node(option.record),
-                    epoch=self._epoch(),
+                    epoch=self.placement.epoch,
                 ),
             )
-        finally:
-            trace_runtime.reset_context(previous)
-        span.finish(
-            self.now,
-            "accepted" if decided.status is OptionStatus.ACCEPTED else "rejected",
-        )
+        if span is not None:
+            span.finish(
+                self.now,
+                "accepted" if decided.status is OptionStatus.ACCEPTED else "rejected",
+            )
 
     # ------------------------------------------------------------------
     # Classic path (acceptor side)
     # ------------------------------------------------------------------
     def handle_m_phase1a(self, message: MPhase1a, src_id: str) -> None:
-        if self._fence_stale(message.epoch):
+        if self.fence_stale(message.epoch):
             # A promise is a vote: granting a stale-epoch Phase1a could
             # establish a master over the old replica set.  The master's
             # Phase-1 timeout restarts the round under the new epoch.
@@ -296,13 +236,13 @@ class MDCCStorageNode(Node):
                 committed_version=snapshot.version,
                 committed_value=snapshot.value,
                 applied_ids=tuple(sorted(state.record.applied_ids)),
-                epoch=self._epoch(),
+                epoch=self.placement.epoch,
             ),
         )
         self.counters.increment("acceptor.phase1b")
 
     def handle_m_phase2a(self, message: MPhase2a, src_id: str) -> None:
-        if self._fence_stale(message.epoch):
+        if self.fence_stale(message.epoch):
             return
         state = self.record_state(message.record)
         effective = state.effective_ballot()
@@ -316,10 +256,11 @@ class MDCCStorageNode(Node):
                     cstruct=None,
                     committed_version=state.version,
                     promised=effective,
-                    epoch=self._epoch(),
+                    epoch=self.placement.epoch,
                 ),
             )
             return
+        state.spec = self.placement.quorums()  # as in handle_propose_fast
         adopted = state.adopt(message.cstruct, message.ballot)
         for option in adopted:
             self._option_log.setdefault(option.option_id, option)
@@ -342,7 +283,7 @@ class MDCCStorageNode(Node):
                 accepted=True,
                 cstruct=adopted,
                 committed_version=state.version,
-                epoch=self._epoch(),
+                epoch=self.placement.epoch,
             ),
         )
 

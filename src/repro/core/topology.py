@@ -28,6 +28,12 @@ data-center set (and with it the replica sets, quorum sizes and hash
 master placement) is *dynamic* — every lookup reads the directory's
 current epoch state, so a single ``admit``/``retire`` atomically resizes
 quorums for every record.
+
+:class:`ReplicaMap` is the single owner of the static-vs-elastic rule.
+Every role, MDCC or baseline, asks it the same two questions —
+:meth:`ReplicaMap.quorums` and :attr:`ReplicaMap.epoch` — and gets the
+build-time sizes at epoch 0 from a static map, the directory's current
+ones from an elastic map; no role keeps a flag or a copy of its own.
 """
 
 from __future__ import annotations
@@ -79,10 +85,15 @@ class ReplicaMap:
                 raise ValueError(f"unknown fixed master DC {fixed_dc!r}")
         elif master_policy not in MASTER_POLICIES:
             raise ValueError(f"unknown master policy {master_policy!r}")
-        #: memoized (n, QuorumSpec) — quorum sizing math and the frozen
-        #: dataclass's intersection validation run once per resize, not
-        #: once per message handled.
-        self._quorum_cache: Optional[Tuple[int, QuorumSpec]] = None
+        #: the membership epoch protocol messages are fenced against and
+        #: the quorum sizes that go with it.  A static cluster stays at
+        #: epoch 0, so every epoch check is a no-op; the directory
+        #: refreshes both on admit / retire — once per resize, not once
+        #: per message handled.
+        self.epoch = 0
+        if membership is not None:
+            membership.on_resize.append(self._resized)
+        self._resized()
         #: per-record placement caches, valid only while the mapping is
         #: immutable: a static DC set (no membership directory) and a
         #: non-adaptive master policy.  Under those policies every lookup
@@ -118,16 +129,10 @@ class ReplicaMap:
             return self.membership.joining
         return ()
 
-    @property
-    def epoch(self) -> int:
-        """The membership epoch protocol messages are fenced against.
-
-        Always 0 for a static cluster, so the epoch checks throughout the
-        protocol are no-ops unless a membership directory is attached.
-        """
+    def _resized(self) -> None:
         if self.membership is not None:
-            return self.membership.epoch
-        return 0
+            self.epoch = self.membership.epoch
+        self._spec = QuorumSpec.for_replication(len(self.datacenters))
 
     @property
     def is_elastic(self) -> bool:
@@ -192,22 +197,8 @@ class ReplicaMap:
         return len(self.datacenters)
 
     def quorums(self) -> QuorumSpec:
-        n = self.replication
-        if self._quorum_cache is None or self._quorum_cache[0] != n:
-            self._quorum_cache = (n, QuorumSpec.for_replication(n))
-        return self._quorum_cache[1]
-
-    def quorum_spec(self, config) -> QuorumSpec:
-        """The quorum sizes a protocol role should use right now.
-
-        The single source of the elastic-vs-static rule: an elastic
-        cluster derives sizes from the membership directory's current DC
-        count; a static cluster uses the frozen config.  Every role's
-        ``spec`` property delegates here.
-        """
-        if self.is_elastic:
-            return self.quorums()
-        return config.quorums
+        """Quorum sizes under the current membership epoch."""
+        return self._spec
 
     # ------------------------------------------------------------------
     # Mastership

@@ -53,7 +53,7 @@ catch-up releases any lock the lost decision stranded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.coordinator import WriteSet
 from repro.core.messages import (
@@ -81,19 +81,6 @@ from repro.trace import runtime as trace_runtime
 from repro.transport.base import Future
 
 __all__ = ["ReplicatedCommitClient", "ReplicatedCommitStorageNode"]
-
-
-def _under(span: Optional[Any], fn: Callable[..., object], *args: Any) -> None:
-    """``fn(*args)`` with ``span`` as the ambient trace context, so the
-    messages it sends stitch under that span (a plain call untraced)."""
-    if span is None:
-        fn(*args)
-        return
-    previous = trace_runtime.set_context(span.ctx)
-    try:
-        fn(*args)
-    finally:
-        trace_runtime.reset_context(previous)
 
 
 @dataclass
@@ -143,20 +130,18 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                 dc=self.dc,
                 records=len(message.updates),
             )
-        _under(round.span, self._fan_prepares, round)
-
-    def _fan_prepares(self, round: _DcRound) -> None:
-        for record, update in round.updates:
-            participant = self.placement.replica_in(record, self.dc)
-            self.send(
-                participant,
-                RcPrepare(
-                    txid=round.txid,
-                    record=record,
-                    update=update,
-                    reply_to=self.node_id,
-                ),
-            )
+        with trace_runtime.under(round.span):
+            for record, update in round.updates:
+                participant = self.placement.replica_in(record, self.dc)
+                self.send(
+                    participant,
+                    RcPrepare(
+                        txid=round.txid,
+                        record=record,
+                        update=update,
+                        reply_to=self.node_id,
+                    ),
+                )
 
     def handle_rc_prepare_reply(self, message: RcPrepareReply, src_id: str) -> None:
         round = self._rounds.get(message.txid)
@@ -169,17 +154,15 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
         del self._rounds[message.txid]
         if round.span is not None:
             round.span.finish(self.now, "yes" if accept else "no")
-        _under(round.span, self._cast_vote, round, accept)
-
-    def _cast_vote(self, round: _DcRound, accept: bool) -> None:
         self.wal.append("rc-vote", txid=round.txid, dc=self.dc, accept=accept)
         self.counters.increment(
             "repcommit.dc_votes_yes" if accept else "repcommit.dc_votes_no"
         )
-        self.send(
-            round.reply_to,
-            RcVote(txid=round.txid, dc=self.dc, accept=accept, voter=self.node_id),
-        )
+        with trace_runtime.under(round.span):
+            self.send(
+                round.reply_to,
+                RcVote(txid=round.txid, dc=self.dc, accept=accept, voter=self.node_id),
+            )
 
     def handle_rc_decision(self, message: RcDecision, src_id: str) -> None:
         round = self._rounds.pop(message.txid, None)
@@ -233,6 +216,7 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
         )
         if not message.commit:
             return
+        span = None
         if self.tracer.enabled:
             span = self.tracer.start_span(
                 "rc-commit-apply",
@@ -242,9 +226,9 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                 txid=message.txid,
                 record=f"{message.record.table}/{message.record.key}",
             )
-            span.finish(self.now, self._apply(message.record, message.update))
-        else:
-            self._apply(message.record, message.update)
+        outcome = self._apply(message.record, message.update)
+        if span is not None:
+            span.finish(self.now, outcome)
 
     def _apply(self, record: RecordId, update: Update) -> str:
         stored = self.store.record(record.table, record.key)
@@ -444,15 +428,13 @@ class ReplicatedCommitClient(ClientRole[_RcTx]):
             tx.root = self.tracer.start_trace(
                 txid, self.node_id, self.now, records=len(tx.updates)
             )
-        _under(tx.root, self._propose, tx)
-        self.set_timer(self.vote_timeout_ms, self._vote_timeout, txid)
-
-    def _propose(self, tx: _RcTx) -> None:
         request = RcCommitRequest(
             txid=tx.txid, updates=tx.updates, reply_to=self.node_id
         )
-        for dc in self.placement.datacenters:
-            self.send(self._dc_coordinator(dc), request)
+        with trace_runtime.under(tx.root):
+            for dc in self.placement.datacenters:
+                self.send(self._dc_coordinator(dc), request)
+        self.set_timer(self.vote_timeout_ms, self._vote_timeout, txid)
 
     def _dc_coordinator(self, dc: str) -> str:
         # The DC's partition-0 storage node doubles as its 2PC coordinator.
@@ -484,7 +466,8 @@ class ReplicatedCommitClient(ClientRole[_RcTx]):
         tx.decision = commit
         decision = RcDecision(txid=tx.txid, commit=commit, updates=tx.updates)
         targets = [self._dc_coordinator(dc) for dc in self.placement.datacenters]
-        _under(tx.root, self.broadcast, targets, decision)
+        with trace_runtime.under(tx.root):
+            self.broadcast(targets, decision)
         if tx.root is not None:
             tx.root.finish(self.now, "committed" if commit else reason)
         self.finish(tx, commit)

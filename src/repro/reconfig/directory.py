@@ -31,7 +31,7 @@ deployment would agree on through its own consensus instance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = ["MembershipDirectory", "MembershipError"]
 
@@ -52,6 +52,9 @@ class MembershipDirectory:
         self._joining: Tuple[str, ...] = ()
         #: bumped on every quorum-membership change (admit / retire).
         self.epoch = 0
+        #: called after each bump: how a ReplicaMap keeps its epoch and
+        #: quorum sizes current without looking here on every message.
+        self.on_resize: List[Callable[[], None]] = []
         #: JSON-friendly audit trail of every transition.
         self.history: List[Dict[str, object]] = []
 
@@ -90,6 +93,13 @@ class MembershipDirectory:
             {"t_ms": round(now, 3), "epoch": self.epoch, "event": event, "dc": dc}
         )
 
+    def _bump(self, now: float, event: str, dc: str) -> int:
+        self.epoch += 1
+        self._note(now, event, dc)
+        for resized in self.on_resize:
+            resized()
+        return self.epoch
+
     def begin_join(self, dc: str, now: float = 0.0) -> None:
         """Start bootstrapping ``dc``.  No epoch bump: quorums are unchanged."""
         if dc in self._active:
@@ -107,9 +117,7 @@ class MembershipDirectory:
             raise MembershipError(f"DC {dc!r} is not joining")
         self._joining = tuple(d for d in self._joining if d != dc)
         self._active = self._active + (dc,)
-        self.epoch += 1
-        self._note(now, "admitted", dc)
-        return self.epoch
+        return self._bump(now, "admitted", dc)
 
     def abort_join(self, dc: str, now: float = 0.0) -> None:
         """Abandon an in-progress bootstrap (donor unreachable, operator
@@ -128,9 +136,7 @@ class MembershipDirectory:
         if len(self._active) == 1:
             raise MembershipError("cannot retire the last data center")
         self._active = tuple(d for d in self._active if d != dc)
-        self.epoch += 1
-        self._note(now, "retired", dc)
-        return self.epoch
+        return self._bump(now, "retired", dc)
 
     def __len__(self) -> int:
         return len(self._active)

@@ -4,8 +4,16 @@ One tracer (plus one metrics registry) is installed for the lifetime of
 a traced run — covering cluster construction, the workload, chaos
 recovery agents and post-run anti-entropy sweeps.  Roles pick the
 tracer up at construction via :func:`current_tracer`; when nothing is
-installed they get the shared :data:`~repro.trace.tracer.NOOP` singleton
-and every instrumented site short-circuits on ``tracer.enabled``.
+installed they get the shared :data:`~repro.trace.tracer.NOOP` singleton.
+
+The rule for an instrumented site: ``tracer.enabled`` guards span
+*creation* and nothing else — an untraced run builds no attributes and
+no spans, and runs the very statements a traced run does.  ``with
+under(span):`` is the only way a role makes a span ambient (so the
+messages sent inside stitch beneath it), and it takes the ``None`` an
+untraced site holds.  :func:`set_context` / :func:`reset_context` are
+for the transports' delivery wrappers, which restore a context that
+arrived with a message; ``tests/test_trace.py`` keeps both rules.
 
 Context propagation is transport-specific but role-agnostic:
 
@@ -31,7 +39,8 @@ Context propagation is transport-specific but role-agnostic:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator, Optional, Tuple
 
 from repro.trace.registry import MetricsRegistry, scoped
 from repro.trace.tracer import NOOP, Tracer
@@ -46,6 +55,7 @@ __all__ = [
     "reset_context",
     "scoped_counters",
     "set_context",
+    "under",
     "uninstall",
 ]
 
@@ -99,6 +109,24 @@ def set_context(ctx: Optional[Tuple[str, str]]) -> Optional[Tuple[str, str]]:
 def reset_context(previous: Optional[Tuple[str, str]]) -> None:
     global CURRENT
     CURRENT = previous
+
+
+@contextmanager
+def _ambient(ctx: Tuple[str, str]) -> Iterator[None]:
+    previous = set_context(ctx)
+    try:
+        yield
+    finally:
+        reset_context(previous)
+
+
+_UNTRACED = nullcontext()
+
+
+def under(span) -> ContextManager[None]:
+    """The scope in which ``span`` is the ambient context; entering it
+    with ``None`` (tracing off, or no anchor for a span) changes nothing."""
+    return _UNTRACED if span is None else _ambient(span.ctx)
 
 
 def scoped_counters(node_id: str, counters):

@@ -13,9 +13,12 @@ ever sampling a clock itself.  Ids are equally deterministic:
   span creation order is deterministic under the simulator, so span ids
   are too.
 
-The default tracer is :data:`NOOP` (``enabled=False``): instrumented
-sites guard with ``if tracer.enabled:`` and allocate nothing when
-tracing is off, keeping the PR-5-optimized hot paths untouched.
+The default tracer is :data:`NOOP` (``enabled=False``).  ``enabled``
+guards span *creation* — ``if tracer.enabled: span = tracer.start_span(…)``
+— so an untraced run allocates no attributes and no spans; it never
+selects between two copies of a protocol step.  What runs beneath a span
+runs in ``with under(span):`` (:mod:`repro.trace.runtime`), the only way
+a role makes a span ambient, whether ``span`` is real or ``None``.
 """
 
 from __future__ import annotations

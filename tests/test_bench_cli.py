@@ -92,10 +92,10 @@ def test_bench_renders_sorted_and_newline_terminated(payloads):
 # --compare gate
 # ----------------------------------------------------------------------
 def test_compare_passes_against_itself(payloads):
-    # Neutralize the machine-dependent block: two tiny back-to-back runs
-    # can differ >10% in wall time, and that's not what this test gates.
+    # The wallclock block is advisory: a host half as fast still passes.
     current = copy.deepcopy(payloads[1])
-    current["wallclock"] = copy.deepcopy(payloads[0]["wallclock"])
+    for wall in current["wallclock"].values():
+        wall["events_per_wall_s"] *= 0.5
     assert compare_to_baseline(current, payloads[0]) == []
 
 
@@ -105,29 +105,6 @@ def test_compare_fails_on_deterministic_drift(payloads):
     failures = compare_to_baseline(payloads[1], baseline)
     assert failures
     assert any("deterministic drift" in f for f in failures)
-
-
-def test_compare_fails_on_wallclock_regression(payloads):
-    baseline = copy.deepcopy(payloads[0])
-    current = copy.deepcopy(payloads[1])
-    # Anchor on the baseline's wallclock so the *ratio under test* is
-    # exact — two real tiny runs differ by unbounded machine noise.
-    current["wallclock"] = copy.deepcopy(baseline["wallclock"])
-    for wall in current["wallclock"].values():
-        wall["events_per_wall_s"] = wall["events_per_wall_s"] * 0.5
-    failures = compare_to_baseline(current, baseline)
-    assert failures
-    assert any("regressed" in f for f in failures)
-
-
-def test_compare_tolerates_faster_and_slightly_slower(payloads):
-    baseline = copy.deepcopy(payloads[0])
-    current = copy.deepcopy(payloads[1])
-    current["wallclock"] = copy.deepcopy(baseline["wallclock"])
-    rates = iter([2.0, 0.95, 1.0, 0.97])
-    for wall in current["wallclock"].values():
-        wall["events_per_wall_s"] = wall["events_per_wall_s"] * next(rates)
-    assert compare_to_baseline(current, baseline) == []
 
 
 def test_compare_fails_on_schema_mismatch(payloads):
@@ -160,10 +137,6 @@ def test_bench_cli_writes_artifact_and_gates(tmp_path, capsys):
             "1.0",
             "--compare",
             str(out),
-            # wall-clock on a busy test box is noisy at this tiny scale;
-            # the determinism half of the gate is the point here.
-            "--regression-tolerance",
-            "0.95",
         ]
     )
     assert code == 0

@@ -126,6 +126,57 @@ class TestProvedSafe:
         assert safe.ids == {"d"}
 
 
+def fast(round_number):
+    return Ballot(round_number, fast=True)
+
+
+class TestPaperSection331:
+    """§3.3.1's collision-recovery rule — "if the intersection consists of
+    all the members having the highest ballot number, and all agree with
+    some option v, then v must be proposed next" — on the ProvedSafe the
+    master runs.  A single-value instance is a one-command cstruct of
+    non-commuting updates."""
+
+    def test_worked_example_forces_v1_v2(self):
+        """Responses (server, ballot, update) from 4 of 5 servers:
+        (1,3,v0→v1), (2,4,v1→v2), (3,4,v1→v3), (5,4,v1→v2).  The paper
+        compares the pairwise intersections of the ballot-4 responses;
+        only [(2,4,v1→v2), (5,4,v1→v2)] agrees, so v1→v2 is proposed next."""
+        highest = [
+            rep("s2", fast(4), [Phys("v1->v2")]),
+            rep("s3", fast(4), [Phys("v1->v3")]),
+            rep("s5", fast(4), [Phys("v1->v2")]),
+        ]
+        assert proved_safe(highest, SPEC, ACCEPTORS).ids == {"v1->v2"}
+        # Server 1's ballot-3 response, which that comparison leaves out,
+        # tells ProvedSafe more: s1 promised past ballot 4 without voting
+        # in it, so a fast quorum that chose at 4 is {s2,s3,s4,s5} — and
+        # s3 disagrees.  Nothing was chosen; nothing is forced.
+        responses = [rep("s1", fast(3), [Phys("v0->v1")])] + highest
+        assert len(proved_safe(responses, SPEC, ACCEPTORS)) == 0
+
+    def test_unanimous_highest_ballot_forced(self):
+        reports = [rep(f"s{i}", fast(2), [Phys("v")]) for i in (1, 2, 3, 4)]
+        assert proved_safe(reports, SPEC, ACCEPTORS).ids == {"v"}
+
+    def test_fast_quorum_already_complete_is_forced(self):
+        # 4 of the responders agree: that IS a fast quorum; must re-propose.
+        reports = [rep(f"s{i}", fast(1), [Phys("chosen")]) for i in (1, 2, 3, 4)]
+        reports.append(rep("s5", fast(1), [Phys("other")]))
+        assert proved_safe(reports, SPEC, ACCEPTORS).ids == {"chosen"}
+
+    def test_minority_vote_with_nonresponders_forced(self):
+        # Only 3 respond; 2 agree at the highest ballot.  The fast quorum
+        # {s1, s2, s4, s5} meets the responders in {s1, s2}, which both say
+        # "v" — v may have been chosen, so it is forced.
+        reports = [
+            rep("s1", fast(1), [Phys("v")]),
+            rep("s2", fast(1), [Phys("v")]),
+            rep("s3", None, None),
+        ]
+        assert proved_safe(reports, SPEC, ACCEPTORS).ids == {"v"}
+
+
 class TestDeterministicMerge:
     def test_empty_input(self):
         assert len(deterministic_merge([])) == 0

@@ -129,6 +129,9 @@ class TestElasticReplicaMap:
         directory.begin_join("ap-southeast")
         directory.admit("ap-southeast")
         assert placement.quorums().as_dict() == {"n": 4, "classic": 3, "fast": 3}
+        # A map attached after the bump starts from the directory's state.
+        late = ReplicaMap(directory.active, membership=directory)
+        assert (late.epoch, late.quorums().n) == (1, 4)
         directory.retire("us-east")
         directory.retire("eu-west")
         assert placement.quorums().as_dict() == {"n": 2, "classic": 2, "fast": 2}

@@ -15,6 +15,14 @@ A mismatch means the simulated trajectory changed.  If that was the
 point of your change, regenerate with::
 
     PYTHONPATH=src python tests/test_run_golden.py
+
+Nine of the runs are pinned a second time with the tracer installed, by
+the digest of the whole trace artifact (every span's id, parent, node,
+times, outcome, attributes and events, plus the per-node counters), so
+instrumented code can be restructured against a fixed answer across
+commits — ``tests/test_trace.py`` and CI ``trace-smoke`` only compare
+two runs of the same tree.  The artifact must not depend on
+``PYTHONHASHSEED``; regenerate under two values and compare.
 """
 
 import hashlib
@@ -22,7 +30,11 @@ import json
 
 import pytest
 
-from repro.api import ClusterSpec, ScenarioSpec, run_scenario
+from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
+from repro.bench.driver import run
+from repro.cli import _traced
+from repro.trace import build_artifact, render_artifact_json
+from repro.workloads.micro import MicroBenchmark
 
 THREE_DCS = ("us-west", "us-east", "eu-west")
 
@@ -113,6 +125,55 @@ DIGESTS = {
 }
 
 
+def _scarce_stock():
+    """Micro buys against 5-12 units of stock (a spec always stocks
+    500-1000): escrow windows reject deltas on both the fast and the
+    classic path, so ``demarcation-check`` spans and commutative-limit
+    recoveries are inside a hash."""
+    return run(
+        build_cluster(ClusterSpec(protocol="mdcc", seed=18)),
+        MicroBenchmark(num_items=10, min_stock=5, max_stock=12),
+        num_clients=6,
+        warmup_ms=1_000.0,
+        measure_ms=6_000.0,
+    )
+
+
+#: a spec, or a callable for what a spec cannot say.  Together: the span
+#: kinds of every MDCC role and of Replicated Commit, on static, adaptive
+#: and elastic clusters, fault-free and under chaos.
+TRACED = {
+    **{
+        name: SPECS[name]
+        for name in (
+            "micro-mdcc",
+            "micro-fast-hotspot",
+            "micro-multi-locality-fixed-master",
+            "dc-outage-mdcc",
+            "dc-replace-3dc",
+            "geoshift-multi-adaptive",
+            "micro-repcommit",
+        )
+    },
+    "coordinator-crash-mdcc": _spec(
+        "mdcc", 17, schedule="coordinator-crash", bucket_s=2.0
+    ),
+    "micro-mdcc-scarce-stock": _scarce_stock,
+}
+
+TRACE_DIGESTS = {
+    "micro-mdcc": "86b191ecc4608d207b05bf9cc7522cc7486a93d1f439d19d5e3bf3f01cdbbda3",
+    "micro-fast-hotspot": "d334547f10a936097d126ec801c300b70400f5d8b938d006c9723fc41d7bc375",
+    "micro-multi-locality-fixed-master": "8221332f06dfe1e6eb64da73704c937cfc8e499c1da38cc79ab6aa563f60cc05",
+    "dc-outage-mdcc": "8668bc481449b9e142d2d48d42e0fb94975a68d4619a4a70943a140d7a938bef",
+    "dc-replace-3dc": "d2debfbfc98a72cbd8fe1d500f122f78e82b074aea9f1dd7b840285b09a30541",
+    "geoshift-multi-adaptive": "661f0ce9c67934f1050afd347000ee1276cd28eeb224569c30b590ee3b2851eb",
+    "micro-repcommit": "d7d51fbf194677bcc77f590c234ffe5878710dd82ea65cf9617877243454874c",
+    "coordinator-crash-mdcc": "0fd231fdc718bb78e2358f09b61bd2eed8c6faec51766c59af7c1ded092f2f4e",
+    "micro-mdcc-scarce-stock": "9cf8fbed919fbadcb5d5c89782e42054a86abcf3f7102351da9b42c770db2a9c",
+}
+
+
 def _rounded(value):
     return None if value is None else round(value, 6)
 
@@ -152,11 +213,27 @@ def digest(spec):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def trace_digest(scenario):
+    traced_run = scenario if callable(scenario) else lambda: run_scenario(scenario)
+    _result, tracer, registry = _traced(0, traced_run)  # as `repro trace` runs one
+    artifact = render_artifact_json(build_artifact(tracer, registry))
+    return hashlib.sha256(artifact.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_trajectory(name):
     assert digest(SPECS[name]) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_golden_trace_artifact(name):
+    assert trace_digest(TRACED[name]) == TRACE_DIGESTS[name]
+
+
 if __name__ == "__main__":  # regenerate the pinned digests
+    print("DIGESTS")
     for spec_name in SPECS:
         print(f'    "{spec_name}": "{digest(SPECS[spec_name])}",')
+    print("TRACE_DIGESTS")
+    for run_name in TRACED:
+        print(f'    "{run_name}": "{trace_digest(TRACED[run_name])}",')

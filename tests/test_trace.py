@@ -8,15 +8,20 @@ The contract under test:
 * spans stitch coordinator -> master -> storage across both transports
   with no orphan spans (every ``parent_id`` resolves);
 * abort and slow-path causes are attributed at the decision site:
-  collision escalations, recovery completions, demarcation rejections.
+  collision escalations, recovery completions, demarcation rejections;
+* a role has one body per handler: ``tracer.enabled`` guards the creation
+  of a span, never a second copy of protocol statements.
 """
 
+import ast
 import asyncio
 import json
+import pathlib
 import socket
 
 import pytest
 
+import repro
 from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.cli import _as_dict
 from repro.db.cluster import build_cluster
@@ -127,6 +132,73 @@ class TestTracerModel:
         merged = registry.as_dict()["counters"]
         assert merged["node-a"]["x"] == 3
         assert merged["node-b"]["x"] == 1
+
+
+# ----------------------------------------------------------------------
+# One body per handler
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def _trees(*packages):
+    for package in packages:
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _names(tree):
+    """Every identifier a module mentions: names, attributes, definitions,
+    parameters, keywords and imports."""
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "arg"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                yield value
+
+
+class TestOneHandlerBody:
+    """The rule ``trace/runtime.py`` states, kept by a machine: "results
+    byte-identical with instrumentation on or off" must not rest on two
+    copies of a handler being edited in lock-step."""
+
+    def test_tracer_enabled_guards_span_creation_only(self):
+        """An ``else`` arm, or an early ``return`` out of the traced arm,
+        makes what follows a second copy of the protocol step.  (A helper
+        that hands back ``None`` when tracing is off tests ``not
+        tracer.enabled`` and is fine.)"""
+        forks = []
+        for name, tree in _trees("core", "protocols"):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.If) or not any(
+                    isinstance(n, ast.Attribute)
+                    and n.attr == "enabled"
+                    and "tracer" in ast.unparse(n.value)
+                    for n in ast.walk(node.test)
+                ):
+                    continue
+                negated = isinstance(node.test, ast.UnaryOp)
+                returns = any(isinstance(n, ast.Return) for n in node.body)
+                if node.orelse or (returns and not negated):
+                    forks.append(f"{name}:{node.lineno}")
+        assert not forks, f"protocol logic forked on tracer.enabled: {forks}"
+
+    def test_roles_make_a_span_ambient_only_through_under(self):
+        swappers = sorted(
+            name
+            for name, tree in _trees("")
+            if {"set_context", "reset_context"} & set(_names(tree))
+        )
+        assert swappers == ["trace/runtime.py", "transport/tcp.py"]
+
+    def test_no_role_keeps_its_own_static_or_elastic_rule(self):
+        """Quorum sizes and the epoch come from ``ReplicaMap`` alone."""
+        gone = {"_static_spec", "_elastic", "_traced_fast_accept", "quorum_spec"}
+        offending = sorted(
+            f"{name}: {identifier}"
+            for name, tree in _trees("")
+            for identifier in gone & set(_names(tree))
+        )
+        assert not offending, offending
 
 
 # ----------------------------------------------------------------------
