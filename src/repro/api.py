@@ -51,7 +51,7 @@ from repro.db.cluster import (
     build_cluster as _build_cluster,
 )
 from repro.faults.schedule import NAMED_SCHEDULES, FaultSchedule, named_schedule
-from repro.protocols.base import get_protocol, protocols_supporting
+from repro.protocols.base import get_protocol
 from repro.sim.network import EC2_REGIONS
 from repro.workloads import get_workload
 
@@ -107,20 +107,34 @@ class ClusterSpec:
                 raise ValueError("need at least two data centers")
             if len(set(self.datacenters)) != len(self.datacenters):
                 raise ValueError("duplicate data center")
+            unknown = [dc for dc in self.datacenters if dc not in EC2_REGIONS]
+            if unknown:
+                raise ValueError(
+                    f"unknown data center(s) {', '.join(unknown)}; "
+                    f"choose from {', '.join(EC2_REGIONS)}"
+                )
         if self.partitions_per_table < 1:
             raise ValueError("partitions_per_table must be positive")
-        if self.master_policy == "adaptive" and not descriptor.supports_placement:
-            supported = ", ".join(protocols_supporting("supports_placement"))
+        policies = ("hash", "adaptive") + tuple(
+            f"fixed:{dc}" for dc in self.effective_datacenters
+        )
+        if self.master_policy == "table":
+            # Per-table defaults have no spec field; the cluster would
+            # fail on its first proposal without them.
             raise ValueError(
-                "adaptive master placement requires an MDCC variant "
-                f"({supported}); got {self.protocol!r}"
+                "the 'table' master policy needs per-table master defaults, "
+                "which a spec cannot carry: use "
+                "repro.db.cluster.build_cluster(table_master_dc=...)"
             )
-        if self.elastic and not descriptor.supports_elastic:
-            supported = ", ".join(protocols_supporting("supports_elastic"))
+        if self.master_policy is not None and self.master_policy not in policies:
             raise ValueError(
-                "elastic membership requires an MDCC variant "
-                f"({supported}); got {self.protocol!r}"
+                f"unknown master policy {self.master_policy!r}; "
+                f"choose from {', '.join(policies)}"
             )
+        if self.master_policy == "adaptive":
+            descriptor.require("supports_placement", "adaptive master placement")
+        if self.elastic:
+            descriptor.require("supports_elastic", "elastic membership")
         if self.gamma_policy not in ("static", "adaptive"):
             raise ValueError(
                 f"unknown gamma_policy {self.gamma_policy!r}; "
@@ -221,6 +235,16 @@ class ScenarioSpec:
             )
         elif self.fail_dc is not None or self.fail_at_s is not None:
             raise ValueError("fault schedules inject their own failures")
+        else:
+            # Outside the protocol's gated set its guarantees are not
+            # defined under that fault: a usage error, not a scenario.
+            gated = get_protocol(self.cluster.protocol).chaos_schedules
+            if self.schedule not in gated:
+                raise ValueError(
+                    f"protocol {self.cluster.protocol!r} is not gated on "
+                    f"schedule {self.schedule!r}; supported schedules: "
+                    f"{', '.join(gated) or 'none'}"
+                )
         if self.schedule != "dc-replace":
             for name in ("victim", "replacement", "donor"):
                 if getattr(self, name) is not None:

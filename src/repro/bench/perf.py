@@ -26,7 +26,6 @@ import gc
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.api import ClusterSpec, build_cluster
@@ -57,16 +56,16 @@ _VARIANTS = ("mdcc", "fast", "multi", "repcommit")
 
 
 def _bench_one(
-    protocol: str, seed: int, params: Dict, base_spec: Optional[ClusterSpec] = None
+    protocol: str, seed: int, params: Dict
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
     """One variant run: returns (deterministic result, wallclock block)."""
-    spec = replace(
-        base_spec if base_spec is not None else ClusterSpec(),
-        protocol=protocol,
-        seed=seed,
-        partitions_per_table=params["partitions_per_table"],
+    cluster = build_cluster(
+        ClusterSpec(
+            protocol=protocol,
+            seed=seed,
+            partitions_per_table=params["partitions_per_table"],
+        )
     )
-    cluster = build_cluster(spec)
     bench = MicroBenchmark(
         num_items=params["items"],
         min_stock=params["min_stock"],
@@ -123,11 +122,7 @@ def _bench_one(
     return result, wallclock
 
 
-def run_bench(
-    seed: int = 7,
-    overrides: Optional[Dict] = None,
-    base_spec: Optional[ClusterSpec] = None,
-) -> Dict[str, object]:
+def run_bench(seed: int = 7, overrides: Optional[Dict] = None) -> Dict[str, object]:
     """The artifact payload: deterministic for a given seed + params,
     except for the clearly-separated ``wallclock`` block."""
     params = dict(_DEFAULTS)
@@ -136,9 +131,7 @@ def run_bench(
     results: Dict[str, object] = {}
     wallclock: Dict[str, object] = {}
     for protocol in _VARIANTS:
-        results[protocol], wallclock[protocol] = _bench_one(
-            protocol, seed, params, base_spec
-        )
+        results[protocol], wallclock[protocol] = _bench_one(protocol, seed, params)
     return {
         "params": params,
         "results": results,

@@ -22,6 +22,17 @@ lifecycle (outage → decommission → snapshot-bootstrapped replacement
 join) and reports the membership history alongside the verdict;
 ``list`` enumerates the available protocols, workloads, master policies
 and chaos schedules.
+
+The rule of this module: **a flag is a spec field, and this module
+validates nothing the spec does not.**  Each spec-backed flag is declared
+once (:data:`_FLAGS`), takes the dataclass default unless the subcommand
+states its own, and reaches the spec because the namespace carries its
+field name (:func:`_spec_from_args`).  What may run is decided by
+``ClusterSpec`` / ``ScenarioSpec.__post_init__`` — the same wall
+``run --spec``, :func:`repro.api.run_scenario` and the figure suite hit —
+and a ``ValueError`` from there is the usage message.  Every
+experiment-running subcommand is then the same three steps: build the
+spec, execute it (optionally traced), print the envelope.
 """
 
 from __future__ import annotations
@@ -29,32 +40,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from dataclasses import fields
+from typing import Callable, List, Optional
 
 from repro.api import ClusterSpec, ScenarioSpec, run_scenario
 from repro.bench.driver import RunResult
 from repro.db.cluster import PROTOCOLS
+from repro.faults.schedule import NAMED_SCHEDULES, named_schedule
 from repro.protocols.base import get_protocol, protocols_supporting
-from repro.faults.schedule import NAMED_SCHEDULES
+from repro.transport.topology import CODECS
 from repro.workloads import WORKLOADS, get_workload
 
 __all__ = ["build_parser", "main"]
-
-#: geoshift phase for the subcommands without a --phase-s flag (`chaos`,
-#: `reconfig`): the sun of a follow-the-sun-outage cell moves every 15 s,
-#: as in benchmarks/results/chaos_matrix.txt.
-_CHAOS_PHASE_S = 15.0
-
-_PROTOCOL_NOTES = {
-    "mdcc": "full MDCC: fast ballots + commutative updates + demarcation",
-    "fast": "fast ballots without commutative update support",
-    "multi": "master-routed classic ballots (Multi-Paxos per record)",
-    "repcommit": "Replicated Commit: Paxos across DCs over per-DC 2PC",
-    "2pc": "two-phase commit over the same replicas",
-    "qw3": "quorum writes, write quorum 3 (eventually consistent)",
-    "qw4": "quorum writes, write quorum 4 (eventually consistent)",
-    "megastore": "Megastore*: one Paxos log per entity group",
-}
 
 _MASTER_POLICY_NOTES = {
     "hash": "static, uniform by key hash (the paper's Multi setup)",
@@ -63,55 +60,122 @@ _MASTER_POLICY_NOTES = {
     "adaptive": "dynamic: mastership migrates to the dominant write origin",
 }
 
-_CHAOS_NOTES = {
-    "dc-outage": "Figure 8: one full data-center outage and recovery",
-    "rolling-partitions": "successive N-way splits sweeping the fabric",
-    "flaky-wan": "degraded links: latency, jitter, loss, a flapping route",
-    "coordinator-crash": "dangling transactions + a master crash/re-election",
-    "follow-the-sun-outage": "geoshift + adaptive placement; hotspot DC dies",
-    "dc-replace": "elastic membership: outage, decommission, replacement join",
+
+def _csv(value: str) -> tuple:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+#: Every spec-backed flag, declared once: spec field -> argparse keywords.
+#: The option is ``--<field>`` unless :data:`_OPTIONS` spells it otherwise;
+#: the default is the dataclass's unless the subcommand states its own.
+#: What a value may be is the spec's business (``__post_init__``), not
+#: argparse's.
+_FLAGS = {
+    "datacenters": dict(
+        type=_csv,
+        help="comma-separated initial membership, e.g. us-west,us-east,eu-west",
+    ),
+    "partitions_per_table": dict(type=int),
+    "master_policy": dict(
+        help="master placement: hash, adaptive or fixed:<dc> (adaptive "
+        "requires an MDCC variant; unset, a fault schedule's hint applies)"
+    ),
+    "seed": dict(type=int),
+    "gamma_policy": dict(help="static or adaptive"),
+    "batch_ms": dict(type=float, help="visibility batching window (MDCC variants)"),
+    "demarcation": dict(
+        action="store_false",
+        help="disable the quorum demarcation limit (unsafe; for study)",
+    ),
+    "workload": dict(choices=WORKLOADS),
+    "clients": dict(type=int),
+    "items": dict(type=int),
+    "warmup_s": dict(type=float),
+    "measure_s": dict(type=float),
+    "hotspot": dict(
+        type=float, help="hot-spot fraction of the table, e.g. 0.02 (micro only)"
+    ),
+    "locality": dict(
+        type=float,
+        help="fraction of txs touching locally-mastered records (micro only)",
+    ),
+    "phase_s": dict(
+        type=float, help="geoshift only: seconds the sun stays over one region"
+    ),
+    "audit": dict(action="store_false", help="skip post-run consistency audits"),
+    "fail_dc": dict(help="data center to fail mid-run (e.g. us-east)"),
+    "fail_at_s": dict(
+        type=float,
+        help="simulated seconds into the run at which --fail-dc goes dark",
+    ),
+    "schedule": dict(
+        choices=NAMED_SCHEDULES,
+        help="optionally replay a named fault schedule while tracing",
+    ),
+    "bucket_s": dict(
+        type=float, help="availability-timeline bucket width in seconds"
+    ),
+    "victim": dict(help="data center that fails and leaves"),
+    "replacement": dict(
+        help="name of the joining replacement DC (clones the victim's links)"
+    ),
+    "donor": dict(help="DC that streams the bootstrap snapshot"),
 }
 
+_OPTIONS = {
+    "partitions_per_table": "--partitions",
+    "demarcation": "--no-demarcation",
+    "audit": "--no-audit",
+}
 
-def _master_policy(value: str) -> str:
-    if value.startswith("fixed:"):
-        from repro.sim.network import EC2_REGIONS
+#: spec field -> dataclass default, for each half of a scenario spec.
+_CLUSTER_FIELDS = {f.name: f.default for f in fields(ClusterSpec)}
+_SCENARIO_FIELDS = {f.name: f.default for f in fields(ScenarioSpec) if f.name != "cluster"}
 
-        dc = value.split(":", 1)[1]
-        if dc not in EC2_REGIONS:
-            raise argparse.ArgumentTypeError(
-                f"unknown data center {dc!r}; choose from {', '.join(EC2_REGIONS)}"
-            )
-        return value
-    if value in ("hash", "adaptive"):
-        return value
-    if value == "table":
-        # Per-table defaults have no CLI syntax; the workloads here would
-        # crash on the first proposal without them.
-        raise argparse.ArgumentTypeError(
-            "the 'table' policy needs per-table master defaults and is only "
-            "available through the Python API (build_cluster(table_master_dc=...))"
+#: The flags `run`, `compare` and `trace` share, and the one default they
+#: state: the envelope of a fault-free experiment prints the policy it ran.
+_EXPERIMENT_FLAGS = (
+    "workload clients items warmup_s measure_s seed hotspot locality "
+    "gamma_policy master_policy phase_s batch_ms demarcation fail_dc fail_at_s audit"
+)
+_EXPERIMENT = dict(master_policy="hash")
+
+#: A chaos cell (`chaos`, `reconfig`): the scale of
+#: benchmarks/results/chaos_matrix.txt, the workload left to the
+#: schedule's hint, and — neither has a --phase-s flag — a
+#: follow-the-sun-outage sun that moves every 15 s.
+_CHAOS_FLAGS = "workload clients items warmup_s measure_s seed bucket_s"
+_CHAOS_CELL = dict(
+    workload=None, clients=20, items=300, measure_s=60.0, seed=7, phase_s=15.0
+)
+
+
+def _option(name: str) -> str:
+    """The option string of spec field (or plain flag) ``name``."""
+    return _OPTIONS.get(name, "--" + name.replace("_", "-"))
+
+
+def _spec_flags(parser: argparse.ArgumentParser, names: str, **stated: object) -> None:
+    """Expose the spec fields ``names`` on ``parser``.  ``stated`` holds
+    what this subcommand states instead of the dataclass default: a
+    flag's default where it exposes the field, the field's fixed value
+    where it does not."""
+    parser.set_defaults(**stated)
+    defaults = {**_CLUSTER_FIELDS, **_SCENARIO_FIELDS, **stated}
+    for name in names.split():
+        parser.add_argument(
+            _option(name), dest=name, default=defaults[name], **_FLAGS[name]
         )
-    raise argparse.ArgumentTypeError(
-        f"unknown master policy {value!r}; choose hash, adaptive or fixed:<dc>"
+
+
+def _protocol_flag(
+    parser: argparse.ArgumentParser, flag: str, choices: tuple, help: str
+) -> None:
+    """``--protocol`` / ``--variant``: which protocols a subcommand offers
+    is the one thing about the field it decides (from capability flags)."""
+    parser.add_argument(
+        flag, dest="protocol", choices=choices, default=ClusterSpec.protocol, help=help
     )
-
-
-def _datacenter_list(value: str) -> tuple:
-    from repro.sim.network import EC2_REGIONS
-
-    names = tuple(part.strip() for part in value.split(",") if part.strip())
-    if len(names) < 2:
-        raise argparse.ArgumentTypeError("need at least two data centers")
-    if len(set(names)) != len(names):
-        raise argparse.ArgumentTypeError("duplicate data center")
-    unknown = [name for name in names if name not in EC2_REGIONS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown data center(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(EC2_REGIONS)}"
-        )
-    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one protocol on one workload")
-    _experiment_args(run)
-    run.add_argument(
-        "--protocol", choices=PROTOCOLS, default="mdcc", help="protocol to run"
-    )
+    _spec_flags(run, _EXPERIMENT_FLAGS, **_EXPERIMENT)
+    _protocol_flag(run, "--protocol", PROTOCOLS, "protocol to run")
     run.add_argument("--json", action="store_true", help="machine-readable output")
     run.add_argument(
         "--spec",
@@ -174,18 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         "runs at the same seed.  --explain TXN_ID prints one transaction's "
         "causal timeline as an indented tree.",
     )
-    _experiment_args(trace)
-    trace.add_argument(
+    _spec_flags(trace, _EXPERIMENT_FLAGS + " schedule", **_EXPERIMENT)
+    _protocol_flag(
+        trace,
         "--protocol",
-        choices=protocols_supporting("supports_tracing"),
-        default="mdcc",
-        help="protocol to trace (must emit causal spans)",
-    )
-    trace.add_argument(
-        "--schedule",
-        choices=NAMED_SCHEDULES,
-        default=None,
-        help="optionally replay a named fault schedule while tracing",
+        protocols_supporting("supports_tracing"),
+        "protocol to trace (must emit causal spans)",
     )
     trace.add_argument(
         "--out",
@@ -217,21 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a loopback topology file for the TCP backend",
     )
     topo.add_argument("--out", required=True, help="output path")
-    topo.add_argument(
-        "--datacenters",
-        type=_datacenter_list,
-        default=("us-west", "us-east", "eu-west"),
+    _spec_flags(
+        topo,
+        "datacenters partitions_per_table seed items",
+        datacenters=("us-west", "us-east", "eu-west"),
+        partitions_per_table=1,
+        items=200,
     )
-    topo.add_argument(
-        "--protocol",
-        choices=protocols_supporting("supports_tcp"),
-        default="mdcc",
+    _protocol_flag(
+        topo, "--protocol", protocols_supporting("supports_tcp"), "protocol to deploy"
     )
-    topo.add_argument("--partitions", type=int, default=1)
-    topo.add_argument("--seed", type=int, default=1)
-    topo.add_argument("--codec", choices=("json", "msgpack"), default="json")
+    topo.add_argument("--codec", choices=CODECS, default="json")
     topo.add_argument("--base-port", type=int, default=7100)
-    topo.add_argument("--items", type=int, default=200)
 
     bench = sub.add_parser(
         "bench",
@@ -240,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "emits simulated events/sec + commits/sec.  Byte-identical across "
         "runs at the same seed; wall-clock numbers go to stderr only.",
     )
-    bench.add_argument("--seed", type=int, default=7)
+    _spec_flags(bench, "seed", seed=7)
     bench.add_argument(
         "--output",
         default="BENCH_sim_core.json",
@@ -263,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="run several protocols on the identical workload"
     )
-    _experiment_args(compare)
+    _spec_flags(compare, _EXPERIMENT_FLAGS, **_EXPERIMENT)
     compare.add_argument(
         "--protocols",
+        type=_csv,
         default="mdcc,2pc,qw4",
         help="comma-separated protocol list (default: mdcc,2pc,qw4)",
     )
@@ -282,44 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "schedule", choices=NAMED_SCHEDULES, help="named fault schedule"
     )
-    chaos.add_argument(
+    _protocol_flag(
+        chaos,
         "--variant",
-        choices=tuple(
-            name for name in PROTOCOLS if get_protocol(name).chaos_schedules
-        ),
-        default="mdcc",
-        help="protocol under test (see `repro list` for per-protocol "
-        "schedule support)",
+        tuple(name for name in PROTOCOLS if get_protocol(name).chaos_schedules),
+        "protocol under test (see `repro list` for per-protocol schedule support)",
     )
-    chaos.add_argument("--workload", choices=WORKLOADS, default=None)
-    chaos.add_argument("--clients", type=int, default=20)
-    chaos.add_argument("--items", type=int, default=300)
-    chaos.add_argument("--warmup-s", type=float, default=5.0)
-    chaos.add_argument("--measure-s", type=float, default=60.0)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument(
-        "--bucket-s",
-        type=float,
-        default=5.0,
-        help="availability-timeline bucket width in seconds",
-    )
-    chaos.add_argument(
-        "--master-policy",
-        type=_master_policy,
-        default=None,
-        help="override the schedule's master-policy hint",
-    )
-    chaos.add_argument(
-        "--events",
-        action="store_true",
-        help="include the full chaos event log in the output",
-    )
-    chaos.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record a causal trace of the scenario to FILE",
-    )
+    _spec_flags(chaos, _CHAOS_FLAGS + " master_policy", **_CHAOS_CELL)
 
     reconfig = sub.add_parser(
         "reconfig",
@@ -332,52 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
         "given --seed; exits 1 on any invariant violation or if the "
         "replacement was not admitted.",
     )
-    reconfig.add_argument(
+    _protocol_flag(
+        reconfig,
         "--variant",
-        choices=protocols_supporting("supports_elastic"),
-        default="mdcc",
-        help="protocol under test (elastic membership required)",
+        protocols_supporting("supports_elastic"),
+        "protocol under test (elastic membership required)",
     )
-    reconfig.add_argument(
-        "--datacenters",
-        type=_datacenter_list,
-        default=None,
-        help="comma-separated initial membership (default: all five regions)",
+    _spec_flags(
+        reconfig,
+        "datacenters victim replacement donor " + _CHAOS_FLAGS,
+        schedule="dc-replace",
+        elastic=True,
+        victim="us-east",
+        replacement="us-east-2",
+        donor="us-west",
+        **_CHAOS_CELL,
     )
-    reconfig.add_argument(
-        "--victim", default="us-east", help="data center that fails and leaves"
-    )
-    reconfig.add_argument(
-        "--replacement",
-        default="us-east-2",
-        help="name of the joining replacement DC (clones the victim's links)",
-    )
-    reconfig.add_argument(
-        "--donor", default="us-west", help="DC that streams the bootstrap snapshot"
-    )
-    reconfig.add_argument("--workload", choices=WORKLOADS, default=None)
-    reconfig.add_argument("--clients", type=int, default=20)
-    reconfig.add_argument("--items", type=int, default=300)
-    reconfig.add_argument("--warmup-s", type=float, default=5.0)
-    reconfig.add_argument("--measure-s", type=float, default=60.0)
-    reconfig.add_argument("--seed", type=int, default=7)
-    reconfig.add_argument(
-        "--bucket-s",
-        type=float,
-        default=5.0,
-        help="availability-timeline bucket width in seconds",
-    )
-    reconfig.add_argument(
-        "--events",
-        action="store_true",
-        help="include the full chaos event log in the output",
-    )
-    reconfig.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record a causal trace of the scenario to FILE",
-    )
+
+    for scenario in (chaos, reconfig):
+        scenario.add_argument(
+            "--events",
+            action="store_true",
+            help="include the full chaos event log in the output",
+        )
+        scenario.add_argument(
+            "--trace",
+            default=None,
+            metavar="FILE",
+            help="record a causal trace of the scenario to FILE",
+        )
 
     lister = sub.add_parser(
         "list",
@@ -392,133 +398,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workload", choices=WORKLOADS, default="micro"
-    )
-    parser.add_argument("--clients", type=int, default=25)
-    parser.add_argument("--items", type=int, default=1_000)
-    parser.add_argument("--warmup-s", type=float, default=5.0)
-    parser.add_argument("--measure-s", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--hotspot",
-        type=float,
-        default=None,
-        help="hot-spot fraction of the table, e.g. 0.02 (micro only)",
-    )
-    parser.add_argument(
-        "--locality",
-        type=float,
-        default=None,
-        help="fraction of txs touching locally-mastered records (micro only)",
-    )
-    parser.add_argument(
-        "--gamma-policy", choices=("static", "adaptive"), default="static"
-    )
-    parser.add_argument(
-        "--master-policy",
-        type=_master_policy,
-        default="hash",
-        help="master placement: hash, adaptive or fixed:<dc> "
-        "(adaptive requires an MDCC variant)",
-    )
-    parser.add_argument(
-        "--phase-s",
-        type=float,
-        default=20.0,
-        help="geoshift only: seconds the sun stays over one region",
-    )
-    parser.add_argument(
-        "--batch-ms",
-        type=float,
-        default=0.0,
-        help="visibility batching window (MDCC variants)",
-    )
-    parser.add_argument(
-        "--no-demarcation",
-        action="store_true",
-        help="disable the quorum demarcation limit (unsafe; for study)",
-    )
-    parser.add_argument(
-        "--fail-dc",
-        default=None,
-        help="data center to fail mid-run (e.g. us-east)",
-    )
-    parser.add_argument(
-        "--fail-at-s",
-        type=float,
-        default=None,
-        help="simulated seconds into the run at which --fail-dc goes dark",
-    )
-    parser.add_argument(
-        "--no-audit", action="store_true", help="skip post-run consistency audits"
-    )
-
-
-def _cluster_spec_from_args(
-    args: argparse.Namespace, protocol: str, *, elastic: bool = False
-) -> ClusterSpec:
-    """Argparse flags -> typed deployment spec (one mapping for all
-    subcommands; flags a subcommand lacks fall back to spec defaults)."""
+def _spec_from_args(args: argparse.Namespace, **fixed: object) -> ScenarioSpec:
+    """The one place an argparse namespace becomes a scenario spec: every
+    spec field the namespace has (``fixed`` wins), nothing per field.  The
+    spec validates; its ``ValueError`` is the usage message."""
+    given = {**vars(args), **fixed}
     try:
-        return ClusterSpec(
-            protocol=protocol,
-            datacenters=getattr(args, "datacenters", None),
-            partitions_per_table=getattr(
-                args, "partitions_per_table", ClusterSpec.partitions_per_table
-            ),
-            master_policy=getattr(args, "master_policy", None),
-            seed=args.seed,
-            gamma_policy=getattr(args, "gamma_policy", "static"),
-            batch_ms=getattr(args, "batch_ms", 0.0),
-            demarcation=not getattr(args, "no_demarcation", False),
-            elastic=elastic,
+        cluster = ClusterSpec(
+            **{name: given[name] for name in _CLUSTER_FIELDS if name in given}
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _spec_from_args(
-    args: argparse.Namespace,
-    protocol: str,
-    *,
-    schedule: Optional[str] = None,
-    elastic: bool = False,
-) -> ScenarioSpec:
-    """The one place argparse namespaces become scenario specs — every
-    experiment-running subcommand funnels through here, so the flag ->
-    spec-field mapping (and its validation) lives in exactly one spot."""
-    dc_replace = schedule == "dc-replace"
-    try:
         return ScenarioSpec(
-            cluster=_cluster_spec_from_args(args, protocol, elastic=elastic),
-            workload=getattr(args, "workload", "micro"),
-            clients=args.clients,
-            items=args.items,
-            warmup_s=args.warmup_s,
-            measure_s=args.measure_s,
-            hotspot=getattr(args, "hotspot", None),
-            locality=getattr(args, "locality", None),
-            phase_s=getattr(args, "phase_s", _CHAOS_PHASE_S),
-            audit=not getattr(args, "no_audit", False),
-            fail_dc=getattr(args, "fail_dc", None),
-            fail_at_s=getattr(args, "fail_at_s", None),
-            schedule=schedule,
-            bucket_s=getattr(args, "bucket_s", 5.0),
-            victim=getattr(args, "victim", None) if dc_replace else None,
-            replacement=getattr(args, "replacement", None) if dc_replace else None,
-            donor=getattr(args, "donor", None) if dc_replace else None,
+            cluster=cluster,
+            **{name: given[name] for name in _SCENARIO_FIELDS if name in given},
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _run_one(protocol: str, args: argparse.Namespace):
-    spec = _spec_from_args(args, protocol)
-    return spec, _run_traced(
-        args.seed, getattr(args, "trace", None), lambda: run_scenario(spec)
-    )
 
 
 def _as_dict(result: RunResult, spec: ScenarioSpec) -> dict:
@@ -581,122 +475,24 @@ def _write_artifact(path: str, artifact: dict) -> None:
     )
 
 
-def _run_traced(seed: int, trace_path: Optional[str], runner):
-    """Run ``runner`` with tracing installed when ``trace_path`` is set.
+def _execute(
+    spec: ScenarioSpec,
+    trace_path: Optional[str],
+    runner: Callable[[ScenarioSpec], RunResult],
+) -> RunResult:
+    """``runner(spec)``, with tracing installed when ``trace_path`` is set.
 
-    The trace artifact goes to ``trace_path``; the runner's own result
-    (and therefore the command's stdout envelope) is unchanged — the
-    simulated trajectory is byte-identical with tracing on or off.
+    The trace artifact goes to ``trace_path``; the result (and therefore
+    the command's stdout envelope) is unchanged — the simulated
+    trajectory is byte-identical with tracing on or off.
     """
     if trace_path is None:
-        return runner()
+        return runner(spec)
     from repro.trace import build_artifact
 
-    result, tracer, registry = _traced(seed, runner)
+    result, tracer, registry = _traced(spec.cluster.seed, lambda: runner(spec))
     _write_artifact(trace_path, build_artifact(tracer, registry))
     return result
-
-
-def _run_trace(args: argparse.Namespace) -> int:
-    """``repro trace``: one traced scenario, artifact + timeline views."""
-    from repro.trace import build_artifact, render_artifact_json, render_explain
-    from repro.trace.explain import spans_for_txid
-
-    if args.schedule is not None:
-        _check_schedule_support(args.protocol, args.schedule)
-    spec = _spec_from_args(args, args.protocol, schedule=args.schedule)
-    result, tracer, registry = _traced(args.seed, lambda: run_scenario(spec))
-    artifact = build_artifact(tracer, registry, result=_payload(result, spec))
-    if args.out != "-":
-        _write_artifact(args.out, artifact)
-    elif args.explain is None:
-        sys.stdout.write(render_artifact_json(artifact))
-    if args.explain is not None:
-        print(render_explain(tracer, args.explain).rstrip("\n"))
-        if not spans_for_txid(tracer, args.explain):
-            return 1
-    return 0
-
-
-def _check_schedule_support(protocol: str, schedule: str) -> None:
-    """A schedule outside the protocol's gated set is a usage error, not
-    a scenario: its guarantees are not defined under that fault."""
-    supported = get_protocol(protocol).chaos_schedules
-    if schedule not in supported:
-        raise SystemExit(
-            f"protocol {protocol!r} is not gated on schedule {schedule!r}; "
-            f"supported schedules: {', '.join(supported)}"
-        )
-
-
-def _run_chaos(args: argparse.Namespace) -> int:
-    _check_schedule_support(args.variant, args.schedule)
-    spec = _spec_from_args(args, args.variant, schedule=args.schedule)
-    result = _run_traced(args.seed, args.trace, lambda: run_scenario(spec))
-    print(json.dumps(_payload(result, spec, args.events), indent=2))
-    return 0 if result.clean else 1
-
-
-def _run_reconfig(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(
-        args, args.variant, schedule="dc-replace", elastic=True
-    )
-    result = _run_traced(args.seed, args.trace, lambda: run_scenario(spec))
-    payload = _payload(result, spec, args.events)
-    membership = payload["membership"] or {}
-    # The replacement must be a member AND have been admitted inside the
-    # scenario window — an admission that only lands after the
-    # post-scenario heal means the join never actually ran under fault.
-    window_ms = (spec.warmup_s + spec.measure_s) * 1_000.0
-    replaced = spec.replacement in membership.get("datacenters", []) and any(
-        entry["event"] == "admitted"
-        and entry["dc"] == spec.replacement
-        and entry["t_ms"] <= window_ms
-        for entry in membership.get("history", [])
-    )
-    payload["replacement_admitted"] = replaced
-    print(json.dumps(payload, indent=2))
-    return 0 if result.clean and replaced else 1
-
-
-def _run_spec_file(args: argparse.Namespace) -> int:
-    """``repro run --spec scenario.json``: the spec file IS the experiment."""
-    if args.spec == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        spec = ScenarioSpec.from_json(text)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"bad scenario spec {args.spec!r}: {exc}")
-    result = _run_traced(
-        spec.cluster.seed, args.trace, lambda: run_scenario(spec)
-    )
-    if result.schedule is not None or args.json:
-        print(json.dumps(_payload(result, spec), indent=2))
-    else:
-        _print_table([result])
-    return 0 if result.schedule is None or result.clean else 1
-
-
-def _run_list(as_json: bool) -> int:
-    catalogue = {
-        "protocols": _PROTOCOL_NOTES,
-        "workloads": {name: get_workload(name).summary for name in WORKLOADS},
-        "master_policies": _MASTER_POLICY_NOTES,
-        "chaos_schedules": _CHAOS_NOTES,
-    }
-    if as_json:
-        print(json.dumps(catalogue, indent=2))
-        return 0
-    for section, entries in catalogue.items():
-        print(section)
-        width = max(len(name) for name in entries)
-        for name, note in entries.items():
-            print(f"  {name:<{width}}  {note}")
-        print()
-    return 0
 
 
 def _print_table(results: List[RunResult]) -> None:
@@ -717,23 +513,159 @@ def _print_table(results: List[RunResult]) -> None:
         )
 
 
+# ----------------------------------------------------------------------
+# Subcommands: build the spec, execute it, print the envelope
+# ----------------------------------------------------------------------
+def _run_run(args: argparse.Namespace) -> int:
+    if args.transport == "tcp":
+        return _run_tcp(args)
+    if args.spec is None:
+        spec = _spec_from_args(args)
+    else:
+        # ``repro run --spec scenario.json``: the file IS the experiment.
+        if args.spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        try:
+            spec = ScenarioSpec.from_json(text)
+        except (ValueError, TypeError) as exc:
+            raise SystemExit(f"bad scenario spec {args.spec!r}: {exc}")
+    result = _execute(spec, args.trace, run_scenario)
+    if result.schedule is not None or args.json:
+        print(json.dumps(_payload(result, spec), indent=2))
+    else:
+        _print_table([result])
+    return 0 if result.schedule is None or result.clean else 1
+
+
+def _run_compare(args: argparse.Namespace) -> int:
+    specs = [_spec_from_args(args, protocol=protocol) for protocol in args.protocols]
+    results = [_execute(spec, None, run_scenario) for spec in specs]
+    if args.json:
+        print(json.dumps([_as_dict(r, s) for r, s in zip(results, specs)], indent=2))
+    else:
+        _print_table(results)
+    return 0
+
+
+def _run_chaos(args: argparse.Namespace) -> int:
+    """``repro chaos`` and ``repro reconfig``: the scenario verdict."""
+    spec = _spec_from_args(args)
+    result = _execute(spec, args.trace, run_scenario)
+    payload = _payload(result, spec, args.events)
+    ok = result.clean
+    if args.command == "reconfig":
+        membership = payload["membership"] or {}
+        # The replacement must be a member AND have been admitted inside the
+        # scenario window — an admission that only lands after the
+        # post-scenario heal means the join never actually ran under fault.
+        window_ms = (spec.warmup_s + spec.measure_s) * 1_000.0
+        replaced = spec.replacement in membership.get("datacenters", []) and any(
+            entry["event"] == "admitted"
+            and entry["dc"] == spec.replacement
+            and entry["t_ms"] <= window_ms
+            for entry in membership.get("history", [])
+        )
+        payload["replacement_admitted"] = replaced
+        ok = ok and replaced
+    print(json.dumps(payload, indent=2))
+    return 0 if ok else 1
+
+
+def _run_trace(args: argparse.Namespace) -> int:
+    """``repro trace``: one traced scenario, artifact + timeline views."""
+    from repro.trace import build_artifact, render_artifact_json, render_explain
+    from repro.trace.explain import spans_for_txid
+
+    spec = _spec_from_args(args)
+    result, tracer, registry = _traced(spec.cluster.seed, lambda: run_scenario(spec))
+    artifact = build_artifact(tracer, registry, result=_payload(result, spec))
+    if args.out != "-":
+        _write_artifact(args.out, artifact)
+    elif args.explain is None:
+        sys.stdout.write(render_artifact_json(artifact))
+    if args.explain is not None:
+        print(render_explain(tracer, args.explain).rstrip("\n"))
+        if not spans_for_txid(tracer, args.explain):
+            return 1
+    return 0
+
+
+def _load_topology(path: str):
+    """A topology file the loader refuses is a usage error, not a traceback."""
+    from repro.transport.base import TransportError
+    from repro.transport.topology import Topology
+
+    try:
+        return Topology.load(path)
+    except TransportError as exc:
+        raise SystemExit(f"bad topology {path!r}: {exc}")
+
+
+def _run_tcp(args: argparse.Namespace) -> int:
+    """``repro run --transport tcp``: the same three steps against live
+    processes.  The spec is the flags plus what the topology file fixes;
+    a cluster of real processes runs exactly that file and `run`'s
+    defaults, so a flag that asks for anything else is an error."""
+    from repro.transport import runner
+
+    if args.topology is None:
+        raise SystemExit("--transport tcp requires --topology (see `repro topology`)")
+    topology = _load_topology(args.topology)
+    fixed = topology.cluster_fields()
+    spec = _spec_from_args(args, items=len(topology.item_keys()), **fixed)
+    # What the servers run: the topology's fields, `run`'s defaults for the
+    # rest, the micro workload — no injected outage, no spec file.
+    served = {**ClusterSpec(**{**_EXPERIMENT, **fixed}).to_dict(), "workload": "micro"}
+    asked = {**spec.to_dict(), **spec.cluster.to_dict(), "spec": args.spec}
+    refused = [
+        name
+        for name in (*_CLUSTER_FIELDS, "workload", "fail_dc", "spec")
+        if asked[name] != served.get(name)
+    ]
+    if refused:
+        raise SystemExit(
+            f"{_option(refused[0])} needs the simulated deployment, not --transport tcp"
+        )
+    result = _execute(
+        spec,
+        args.trace,
+        lambda spec: runner.run_topology(
+            args.topology,
+            topology.build_workload(hotspot_fraction=spec.hotspot, locality=spec.locality),
+            spawn_servers=args.spawn_servers,
+            num_clients=spec.clients,
+            warmup_ms=spec.warmup_s * 1_000.0,
+            measure_ms=spec.measure_s * 1_000.0,
+            audit=spec.audit,
+        ),
+    )
+    print(json.dumps({**_as_dict(result, spec), "tcp": result.extra["tcp"]}, indent=2))
+    crashed = any(result.extra["tcp"]["servers"].values())
+    return 0 if result.commits > 0 and result.clean and not crashed else 1
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.transport.runner import serve_node
 
+    _load_topology(args.topology)
     return serve_node(args.topology, args.node)
 
 
 def _run_topology(args: argparse.Namespace) -> int:
     from repro.transport.topology import make_local_topology
 
+    spec = _spec_from_args(args)  # the spec's rules are the file's rules
     topology = make_local_topology(
-        datacenters=args.datacenters,
-        protocol=args.protocol,
-        partitions_per_table=args.partitions,
-        seed=args.seed,
+        datacenters=spec.cluster.datacenters,
+        protocol=spec.cluster.protocol,
+        partitions_per_table=spec.cluster.partitions_per_table,
+        seed=spec.cluster.seed,
         codec=args.codec,
         base_port=args.base_port,
-        items=args.items,
+        items=spec.items,
     )
     topology.dump(args.out)
     print(f"wrote {args.out} ({len(topology.nodes)} nodes)")
@@ -746,10 +678,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     overrides = None
     if args.measure_s is not None:
         overrides = {"measure_ms": args.measure_s * 1_000.0}
-    # The bench fixes its own workload/protocol grid; the shared helper
-    # still supplies the deployment template (seed etc.) per variant.
-    base_spec = _cluster_spec_from_args(args, "mdcc")
-    payload = run_bench(seed=args.seed, overrides=overrides, base_spec=base_spec)
+    payload = run_bench(seed=args.seed, overrides=overrides)
     rendered = render_bench_json(payload)
     if args.output == "-":
         sys.stdout.write(rendered)
@@ -769,61 +698,41 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-#: `run` flags that configure the *simulated* deployment; a cluster of
-#: real processes cannot honour them, so setting one is an error
-#: (--fail-at-s is an error without --fail-dc already).
-_SIM_ONLY_FLAGS = (
-    "spec",
-    "fail_dc",
-    "master_policy",
-    "gamma_policy",
-    "batch_ms",
-    "no_demarcation",
-)
+def _run_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.cli import run_analyze
+
+    return run_analyze(args)
 
 
-def _run_tcp(args: argparse.Namespace) -> int:
-    from repro.transport.runner import run_topology
-    from repro.transport.topology import Topology
-
-    if args.topology is None:
-        raise SystemExit("--transport tcp requires --topology (see `repro topology`)")
-    if args.workload != "micro":
-        raise SystemExit("the tcp transport currently drives the micro workload only")
-    defaults = build_parser().parse_args(["run"])
-    for name in _SIM_ONLY_FLAGS:
-        if getattr(args, name) != getattr(defaults, name):
-            raise SystemExit(
-                f"--{name.replace('_', '-')} needs the simulated deployment, not --transport tcp"
-            )
-    topology = Topology.load(args.topology)
-    # What the topology file fixes is echoed in the envelope's spec.
-    args.seed, args.datacenters = topology.seed, topology.datacenters
-    args.items = len(topology.item_keys())
-    args.partitions_per_table = topology.partitions_per_table
-    spec = _spec_from_args(args, topology.protocol)
-    result = _run_traced(
-        topology.seed,
-        args.trace,
-        lambda: run_topology(
-            args.topology,
-            topology.build_workload(hotspot_fraction=spec.hotspot, locality=spec.locality),
-            spawn_servers=args.spawn_servers,
-            num_clients=spec.clients,
-            warmup_ms=spec.warmup_s * 1_000.0,
-            measure_ms=spec.measure_s * 1_000.0,
-            audit=spec.audit,
-        ),
-    )
-    print(json.dumps({**_as_dict(result, spec), "tcp": result.extra["tcp"]}, indent=2))
-    crashed = any(result.extra["tcp"]["servers"].values())
-    return 0 if result.commits > 0 and result.clean and not crashed else 1
+def _run_list(args: argparse.Namespace) -> int:
+    catalogue = {
+        "protocols": {name: get_protocol(name).summary for name in PROTOCOLS},
+        "workloads": {name: get_workload(name).summary for name in WORKLOADS},
+        "master_policies": _MASTER_POLICY_NOTES,
+        "chaos_schedules": {
+            name: named_schedule(name).description for name in NAMED_SCHEDULES
+        },
+    }
+    if args.json:
+        print(json.dumps(catalogue, indent=2))
+        return 0
+    for section, entries in catalogue.items():
+        print(section)
+        width = max(len(name) for name in entries)
+        for name, note in entries.items():
+            print(f"  {name:<{width}}  {note}")
+        print()
+    return 0
 
 
 _SUBCOMMANDS = {
+    "analyze": _run_analyze,
     "bench": _run_bench,
     "chaos": _run_chaos,
-    "reconfig": _run_reconfig,
+    "compare": _run_compare,
+    "list": _run_list,
+    "reconfig": _run_chaos,
+    "run": _run_run,
     "serve": _run_serve,
     "topology": _run_topology,
     "trace": _run_trace,
@@ -832,35 +741,7 @@ _SUBCOMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in _SUBCOMMANDS:
-        return _SUBCOMMANDS[args.command](args)
-    if args.command == "analyze":
-        from repro.analysis.cli import run_analyze
-
-        return run_analyze(args)
-    if args.command == "list":
-        return _run_list(args.json)
-    if args.command == "run" and args.transport == "tcp":
-        return _run_tcp(args)
-    if args.command == "run" and args.spec is not None:
-        return _run_spec_file(args)
-    if args.command == "run":
-        spec, result = _run_one(args.protocol, args)
-        if args.json:
-            print(json.dumps(_as_dict(result, spec), indent=2))
-        else:
-            _print_table([result])
-        return 0
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    unknown = [p for p in protocols if p not in PROTOCOLS]
-    if unknown:
-        raise SystemExit(f"unknown protocol(s): {', '.join(unknown)}")
-    runs = [_run_one(protocol, args) for protocol in protocols]
-    if args.json:
-        print(json.dumps([_as_dict(r, s) for s, r in runs], indent=2))
-    else:
-        _print_table([result for _spec, result in runs])
-    return 0
+    return _SUBCOMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -28,7 +28,7 @@ from repro.core.recovery import RecoveryAgent
 from repro.core.topology import ReplicaMap
 from repro.db.client import Transaction
 from repro.metrics import CounterSet
-from repro.protocols.base import PROTOCOLS, get_protocol, protocols_supporting
+from repro.protocols.base import PROTOCOLS, get_protocol
 from repro.sim.core import Simulator
 from repro.sim.network import EC2_REGIONS, LatencyModel, Network
 from repro.sim.rng import RngRegistry
@@ -265,18 +265,10 @@ def build_cluster(
         # The paper's Megastore* places all data in a single entity group
         # ("we placed all data into a single entity group", §5.2): one log.
         raise ValueError(f"{protocol} uses a single entity group: 1 partition")
-    if master_policy == "adaptive" and not descriptor.supports_placement:
-        supported = ", ".join(protocols_supporting("supports_placement"))
-        raise ValueError(
-            "adaptive master placement requires an MDCC variant "
-            f"({supported}); got {protocol!r}"
-        )
-    if elastic and not descriptor.supports_elastic:
-        supported = ", ".join(protocols_supporting("supports_elastic"))
-        raise ValueError(
-            "elastic membership requires an MDCC variant "
-            f"({supported}); got {protocol!r}"
-        )
+    if master_policy == "adaptive":
+        descriptor.require("supports_placement", "adaptive master placement")
+    if elastic:
+        descriptor.require("supports_elastic", "elastic membership")
     rng = RngRegistry(seed=seed)
     sim = Simulator()
     latency = LatencyModel(

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.config import MDCCConfig, ProtocolVariant
+from repro.faults.schedule import NAMED_SCHEDULES
 from repro.protocols.participant import REASONS
 
 if TYPE_CHECKING:  # typing only: the registry must stay import-cheap
@@ -151,6 +152,17 @@ class Protocol:
         )
 
     # ------------------------------------------------------------------
+    # Capability gating (one wording for every door that asks)
+    # ------------------------------------------------------------------
+    def require(self, flag: str, feature: str) -> None:
+        """Raise the canonical error unless capability ``flag`` is set."""
+        if not getattr(self, flag):
+            raise ValueError(
+                f"{feature} requires an MDCC variant "
+                f"({', '.join(protocols_supporting(flag))}); got {self.name!r}"
+            )
+
+    # ------------------------------------------------------------------
     # Quorum/engine configuration
     # ------------------------------------------------------------------
     def make_config(self, replication: int, **tunables: Any) -> Optional[MDCCConfig]:
@@ -229,15 +241,6 @@ def protocols_supporting(flag: str) -> Tuple[str, ...]:
     )
 
 
-_ALL_SCHEDULES = (
-    "dc-outage",
-    "rolling-partitions",
-    "flaky-wan",
-    "coordinator-crash",
-    "follow-the-sun-outage",
-    "dc-replace",
-)
-
 #: Network-level fault schedules: no protocol-specific recovery or
 #: membership machinery required to survive them.
 _NETWORK_SCHEDULES = ("dc-outage", "rolling-partitions", "flaky-wan")
@@ -270,7 +273,7 @@ def _register_mdcc(name: str, variant: ProtocolVariant, summary: str) -> None:
             supports_recovery=True,
             supports_tcp=True,
             supports_antientropy=True,
-            chaos_schedules=_ALL_SCHEDULES,
+            chaos_schedules=NAMED_SCHEDULES,
             trace_span_kinds=_MDCC_SPANS,
             abort_reasons=_MDCC_ABORTS,
         )

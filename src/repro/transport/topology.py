@@ -31,8 +31,8 @@ it, the driver runs its closed loop and ledger from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MDCCConfig
 from repro.core.topology import ReplicaMap
@@ -41,7 +41,11 @@ from repro.sim.rng import RngRegistry
 from repro.transport.base import TransportError
 from repro.workloads.micro import MicroBenchmark
 
-__all__ = ["NodeAddress", "Topology", "make_local_topology"]
+__all__ = ["CODECS", "NodeAddress", "Topology", "make_local_topology"]
+
+#: Wire codec names a topology may ask for
+#: (:func:`repro.transport.codec.resolve_codec` picks the implementation).
+CODECS = ("json", "msgpack")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,10 @@ class Topology:
                 f"TCP topologies support the MDCC variants and Replicated "
                 f"Commit {supported}; got {self.protocol!r}"
             )
+        if self.codec not in CODECS:
+            raise TransportError(
+                f"unknown codec {self.codec!r}; choose from {', '.join(CODECS)}"
+            )
         for node_id, address in self.nodes.items():
             if address.dc not in self.datacenters:
                 raise TransportError(
@@ -85,12 +93,16 @@ class Topology:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Dict) -> "Topology":
-        nodes = {
-            node_id: NodeAddress(
+        known = [spec_field.name for spec_field in fields(cls)]
+        raw = _checked("topology", raw, known, required=("datacenters", "nodes"))
+        nodes = {}
+        for node_id, spec in raw["nodes"].items():
+            spec = _checked(
+                f"node {node_id!r}", spec, ("dc", "host", "port"), required=("dc", "port")
+            )
+            nodes[node_id] = NodeAddress(
                 dc=spec["dc"], host=spec.get("host", "127.0.0.1"), port=int(spec["port"])
             )
-            for node_id, spec in raw["nodes"].items()
-        }
         return cls(
             datacenters=tuple(raw["datacenters"]),
             nodes=nodes,
@@ -98,7 +110,11 @@ class Topology:
             partitions_per_table=int(raw.get("partitions_per_table", 1)),
             seed=int(raw.get("seed", 1)),
             codec=raw.get("codec", "json"),
-            workload=dict(raw.get("workload", {})),
+            workload=_checked(
+                "workload",
+                raw.get("workload", {}),
+                ("name", "items", "min_stock", "max_stock"),
+            ),
         )
 
     @classmethod
@@ -128,6 +144,17 @@ class Topology:
     # ------------------------------------------------------------------
     # Derived cluster objects
     # ------------------------------------------------------------------
+    def cluster_fields(self) -> Dict[str, object]:
+        """The :class:`repro.api.ClusterSpec` fields this file fixes.  A
+        cluster of real processes runs these and the spec's defaults for
+        the rest — a flag asking for anything else cannot be honoured."""
+        return {
+            "protocol": self.protocol,
+            "datacenters": self.datacenters,
+            "partitions_per_table": self.partitions_per_table,
+            "seed": self.seed,
+        }
+
     def dc_of(self, node_id: str) -> Optional[str]:
         address = self.nodes.get(node_id)
         return address.dc if address else None
@@ -163,6 +190,25 @@ class Topology:
         return self.build_workload().stock_plan(RngRegistry(seed=self.seed))
 
 
+def _checked(
+    what: str, raw: object, known: Sequence[str], required: Sequence[str] = ()
+) -> Dict:
+    """A copy of ``raw`` — or a :class:`TransportError` naming the key: a
+    typo'd topology must not half-apply (the ``_checked_fields`` rule of
+    :mod:`repro.api`), and a missing key is not a bare ``KeyError``."""
+    if not isinstance(raw, dict):
+        raise TransportError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise TransportError(
+            f"unknown {what} key(s): {', '.join(unknown)}; known: {', '.join(known)}"
+        )
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise TransportError(f"{what} is missing required key(s): {', '.join(missing)}")
+    return dict(raw)
+
+
 def make_local_topology(
     datacenters=("us-west", "us-east", "eu-west"),
     protocol: str = "mdcc",
@@ -179,25 +225,21 @@ def make_local_topology(
     """A loopback topology: every storage node on ``host``, sequential
     ports from ``base_port`` (or explicit ``ports``, e.g. pre-bound free
     ones in tests)."""
-    node_ids = [
-        ReplicaMap.storage_node_id(dc, partition)
+    slots = [
+        (dc, partition)
         for dc in datacenters
         for partition in range(partitions_per_table)
     ]
     if ports is None:
-        ports = [base_port + index for index in range(len(node_ids))]
-    if len(ports) != len(node_ids):
+        ports = [base_port + index for index in range(len(slots))]
+    if len(ports) != len(slots):
         raise TransportError(
-            f"{len(node_ids)} nodes need {len(node_ids)} ports; got {len(ports)}"
+            f"{len(slots)} nodes need {len(slots)} ports; got {len(ports)}"
         )
-    nodes = {}
-    index = 0
-    for dc in datacenters:
-        for partition in range(partitions_per_table):
-            nodes[ReplicaMap.storage_node_id(dc, partition)] = NodeAddress(
-                dc=dc, host=host, port=ports[index]
-            )
-            index += 1
+    nodes = {
+        ReplicaMap.storage_node_id(dc, partition): NodeAddress(dc=dc, host=host, port=port)
+        for (dc, partition), port in zip(slots, ports)
+    }
     return Topology(
         datacenters=tuple(datacenters),
         nodes=nodes,

@@ -109,6 +109,21 @@ def test_spec_validation():
         ScenarioSpec(schedule="dc-outage", victim="us-east")
     with pytest.raises(ValueError, match="control plane"):
         ScenarioSpec(schedule="dc-replace", victim="us-west")
+    # Rules only the CLI used to know: every door hits the same wall.
+    with pytest.raises(ValueError, match="not gated"):
+        ScenarioSpec(cluster=ClusterSpec(protocol="2pc"), schedule="coordinator-crash")
+    with pytest.raises(ValueError, match="not gated"):
+        ScenarioSpec(cluster=ClusterSpec(protocol="qw3"), schedule="dc-outage")
+    with pytest.raises(ValueError, match="unknown master policy"):
+        ClusterSpec(master_policy="round-robin")
+    with pytest.raises(ValueError, match="fixed:mars"):
+        ClusterSpec(master_policy="fixed:mars")
+    with pytest.raises(ValueError, match="fixed:eu-west"):  # a region, not a member
+        ClusterSpec(master_policy="fixed:eu-west", datacenters=("us-west", "us-east"))
+    with pytest.raises(ValueError, match="table_master_dc"):
+        ClusterSpec(master_policy="table")
+    with pytest.raises(ValueError, match="atlantis"):
+        ClusterSpec(datacenters=("us-west", "atlantis"))
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +236,13 @@ def test_run_spec_file_bad_spec_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"workload": "quantum"}')
     with pytest.raises(SystemExit, match="bad scenario spec"):
+        main(["run", "--spec", str(path)])
+    # used to pass validation and die mid-simulation (no RepairProbe handler)
+    path.write_text(
+        '{"cluster":{"protocol":"2pc"},"schedule":"coordinator-crash",'
+        '"clients":2,"items":10,"warmup_s":0.5,"measure_s":2.0}'
+    )
+    with pytest.raises(SystemExit, match="bad scenario spec.*not gated"):
         main(["run", "--spec", str(path)])
 
 

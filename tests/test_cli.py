@@ -1,9 +1,17 @@
 """Tests for the command-line interface."""
 
+import argparse
+import ast
+import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 
+import repro
+from repro import cli
+from repro.api import ClusterSpec, ScenarioSpec
 from repro.cli import build_parser, main
 
 
@@ -394,3 +402,187 @@ class TestSeedPlumbing:
         )
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+class _Captured(Exception):
+    """Raised in place of running the spec the CLI built."""
+
+
+class TestOneFrontDoor:
+    """The rule ``cli.py`` states, kept by a machine: a flag is a spec
+    field, and what may run is decided once, by the spec — the CLI keeps
+    no default and no validator of its own beside the dataclasses'."""
+
+    #: every (subcommand, option) pair, as at the commit before the flag
+    #: table: the refactor renamed, added and removed none.
+    OPTIONS = {
+        "analyze": "--baseline --format --root --write-baseline",
+        "bench": "--compare --measure-s --output --seed",
+        "chaos": "--bucket-s --clients --events --items --master-policy --measure-s "
+        "--seed --trace --variant --warmup-s --workload schedule",
+        "compare": "--batch-ms --clients --fail-at-s --fail-dc --gamma-policy --hotspot "
+        "--items --json --locality --master-policy --measure-s --no-audit "
+        "--no-demarcation --phase-s --protocols --seed --warmup-s --workload",
+        "list": "--json",
+        "reconfig": "--bucket-s --clients --datacenters --donor --events --items "
+        "--measure-s --replacement --seed --trace --variant --victim --warmup-s "
+        "--workload",
+        "run": "--batch-ms --clients --fail-at-s --fail-dc --gamma-policy --hotspot "
+        "--items --json --locality --master-policy --measure-s --no-audit "
+        "--no-demarcation --phase-s --protocol --seed --spawn-servers --spec "
+        "--topology --trace --transport --warmup-s --workload",
+        "serve": "--node --topology",
+        "topology": "--base-port --codec --datacenters --items --out --partitions "
+        "--protocol --seed",
+        "trace": "--batch-ms --clients --explain --fail-at-s --fail-dc --gamma-policy "
+        "--hotspot --items --locality --master-policy --measure-s --no-audit "
+        "--no-demarcation --out --phase-s --protocol --schedule --seed --warmup-s "
+        "--workload",
+    }
+
+    #: the only defaults a subcommand states instead of the dataclass's.
+    CHAOS_CELL = {"workload": None, "clients": 20, "items": 300, "measure_s": 60.0, "seed": 7}
+    STATED = {
+        **{(sub, "master_policy"): "hash" for sub in ("run", "compare", "trace")},
+        **{("chaos", dest): value for dest, value in CHAOS_CELL.items()},
+        **{("reconfig", dest): value for dest, value in CHAOS_CELL.items()},
+        ("reconfig", "victim"): "us-east",
+        ("reconfig", "replacement"): "us-east-2",
+        ("reconfig", "donor"): "us-west",
+        # not experiments, but their flags carry spec-field names:
+        ("bench", "seed"): 7,
+        ("bench", "measure_s"): None,  # None = keep the artifact's fixed window
+        ("topology", "datacenters"): ("us-west", "us-east", "eu-west"),
+        ("topology", "partitions_per_table"): 1,
+        ("topology", "items"): 200,
+    }
+
+    @staticmethod
+    def _options():
+        """(subcommand, action) for every option of every subcommand."""
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    yield name, action
+
+    def test_no_option_added_renamed_or_removed(self):
+        found = {}
+        for sub, action in self._options():
+            found.setdefault(sub, []).append((action.option_strings or [action.dest])[0])
+        assert {sub: " ".join(sorted(opts)) for sub, opts in found.items()} == {
+            sub: " ".join(opts.split()) for sub, opts in self.OPTIONS.items()
+        }
+        assert sum(len(opts) for opts in found.values()) == 106
+
+    def test_a_spec_backed_flag_takes_the_dataclass_default(self):
+        defaults = {
+            field.name: field.default
+            for spec in (ClusterSpec, ScenarioSpec)
+            for field in dataclasses.fields(spec)
+        }
+        stated = dict(self.STATED)
+        for sub, action in self._options():
+            if action.dest in defaults:
+                expected = stated.pop((sub, action.dest), defaults[action.dest])
+                assert action.default == expected, (sub, action.option_strings)
+        assert not stated, f"overrides no parser states any more: {stated}"
+
+    def test_cli_keeps_no_validator_and_no_fallback_default(self):
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        names = {
+            getattr(node, field, None)
+            for node in ast.walk(tree)
+            for field in ("id", "attr")
+        }
+        assert "ArgumentTypeError" not in names
+        fallbacks = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) == 3
+        ]
+        assert not fallbacks, f"getattr(args, name, default) at cli.py:{fallbacks}"
+
+    def test_the_second_copies_are_gone(self):
+        gone = re.compile(
+            r"\b(_check_schedule_support|_SIM_ONLY_FLAGS|_master_policy|_datacenter_list"
+            r"|_PROTOCOL_NOTES|_CHAOS_NOTES|_cluster_spec_from_args)\b"
+        )
+        package = pathlib.Path(repro.__file__).parent
+        offending = [
+            f"{path.relative_to(package)}:{number}: {line.strip()}"
+            for path in sorted(package.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)
+        ]
+        assert not offending, offending
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["run"],
+                ScenarioSpec(
+                    cluster=ClusterSpec(
+                        protocol="mdcc", datacenters=None, partitions_per_table=2,
+                        master_policy="hash", seed=1, gamma_policy="static",
+                        batch_ms=0.0, demarcation=True, elastic=False,
+                    ),
+                    workload="micro", clients=25, items=1_000, warmup_s=5.0,
+                    measure_s=30.0, hotspot=None, locality=None, phase_s=20.0,
+                    audit=True, fail_dc=None, fail_at_s=None, schedule=None,
+                    bucket_s=5.0, victim=None, replacement=None, donor=None,
+                ),
+            ),
+            # compare's first protocol; trace: same experiment flags as run
+            (["compare"], ScenarioSpec(cluster=ClusterSpec(master_policy="hash"))),
+            (["trace"], ScenarioSpec(cluster=ClusterSpec(master_policy="hash"))),
+            (
+                ["chaos", "dc-outage"],
+                ScenarioSpec(
+                    cluster=ClusterSpec(
+                        protocol="mdcc", datacenters=None, partitions_per_table=2,
+                        master_policy=None, seed=7, gamma_policy="static",
+                        batch_ms=0.0, demarcation=True, elastic=False,
+                    ),
+                    workload=None, clients=20, items=300, warmup_s=5.0,
+                    measure_s=60.0, hotspot=None, locality=None, phase_s=15.0,
+                    audit=True, fail_dc=None, fail_at_s=None, schedule="dc-outage",
+                    bucket_s=5.0, victim=None, replacement=None, donor=None,
+                ),
+            ),
+            (
+                ["reconfig"],
+                ScenarioSpec(
+                    cluster=ClusterSpec(
+                        protocol="mdcc", datacenters=None, partitions_per_table=2,
+                        master_policy=None, seed=7, gamma_policy="static",
+                        batch_ms=0.0, demarcation=True, elastic=True,
+                    ),
+                    workload=None, clients=20, items=300, warmup_s=5.0,
+                    measure_s=60.0, hotspot=None, locality=None, phase_s=15.0,
+                    audit=True, fail_dc=None, fail_at_s=None, schedule="dc-replace",
+                    bucket_s=5.0, victim="us-east", replacement="us-east-2",
+                    donor="us-west",
+                ),
+            ),
+        ],
+    )
+    def test_a_bare_subcommand_builds_exactly_this_spec(self, monkeypatch, argv, expected):
+        built = []
+
+        def capture(spec):
+            built.append(spec)
+            raise _Captured
+
+        monkeypatch.setattr(cli, "run_scenario", capture)
+        with pytest.raises(_Captured):
+            main(argv)
+        assert built == [expected]

@@ -111,6 +111,60 @@ def test_topology_round_trips(tmp_path):
     assert loaded.item_keys()[0] == "item:000000"
 
 
+def _raw_topology(**changes):
+    """What ``perf/tcp_load.py`` writes: the seven keys, loopback nodes."""
+    raw = make_local_topology(items=30, seed=9).as_dict()
+    raw.update(changes)
+    return raw
+
+
+def test_topology_accepts_the_seven_documented_keys():
+    raw = _raw_topology()
+    assert sorted(raw) == [
+        "codec", "datacenters", "nodes", "partitions_per_table", "protocol", "seed",
+        "workload",
+    ]
+    assert sorted(raw["workload"]) == ["items", "max_stock", "min_stock", "name"]
+    assert Topology.from_dict(raw).as_dict() == raw
+    # a placement-only first pass, before any port is known
+    assert Topology.from_dict(_raw_topology(nodes={})).build_placement().datacenters
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        (_raw_topology(protocl="multi"), "protocl"),  # used to serve mdcc
+        (_raw_topology(workload={"name": "micro", "itms": 5}), "itms"),
+        (_raw_topology(nodes={"n": {"dc": "us-west", "port": 1, "prt": 2}}), "prt"),
+        (_raw_topology(nodes={"n": {"dc": "us-west"}}), "port"),  # used to be KeyError
+        (_raw_topology(nodes={"n": {"port": 1}}), "dc"),
+        ({k: v for k, v in _raw_topology().items() if k != "nodes"}, "nodes"),
+        ({k: v for k, v in _raw_topology().items() if k != "datacenters"}, "datacenters"),
+        (_raw_topology(codec="bson"), "bson"),  # used to fail at the first frame
+        (_raw_topology(workload=["micro"]), "workload must be"),
+    ],
+)
+def test_topology_rejects_typos_by_name(raw, named):
+    with pytest.raises(TransportError, match=named):
+        Topology.from_dict(raw)
+
+
+@pytest.mark.parametrize("command", ["serve", "run"])
+def test_cli_reports_a_bad_topology_without_a_traceback(tmp_path, command):
+    from repro import cli
+
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(_raw_topology(protocl="multi")))
+    argv = {
+        # a node the file does not list: were the file accepted, `serve`
+        # would still exit (with another message) instead of serving forever
+        "serve": ["serve", "--topology", str(path), "--node", "store-nowhere-p0"],
+        "run": ["run", "--transport", "tcp", "--topology", str(path)],
+    }[command]
+    with pytest.raises(SystemExit, match="bad topology.*protocl"):
+        cli.main(argv)
+
+
 def test_topology_preload_is_deterministic(tmp_path):
     path, _ = _write_topology(tmp_path, items=50, seed=11)
     first = Topology.load(path).preload_plan()
