@@ -13,18 +13,23 @@ Frames are ``4-byte big-endian length | codec tag | payload`` (see
    exponential backoff, queueing frames per destination until the
    connection lands.
 
-**One socket write per connection per loop tick.**  ``send`` never
-writes: a frame joins its connection's pending list and one ``_flush``,
-scheduled with ``call_soon``, writes each list out joined — so the three
-``ProposeFast`` a commit sends to one replica inside one handler call
-are one ``send(2)``, in ``send`` order.  The trigger is the end of the
-loop iteration; there is no timer or size threshold.  ``close()`` flushes
-first.  A message object sent to several destinations within a tick is
+**One socket write per connection per loop tick, or per chunk received
+when its handlers did the sending.**  ``send`` never writes: a frame
+joins its connection's pending list and one ``_flush`` writes each list
+out joined — so the three ``ProposeFast`` a commit sends to one replica
+inside one handler call are one ``send(2)``, in ``send`` order.  The
+flush has two triggers and no timer or size threshold: the end of the
+chunk being received, when the sends came from its handlers (a request
+is parsed, dispatched and answered in one loop iteration), otherwise
+``call_soon``, the end of the loop iteration.  ``close()`` flushes first.
+A message object sent to several destinations between two flushes is
 encoded and serialised once (memo keyed by object identity, emptied by
 the same ``_flush``); only the envelope header, cached per (src, dst),
-differs per destination.  Inbound, every complete frame of each chunk
-read is dispatched; an oversized or undecodable frame is logged, counted
-as dropped and closes *that* connection.
+differs per destination.  Inbound, a connection is a protocol object,
+not a task: ``data_received`` dispatches every complete frame of the
+chunk before it returns; an oversized or undecodable frame is logged,
+counted as dropped and closes *that* connection, after what the frames
+before it were owed has been written.
 
 A framing-layer **nemesis** applies per-(src DC, dst DC) link faults —
 drop / extra delay / duplicate — on the outbound path, so the PR 2 chaos
@@ -35,9 +40,11 @@ addressed to ``@ctrl`` administer a remote transport: ``shutdown``,
 ``set_link``, ``heal``, ``ping``.
 
 ``stats`` counts logical frames — ``sent``, ``received``, ``dropped``
-(nemesis, no route, bad frame), ``duplicated`` — and what reached the
-sockets: ``writes`` and ``bytes_sent``; ``sent / writes`` is frames per
-socket write.  ``ping`` returns them.
+(nemesis, no route, bad frame), ``duplicated`` — and what crossed the
+sockets: ``writes`` / ``bytes_sent`` and ``reads`` / ``bytes_received``
+(``sent / writes`` is frames per socket write, ``received / reads``
+frames per chunk read), plus ``write_pauses``, the times a socket's send
+buffer passed its high-water mark.  ``ping`` returns them.
 
 Time here is wall-clock (``time.monotonic``), still reported in
 milliseconds so protocol timeouts keep their configured meaning.  The
@@ -79,7 +86,6 @@ _CTRL_REPLY = "@ctrl-reply"
 
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
-_READ_CHUNK = 64 * 1024
 
 #: dial retry/backoff schedule (seconds): fast first attempts for a
 #: cluster that is still starting up, then a steady 1 s cadence.
@@ -95,6 +101,67 @@ class LinkFault:
     drop_rate: float = 0.0
     extra_latency_ms: float = 0.0
     duplicate: bool = False
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP connection, dialled or accepted: the receive path, and the
+    handle ``_flush`` writes to."""
+
+    def __init__(self, owner: "AsyncioTcpTransport") -> None:
+        self._owner = owner
+        self._buffer = bytearray()
+        #: resolved once the socket is gone; ``close()`` awaits it
+        self.closed: asyncio.Future = owner._loop.create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        # what ``_flush`` and ``close()`` ask of a connection, its socket does
+        self.write, self.is_closing, self.close = (
+            transport.write, transport.is_closing, transport.close
+        )
+        self._owner._connections.add(self)
+        if self._owner._closed:  # accepted while ``close()`` was under way
+            transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        """Dispatch every complete frame of ``data`` and write out what
+        the handlers sent, in this loop iteration.  An oversized or
+        undecodable frame costs the peer this connection and nobody else
+        theirs."""
+        owner, buffer = self._owner, self._buffer
+        owner.stats["reads"] += 1
+        owner.stats["bytes_received"] += len(data)
+        buffer += data
+        start, bad_frame = 0, None
+        owner._receiving = True
+        try:
+            while len(buffer) - start >= _LEN.size:
+                (length,) = _LEN.unpack_from(buffer, start)
+                if length > _MAX_FRAME:
+                    raise TransportError(f"frame of {length} bytes exceeds limit")
+                end = start + _LEN.size + length
+                if end > len(buffer):
+                    break
+                owner._on_frame(bytes(buffer[start + _LEN.size : end]), self)
+                start = end
+            del buffer[:start]
+        except TransportError as exc:
+            bad_frame = exc
+        finally:
+            owner._receiving = False
+            if owner._flush_scheduled:
+                owner._flush()
+        if bad_frame is not None:
+            owner.stats["dropped"] += 1
+            print(f"[transport] closing a connection on a bad frame: {bad_frame}", file=sys.stderr)
+            self.close()
+
+    def pause_writing(self) -> None:
+        self._owner.stats["write_pauses"] += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # reached at EOF too: by default the loop then closes our side
+        self._owner._forget(self)
+        self.closed.set_result(None)
 
 
 class AsyncioTcpTransport(Transport):
@@ -126,21 +193,24 @@ class AsyncioTcpTransport(Transport):
         self._loop = asyncio.get_event_loop()
         self._t0 = time.monotonic()
         self._nodes: Dict[str, Node] = {}
-        #: configured peers we dialed: node_id -> writer
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
-        #: peers learned from inbound frames: node_id -> (writer, src_dc)
-        self._learned: Dict[str, Tuple[asyncio.StreamWriter, str]] = {}
+        #: every open connection, dialled or accepted
+        self._connections: set = set()
+        #: configured peers we dialed: node_id -> connection
+        self._writers: Dict[str, _Connection] = {}
+        #: peers learned from inbound frames: node_id -> (connection, src_dc)
+        self._learned: Dict[str, Tuple[_Connection, str]] = {}
         self._queues: Dict[str, Deque[bytes]] = {}
         #: frames bound for each connection since the last flush
-        self._pending: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        self._pending: Dict[_Connection, List[bytes]] = {}
         #: id(message) -> (message, serialised body) for this loop tick:
         #: holding the message keeps its id from being reused meanwhile
         self._bodies: Dict[int, Tuple[object, bytes]] = {}
         #: (src, dst) -> the frame payload either side of the body
         self._affixes: Dict[Tuple[str, str], Tuple[bytes, bytes]] = {}
         self._flush_scheduled = False
+        #: inside ``data_received``: the chunk's end is the flush trigger
+        self._receiving = False
         self._dial_tasks: Dict[str, asyncio.Task] = {}
-        self._reader_tasks: set = set()
         self._ctrl_tasks: set = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._faults: Dict[Tuple[str, str], LinkFault] = {}
@@ -151,10 +221,11 @@ class AsyncioTcpTransport(Transport):
         self._ctrl_waiters: Dict[int, asyncio.Future] = {}
         self._closed = False
         self.shutdown_requested = asyncio.Event()
-        #: logical frames, but for ``writes`` / ``bytes_sent``: what went to
-        #: the sockets (``sent / writes`` = frames per socket write)
+        #: logical frames, then what crossed the sockets (``sent / writes`` =
+        #: frames per socket write, ``received / reads`` = frames per chunk)
         self.stats = dict.fromkeys(
-            ("sent", "received", "dropped", "duplicated", "writes", "bytes_sent"), 0
+            ("sent", "received", "dropped", "duplicated", "writes", "bytes_sent",
+             "reads", "bytes_received", "write_pauses"), 0
         )
 
     # ------------------------------------------------------------------
@@ -269,31 +340,25 @@ class AsyncioTcpTransport(Transport):
         """Open the listening socket (server processes only)."""
         if self._listen is not None:
             host, port = self._listen
-            self._server = await asyncio.start_server(self._on_connection, host, port)
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self), host, port
+            )
 
     async def close(self) -> None:
-        """Graceful shutdown: stop dialing, write out what is pending,
-        close every stream."""
+        """Graceful shutdown: stop dialing and listening, write out what
+        is pending, close every connection and wait until it is gone."""
         self._closed = True
         self._flush()
-        for task in self._dial_tasks.values():
-            task.cancel()
-        for task in list(self._reader_tasks) + list(self._ctrl_tasks):
+        for task in [*self._dial_tasks.values(), *self._ctrl_tasks]:
             task.cancel()
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+        await asyncio.gather(*(connection.closed for connection in connections))
+        if self._server is not None:
             await self._server.wait_closed()
-        writers = list(self._writers.values()) + [w for w, _dc in self._learned.values()]
-        for writer in writers:
-            if not writer.is_closing():
-                writer.close()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._writers.clear()
-        self._learned.clear()
         self._queues.clear()
 
     # ------------------------------------------------------------------
@@ -361,7 +426,7 @@ class AsyncioTcpTransport(Transport):
         task.add_done_callback(self._ctrl_tasks.discard)
         return told
 
-    def _handle_ctrl(self, envelope: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
+    def _handle_ctrl(self, envelope: Dict[str, Any], connection: _Connection) -> None:
         op = envelope["msg"]
         kind = op.get("op")
         result: Dict[str, Any] = {"req_id": op.get("req_id"), "ok": True}
@@ -389,7 +454,7 @@ class AsyncioTcpTransport(Transport):
             "dst": _CTRL_REPLY,
             "msg": result,
         }
-        self._write_frame(writer, self._frame(reply))
+        self._write_frame(connection, self._frame(reply))
 
     # ------------------------------------------------------------------
     # Framing
@@ -421,25 +486,26 @@ class AsyncioTcpTransport(Transport):
         payload = affixes[0] + memo[1] + affixes[1]
         return _LEN.pack(len(payload)) + payload
 
-    def _write_frame(self, writer: asyncio.StreamWriter, frame: bytes) -> None:
-        """Queue ``frame`` for ``writer``; everything queued during this
-        loop iteration leaves in one write per connection."""
-        self._pending.setdefault(writer, []).append(frame)
+    def _write_frame(self, connection: _Connection, frame: bytes) -> None:
+        """Queue ``frame`` for ``connection``; everything queued before
+        the next flush leaves in one write per connection."""
+        self._pending.setdefault(connection, []).append(frame)
         self._schedule_flush()
 
     def _schedule_flush(self) -> None:
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self._loop.call_soon(self._flush)
+            if not self._receiving:  # else ``data_received`` flushes, at chunk end
+                self._loop.call_soon(self._flush)
 
     def _flush(self) -> None:
         self._flush_scheduled = False
         self._bodies.clear()
         pending, self._pending = self._pending, {}
-        for writer, frames in pending.items():
-            if not writer.is_closing():
+        for connection, frames in pending.items():
+            if not connection.is_closing():
                 data = b"".join(frames)
-                writer.write(data)
+                connection.write(data)
                 self.stats["writes"] += 1
                 self.stats["bytes_sent"] += len(data)
 
@@ -468,10 +534,14 @@ class AsyncioTcpTransport(Transport):
         attempt = 0
         while not self._closed:
             try:
-                reader, writer = await asyncio.open_connection(address.host, address.port)
+                # Replies from the peer come back on this same connection.
+                _socket, connection = await self._loop.create_connection(
+                    lambda: _Connection(self), address.host, address.port
+                )
             except (ConnectionError, OSError):
                 if time.monotonic() > deadline:
                     dropped = len(self._queues.pop(dst_id, ()))
+                    self.stats["dropped"] += dropped
                     print(
                         f"[transport] giving up dialing {dst_id} at "
                         f"{address.host}:{address.port} ({dropped} frames dropped)",
@@ -482,71 +552,35 @@ class AsyncioTcpTransport(Transport):
                 attempt += 1
                 await asyncio.sleep(backoff)
                 continue
-            self._writers[dst_id] = writer
-            queue = self._queues.pop(dst_id, None)
-            if queue:
-                for frame in queue:
-                    self._write_frame(writer, frame)
-                    self.stats["sent"] += 1
-            # Replies from the peer come back on this same connection.
-            task = self._loop.create_task(self._read_frames(reader, writer))
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
+            self._writers[dst_id] = connection
+            for frame in self._queues.pop(dst_id, ()):
+                self._write_frame(connection, frame)
+                self.stats["sent"] += 1
             return
 
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._read_frames(reader, writer)
+    def _forget(self, connection: _Connection) -> None:
+        """Drop every route that led down ``connection``, which is gone."""
+        self._connections.discard(connection)
+        stale = [peer for peer, (c, _dc) in self._learned.items() if c is connection]
+        for peer in stale:
+            del self._learned[peer]
+        for route in [route for route in self._affixes if route[1] in stale]:
+            del self._affixes[route]
+        for peer in [peer for peer, c in self._writers.items() if c is connection]:
+            del self._writers[peer]
 
-    async def _read_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Dispatch every complete frame of each chunk read, until the
-        peer hangs up — or sends a frame that is oversized or does not
-        decode, which costs it this connection and nobody else theirs."""
-        buffer = bytearray()
-        try:
-            while chunk := await reader.read(_READ_CHUNK):
-                buffer += chunk
-                start = 0
-                while len(buffer) - start >= _LEN.size:
-                    (length,) = _LEN.unpack_from(buffer, start)
-                    if length > _MAX_FRAME:
-                        raise TransportError(f"frame of {length} bytes exceeds limit")
-                    end = start + _LEN.size + length
-                    if end > len(buffer):
-                        break
-                    self._on_frame(bytes(buffer[start + _LEN.size : end]), writer)
-                    start = end
-                del buffer[:start]
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        except TransportError as exc:
-            self.stats["dropped"] += 1
-            print(f"[transport] closing a connection on a bad frame: {exc}", file=sys.stderr)
-        finally:
-            stale = [
-                peer for peer, (w, _dc) in self._learned.items() if w is writer
-            ]
-            for peer in stale:
-                del self._learned[peer]
-            for route in [route for route in self._affixes if route[1] in stale]:
-                del self._affixes[route]
-            writer.close()
-
-    def _on_frame(self, payload: bytes, writer: asyncio.StreamWriter) -> None:
+    def _on_frame(self, payload: bytes, connection: _Connection) -> None:
         envelope = wire.decode_frame_payload(payload)
         self.stats["received"] += 1
         src = envelope.get("src", "")
         dst = envelope.get("dst", "")
         if src and not src.startswith("ctrl-"):
-            self._learned[src] = (writer, envelope.get("src_dc", ""))
+            self._learned[src] = (connection, envelope.get("src_dc", ""))
         if dst == CTRL_DST:
-            self._handle_ctrl(envelope, writer)
+            self._handle_ctrl(envelope, connection)
             return
         if dst == _CTRL_REPLY:
             waiter = self._ctrl_waiters.get(envelope["msg"].get("req_id"))

@@ -4,8 +4,9 @@ What the protocol roles cannot see but pay for: frames bound for one
 connection in one event-loop iteration leave in one socket write, a
 message object sent to several destinations is encoded and serialised
 once, the framing nemesis decides per logical frame exactly as it did
-before writes were coalesced, and the receive loop dispatches the same
-messages however the byte stream is cut.
+before writes were coalesced, the receive path dispatches the same
+messages however the byte stream is cut, and a chunk of requests is
+answered — in one write — before ``data_received`` returns.
 """
 
 import asyncio
@@ -16,7 +17,7 @@ import struct
 import pytest
 
 from repro.core import messages
-from repro.transport import codec
+from repro.transport import codec, tcp
 from repro.transport.base import Node
 from repro.transport.tcp import AsyncioTcpTransport
 from repro.transport.topology import Topology, make_local_topology
@@ -335,11 +336,67 @@ def test_a_delayed_frame_is_written_when_its_timer_fires():
 # ----------------------------------------------------------------------
 # Receive side: the same messages however the stream is cut
 # ----------------------------------------------------------------------
-class _ClosableWriter:
-    closed = False
+class _FakeSocket:
+    """What a connection uses of its asyncio transport, which reports a
+    closed connection lost on the next tick, once."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.closing = False
+        self.written = []
+        connection.connection_made(self)
+
+    def write(self, data):
+        self.written.append(bytes(data))
+
+    def is_closing(self):
+        return self.closing
 
     def close(self):
-        self.closed = True
+        if not self.closing:
+            self.closing = True
+            asyncio.get_running_loop().call_soon(self.connection.connection_lost, None)
+
+
+class _Echo(Node):
+    """Answers every message with the same message."""
+
+    def __init__(self, transport, node_id, dc="us-west"):
+        super().__init__(transport, node_id, dc)
+        self.got = []
+
+    def on_message(self, message, src_id):
+        self.got.append((src_id, message))
+        self.transport.send(self.node_id, src_id, message)
+
+
+def _hosting(node_class):
+    """A transport hosting one ``node_class`` node, "sink", and one
+    connection to it over a fake socket: ``(transport, sink, connection,
+    socket)``.  Needs a running loop."""
+    topology = make_local_topology(items=10, ports=[7001, 7002, 7003])
+    transport = AsyncioTcpTransport(topology, local_dc="us-west")
+    sink = node_class(transport, "sink")
+    connection = tcp._Connection(transport)
+    return transport, sink, connection, _FakeSocket(connection)
+
+
+def _wire(sent, src="peer"):
+    byte_codec = codec.JsonCodec()
+    data = b""
+    for message in sent:
+        envelope = {"src": src, "src_dc": "us-west", "dst": "sink", "msg": codec.encode(message)}
+        payload = codec.encode_frame_payload(envelope, byte_codec)
+        data += struct.pack(">I", len(payload)) + payload
+    return data
+
+
+def _written(sock):
+    """The messages of each write made to ``sock``."""
+    return [
+        [codec.decode(codec.decode_frame_payload(payload)["msg"]) for payload in _frames(data)]
+        for data in sock.written
+    ]
 
 
 def _stream():
@@ -349,13 +406,7 @@ def _stream():
         messages.ReadRequest(table="items", key="k" * 300, request_id=2),
         messages.SnapshotAck(request_id=2, node_id="n", records_adopted=4, wal_cut=1),
     ]
-    byte_codec = codec.JsonCodec()
-    data = b""
-    for message in sent:
-        envelope = {"src": "peer", "src_dc": "us-west", "dst": "sink", "msg": codec.encode(message)}
-        payload = codec.encode_frame_payload(envelope, byte_codec)
-        data += struct.pack(">I", len(payload)) + payload
-    return sent, data
+    return sent, _wire(sent)
 
 
 def _cuts(data):
@@ -373,19 +424,156 @@ def test_receive_loop_dispatches_the_same_messages_however_the_stream_is_cut(cut
     sent, data = _stream()
 
     async def scenario():
-        topology = make_local_topology(items=10, ports=[7001, 7002, 7003])
-        transport = AsyncioTcpTransport(topology, local_dc="us-west")
-        sink = _Recorder(transport, "sink")
-        reader, writer = asyncio.StreamReader(), _ClosableWriter()
-        reading = asyncio.ensure_future(transport._read_frames(reader, writer))
-        for chunk in _cuts(data)[cut]:
-            reader.feed_data(chunk)
-            await asyncio.sleep(0)
-        reader.feed_eof()
-        await asyncio.wait_for(reading, 5.0)
+        transport, sink, connection, sock = _hosting(_Recorder)
+        chunks = _cuts(data)[cut]
+        for chunk in chunks:
+            connection.data_received(chunk)
+        if not connection.eof_received():  # falsy: the loop closes our side
+            sock.close()
+        await asyncio.sleep(0)
         assert [message for _src, message in sink.got] == sent
         assert transport.stats["received"] == len(sent)
-        assert writer.closed and "peer" not in transport._learned
+        assert transport.stats["reads"] == len(chunks)
+        assert transport.stats["bytes_received"] == len(data)
+        assert sock.closing and "peer" not in transport._learned
+        assert sock.written == [] and transport._connections == set()
         await transport.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# A chunk is parsed, dispatched and answered inside data_received
+# ----------------------------------------------------------------------
+def test_a_chunk_of_requests_is_answered_in_one_write_before_data_received_returns():
+    sent = [_request(i) for i in range(1, 6)]
+
+    async def scenario():
+        transport, sink, connection, sock = _hosting(_Echo)
+        connection.data_received(_wire(sent))
+        # no await since: this is the loop iteration that read the bytes
+        assert _written(sock) == [sent]
+        assert not transport._flush_scheduled and transport._bodies == {}
+        assert transport.stats["sent"] == 5 and transport.stats["writes"] == 1
+        assert transport.stats["received"] == 5 and transport.stats["reads"] == 1
+        await asyncio.sleep(0)
+        assert len(sock.written) == 1, "no deferred flush was left behind"
+        await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_bad_frame_mid_chunk_costs_the_connection_after_the_earlier_replies_left(capfd):
+    good = [_request(1), _request(2)]
+    garbage = struct.pack(">I", 10) + b"J{not json"
+
+    async def scenario():
+        transport, sink, connection, sock = _hosting(_Echo)
+        bystander = tcp._Connection(transport)
+        bystander_sock = _FakeSocket(bystander)
+        connection.data_received(_wire(good) + garbage + _wire([_request(3)]))
+        assert [message for _src, message in sink.got] == good
+        assert _written(sock) == [good], "the replies already owed still left"
+        assert transport.stats["dropped"] == 1 and transport.stats["received"] == 2
+        assert sock.closing and not bystander_sock.closing
+        assert not transport._receiving
+        bystander.data_received(_wire([_request(4)], src="other"))
+        assert _written(bystander_sock) == [[_request(4)]]
+        await transport.close()
+
+    asyncio.run(scenario())
+    assert capfd.readouterr().err.count("closing a connection on a bad frame") == 1
+
+
+def test_a_send_outside_any_receive_leaves_on_the_next_tick_in_one_write():
+    async def scenario():
+        transport, sink, connection, sock = _hosting(_Recorder)
+        connection.data_received(_wire([_request(0)]))  # "peer" is learned; no answer
+        assert sock.written == [] and not transport._flush_scheduled
+        replies = [_request(1), _request(2)]
+        for message in replies:
+            transport.send("sink", "peer", message)
+        assert sock.written == [] and transport._flush_scheduled
+        await asyncio.sleep(0)
+        assert _written(sock) == [replies]
+        assert transport._bodies == {} and not transport._flush_scheduled
+        await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_chunk_arriving_with_a_flush_already_scheduled_writes_every_frame_once():
+    async def scenario():
+        transport, sink, connection, sock = _hosting(_Echo)
+        connection.data_received(_wire([_request(0)]))
+        assert _written(sock) == [[_request(0)]]
+        transport.send("sink", "peer", _request(1))  # schedules the call_soon flush
+        assert transport._flush_scheduled and len(sock.written) == 1
+        connection.data_received(_wire([_request(2), _request(3)]))
+        assert _written(sock)[1:] == [[_request(1), _request(2), _request(3)]]
+        await asyncio.sleep(0)  # the flush scheduled earlier finds nothing
+        await asyncio.sleep(0)
+        assert len(sock.written) == 2 and not transport._flush_scheduled
+        assert transport.stats["sent"] == 4 and transport.stats["writes"] == 2
+        await transport.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_send_buffer_over_its_high_water_mark_is_counted_and_nothing_else():
+    async def scenario():
+        transport, sink, connection, sock = _hosting(_Recorder)
+        connection.data_received(_wire([_request(0)]))
+        connection.pause_writing()  # what the loop calls at the high-water mark
+        assert transport.stats["write_pauses"] == 1
+        transport.send("sink", "peer", _request(1))
+        await asyncio.sleep(0)
+        assert _written(sock) == [[_request(1)]], "count only: writes go on"
+        await transport.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# What close() and a dial give-up owe
+# ----------------------------------------------------------------------
+def _lone_sink(port):
+    return Topology.from_dict(
+        {
+            "datacenters": ["us-west"],
+            "nodes": {"sink-a": {"dc": "us-west", "host": "127.0.0.1", "port": port}},
+        }
+    )
+
+
+def test_frames_lost_to_a_dial_give_up_are_counted_as_dropped(monkeypatch, capfd):
+    monkeypatch.setattr(tcp, "_DIAL_GIVE_UP_S", 0.0)
+
+    async def scenario():
+        client = AsyncioTcpTransport(_lone_sink(_free_port()), local_dc="us-west")  # closed port
+        for i in range(3):
+            client.send("source", "sink-a", _request(i))
+        await asyncio.wait_for(client._dial_tasks["sink-a"], 5.0)
+        assert client.stats["dropped"] == 3 and client.stats["sent"] == 0
+        assert client._queues == {}
+        await client.close()
+
+    asyncio.run(scenario())
+    assert "(3 frames dropped)" in capfd.readouterr().err
+
+
+def test_close_closes_and_awaits_a_connection_that_never_sent_a_frame():
+    async def scenario():
+        port = _free_port()
+        server = AsyncioTcpTransport(
+            _lone_sink(port), local_dc="us-west", listen=("127.0.0.1", port)
+        )
+        await server.start()
+        with socket.create_connection(("127.0.0.1", port)) as probe:
+            await _until(lambda: len(server._connections) == 1)
+            await server.close()
+            probe.setblocking(False)
+            assert probe.recv(1) == b"", "EOF, by the time close() returned"
+        assert server._connections == set()
 
     asyncio.run(scenario())

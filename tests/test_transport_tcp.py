@@ -81,6 +81,9 @@ def _assert_clean_live_run(result, topology):
     # coalescing happened: fewer socket writes than logical frames
     assert 0 < frames["writes"] < frames["sent"]
     assert frames["bytes_sent"] > 0
+    # ... and every chunk read carried at least one whole frame
+    assert 0 < frames["reads"] <= frames["received"]
+    assert frames["bytes_received"] > 0
 
 
 @contextlib.contextmanager
