@@ -12,7 +12,7 @@ The package implements the full MDCC stack from scratch:
   (QW-3/QW-4) and Megastore*.
 * :mod:`repro.db` — cluster assembly and the stateless DB library clients.
 * :mod:`repro.workloads` — TPC-W, the micro-benchmark and geoshift.
-* :mod:`repro.bench` — the one run driver, reporting and `repro bench`.
+* :mod:`repro.bench` — the one run driver and result reporting.
 * :mod:`repro.api` — typed specs: the canonical way to describe a run.
 """
 

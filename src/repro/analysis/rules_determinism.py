@@ -4,8 +4,7 @@ Both PR 3 post-merge bugs were hash-salted set iteration reordering
 draws from the shared RNG — a class that is statically detectable.
 These rules run over everything that feeds the deterministic simulated
 trajectory; only the wall-clock TCP runtime (``transport/tcp.py``,
-``transport/runner.py``) and the wall-clock half of ``repro bench``
-are exempt.
+``transport/runner.py``) is exempt.
 """
 
 from __future__ import annotations
@@ -24,14 +23,6 @@ _WALLCLOCK_RUNTIME = (
     "src/repro/transport/runner.py",
 )
 
-_SET_ITER_EXCLUDE: Tuple[str, ...] = _WALLCLOCK_RUNTIME
-_WALLCLOCK_EXCLUDE: Tuple[str, ...] = _WALLCLOCK_RUNTIME + (
-    # measures wall-clock throughput by design; the deterministic
-    # "results" block is separated from the "wallclock" block in the
-    # artifact schema.
-    "src/repro/bench/perf.py",
-)
-
 #: callables whose result does not depend on iteration order — a
 #: comprehension that is the sole argument of one of these may walk a set.
 _ORDER_INSENSITIVE = frozenset(
@@ -43,7 +34,7 @@ _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter", "rever
 
 
 def _check_set_iter(project: Project) -> Iterable[Finding]:
-    files = project.in_scope(exclude=_SET_ITER_EXCLUDE)
+    files = project.in_scope(exclude=_WALLCLOCK_RUNTIME)
     attrs = astutil.set_typed_attrs(project, project.files)
     findings: List[Finding] = []
     for file in files:
@@ -160,7 +151,7 @@ def _banned(qualified: str) -> bool:
 
 def _check_wallclock(project: Project) -> Iterable[Finding]:
     findings: List[Finding] = []
-    for file in project.in_scope(exclude=_WALLCLOCK_EXCLUDE):
+    for file in project.in_scope(exclude=_WALLCLOCK_RUNTIME):
         aliases = astutil.import_aliases(file.tree)
         for node in ast.walk(file.tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):

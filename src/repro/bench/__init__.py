@@ -4,8 +4,10 @@
   and an optional fault schedule in, one :class:`RunResult` out.
 * :mod:`repro.bench.reporting` — text tables and CDF summaries comparable
   with the paper's plots, persisted under ``benchmarks/results/``.
-* :mod:`repro.bench.perf` — ``repro bench``: the deterministic
-  simulator-core performance baseline (``BENCH_sim_core.json``).
+
+Speed is measured outside the package, by ``perf/run.py``; the exact
+simulated counts of a fixed micro run are pinned by
+``tests/test_run_golden.py::test_sim_core_counts``.
 """
 
 from repro.bench.driver import RunResult, run

@@ -286,33 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--codec", choices=CODECS, default="json")
     topo.add_argument("--base-port", type=int, default=7100)
 
-    bench = sub.add_parser(
-        "bench",
-        help="deterministic simulator-core perf baseline (BENCH_sim_core.json)",
-        description="Runs a fixed micro workload on every MDCC variant and "
-        "emits simulated events/sec + commits/sec.  Byte-identical across "
-        "runs at the same seed; wall-clock numbers go to stderr only.",
-    )
-    _spec_flags(bench, "seed", seed=7)
-    bench.add_argument(
-        "--output",
-        default="BENCH_sim_core.json",
-        help="artifact path ('-' for stdout)",
-    )
-    bench.add_argument(
-        "--measure-s",
-        type=float,
-        default=None,
-        help="override the fixed measurement window (changes the artifact!)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="gate against a committed baseline JSON: exit 1 on any "
-        "deterministic drift (wall-clock numbers are advisory)",
-    )
-
     compare = sub.add_parser(
         "compare", help="run several protocols on the identical workload"
     )
@@ -672,32 +645,6 @@ def _run_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import compare_to_baseline, render_bench_json, run_bench
-
-    overrides = None
-    if args.measure_s is not None:
-        overrides = {"measure_ms": args.measure_s * 1_000.0}
-    payload = run_bench(seed=args.seed, overrides=overrides)
-    rendered = render_bench_json(payload)
-    if args.output == "-":
-        sys.stdout.write(rendered)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if args.compare is not None:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        failures = compare_to_baseline(payload, baseline)
-        if failures:
-            for failure in failures:
-                print(f"[bench-gate] FAIL {failure}", file=sys.stderr)
-            return 1
-        print(f"[bench-gate] OK — matches {args.compare}", file=sys.stderr)
-    return 0
-
-
 def _run_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_analyze
 
@@ -727,7 +674,6 @@ def _run_list(args: argparse.Namespace) -> int:
 
 _SUBCOMMANDS = {
     "analyze": _run_analyze,
-    "bench": _run_bench,
     "chaos": _run_chaos,
     "compare": _run_compare,
     "list": _run_list,

@@ -41,14 +41,6 @@ class DemarcationLimits:
     lower: Optional[float]
     upper: Optional[float]
 
-    def worst_case_ok(self, low_value: float, high_value: float) -> bool:
-        """Whether worst-case projections stay inside the window."""
-        if self.lower is not None and low_value < self.lower:
-            return False
-        if self.upper is not None and high_value > self.upper:
-            return False
-        return True
-
 
 def demarcation_limits(
     n: int,

@@ -396,11 +396,6 @@ class MasterRole:
                 return False
         return True
 
-    def _superseded(self, option: Option, committed_version: int) -> bool:
-        if option.is_commutative:
-            return False
-        return option.update.vread < committed_version
-
     def _prepare_mode_switch(self, record: RecordId, newest: MPhase1b) -> None:
         """Choose the post-recovery grant per §3.3.2 / §3.4.2.
 

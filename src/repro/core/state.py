@@ -121,12 +121,6 @@ class RecordState:
     def has_pending(self) -> bool:
         return bool(self.pending_options())
 
-    def has_pending_physical(self) -> bool:
-        """Any pending option a commutative delta cannot slide past: a
-        physical write (changes the whole record) or a read validation
-        (a delta's execution would invalidate the validated read)."""
-        return any(not option.is_commutative for option in self.pending_options())
-
     def pending_deltas(self, attribute: str) -> List[float]:
         out = []
         for option in self.pending_options():

@@ -111,9 +111,6 @@ class MDCCStorageNode(Node):
                 state.trace_hook = self._demarcation_hook(record)
         return state
 
-    def is_master_for(self, record: RecordId) -> bool:
-        return self.placement.master_node(record) == self.node_id
-
     def _demarcation_hook(self, record: RecordId):
         """Attribution at the §3.4.2 decision site (traced runs only):
         an escrow window rejecting a delta becomes a zero-duration

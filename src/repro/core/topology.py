@@ -145,13 +145,6 @@ class ReplicaMap:
     def storage_node_id(dc: str, partition: int) -> str:
         return f"store-{dc}-p{partition}"
 
-    def all_storage_node_ids(self) -> List[str]:
-        return [
-            self.storage_node_id(dc, p)
-            for dc in self.datacenters
-            for p in range(self.partitions_per_table)
-        ]
-
     def partition_of(self, table: str, key: str) -> int:
         return stable_hash(f"{table}:{key}") % self.partitions_per_table
 

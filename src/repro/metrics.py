@@ -62,17 +62,6 @@ class BoxplotStats:
     mean: float
     count: int
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "mean": self.mean,
-            "count": self.count,
-        }
-
 
 class LatencyRecorder:
     """Collects latency samples (ms) with optional timestamps.

@@ -54,7 +54,6 @@ CAPABILITY_FLAGS = (
     "supports_commutative",
     "supports_recovery",
     "supports_tcp",
-    "supports_antientropy",
 )
 
 #: Factory signature shared by both roles: positional (transport,
@@ -81,8 +80,6 @@ class Protocol:
         supports_recovery: §3.2.3 recovery agents can finish its dangling
             transactions (gates the coordinator-crash chaos fault).
         supports_tcp: the roles run over ``AsyncioTcpTransport``.
-        supports_antientropy: replicas answer ``RepairProbe``/``CatchUp``
-            so background sweeps converge them after a fault.
         single_entity_group: all data shares one partition (Megastore*).
         preferred_client_dc: pin clients to one DC when unset (the paper
             places Megastore* clients with its master in US-West).
@@ -105,7 +102,6 @@ class Protocol:
     supports_commutative: bool = False
     supports_recovery: bool = False
     supports_tcp: bool = False
-    supports_antientropy: bool = False
     single_entity_group: bool = False
     preferred_client_dc: Optional[str] = None
     chaos_schedules: Tuple[str, ...] = ()
@@ -248,7 +244,7 @@ _NETWORK_SCHEDULES = ("dc-outage", "rolling-partitions", "flaky-wan")
 _MDCC_SPANS = (
     "fast-accept",
     "phase1-takeover",
-    "phase2-drive",
+    "phase2-tally",
     "visibility-fanout",
     "recovery-escalation",
     "demarcation-check",
@@ -272,7 +268,6 @@ def _register_mdcc(name: str, variant: ProtocolVariant, summary: str) -> None:
             supports_commutative=True,
             supports_recovery=True,
             supports_tcp=True,
-            supports_antientropy=True,
             chaos_schedules=NAMED_SCHEDULES,
             trace_span_kinds=_MDCC_SPANS,
             abort_reasons=_MDCC_ABORTS,
@@ -310,7 +305,6 @@ register_protocol(
         supports_tracing=True,
         supports_serializable=True,
         supports_tcp=True,
-        supports_antientropy=True,
         chaos_schedules=_NETWORK_SCHEDULES,
         trace_span_kinds=("rc-local-prepare", "rc-paxos-vote", "rc-commit-apply"),
         abort_reasons=(*REASONS, "minority", "vote-timeout"),

@@ -303,10 +303,5 @@ class Simulator:
             self._running = False
         return future.result()
 
-    @property
-    def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) events — for tests."""
-        return len(self._queue)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.3f} queue={len(self._queue)}>"

@@ -102,9 +102,6 @@ class GeoShiftBenchmark(MicroBenchmark):
             raise ValueError("rotation unset; call populate() or pass one")
         return self.rotation[int(now // self.phase_ms) % len(self.rotation)]
 
-    def phase_index(self, now: float) -> int:
-        return int(now // self.phase_ms)
-
     def admission(self, client, rng, now: float):
         """ClientPool gate: full speed in daylight, a trickle at night."""
         if client.dc == self.active_dc(now):

@@ -413,11 +413,9 @@ class TestOneFrontDoor:
     field, and what may run is decided once, by the spec — the CLI keeps
     no default and no validator of its own beside the dataclasses'."""
 
-    #: every (subcommand, option) pair, as at the commit before the flag
-    #: table: the refactor renamed, added and removed none.
+    #: every (subcommand, option) pair the CLI offers.
     OPTIONS = {
         "analyze": "--baseline --format --root --write-baseline",
-        "bench": "--compare --measure-s --output --seed",
         "chaos": "--bucket-s --clients --events --items --master-policy --measure-s "
         "--seed --trace --variant --warmup-s --workload schedule",
         "compare": "--batch-ms --clients --fail-at-s --fail-dc --gamma-policy --hotspot "
@@ -449,9 +447,7 @@ class TestOneFrontDoor:
         ("reconfig", "victim"): "us-east",
         ("reconfig", "replacement"): "us-east-2",
         ("reconfig", "donor"): "us-west",
-        # not experiments, but their flags carry spec-field names:
-        ("bench", "seed"): 7,
-        ("bench", "measure_s"): None,  # None = keep the artifact's fixed window
+        # not an experiment, but its flags carry spec-field names:
         ("topology", "datacenters"): ("us-west", "us-east", "eu-west"),
         ("topology", "partitions_per_table"): 1,
         ("topology", "items"): 200,
@@ -477,7 +473,7 @@ class TestOneFrontDoor:
         assert {sub: " ".join(sorted(opts)) for sub, opts in found.items()} == {
             sub: " ".join(opts.split()) for sub, opts in self.OPTIONS.items()
         }
-        assert sum(len(opts) for opts in found.values()) == 106
+        assert sum(len(opts) for opts in found.values()) == 102
 
     def test_a_spec_backed_flag_takes_the_dataclass_default(self):
         defaults = {
@@ -586,3 +582,25 @@ class TestOneFrontDoor:
         with pytest.raises(_Captured):
             main(argv)
         assert built == [expected]
+
+
+def test_topology_cli_writes_file(tmp_path, capsys):
+    out = tmp_path / "topo.json"
+    code = main(
+        [
+            "topology",
+            "--out",
+            str(out),
+            "--datacenters",
+            "us-west,us-east,eu-west",
+            "--base-port",
+            "7900",
+            "--items",
+            "25",
+        ]
+    )
+    assert code == 0
+    spec = json.loads(out.read_text())
+    assert spec["datacenters"] == ["us-west", "us-east", "eu-west"]
+    assert len(spec["nodes"]) == 3
+    assert spec["workload"]["items"] == 25

@@ -74,7 +74,6 @@ class TestRegistry:
                 "supports_tracing",
                 "supports_serializable",
                 "supports_tcp",
-                "supports_antientropy",
             ),
             "2pc": ("supports_serializable",),
             "qw3": (),

@@ -22,9 +22,19 @@ times, outcome, attributes and events, plus the per-node counters), so
 instrumented code can be restructured against a fixed answer across
 commits — ``tests/test_trace.py`` and CI ``trace-smoke`` only compare
 two runs of the same tree.  The artifact must not depend on
-``PYTHONHASHSEED``; regenerate under two values and compare.
+``PYTHONHASHSEED``; regenerate under two values and compare.  The same
+nine runs check the descriptors' span vocabularies against what the
+roles actually emit.
+
+One fixed 25-simulated-second micro run per first-class variant is
+pinned a third way, by its exact counts (:data:`SIM_CORE_COUNTS`):
+commits, events, and messages sent per type.  Those are the paper's cost
+model — one wide-area round per commit (§3) — in hardware-independent
+form, so a change to the messages a commit costs reads here as a diff
+of counts.  Speed is not measured here; ``perf/run.py`` measures it.
 """
 
+import functools
 import hashlib
 import json
 
@@ -33,6 +43,7 @@ import pytest
 from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
 from repro.bench.driver import run
 from repro.cli import _traced
+from repro.protocols.base import get_protocol
 from repro.trace import build_artifact, render_artifact_json
 from repro.workloads.micro import MicroBenchmark
 
@@ -213,11 +224,120 @@ def digest(spec):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def trace_digest(scenario):
+@functools.lru_cache(maxsize=None)
+def traced(name):
+    """(protocol, artifact digest, span kinds emitted) of one traced run;
+    cached so the digest and the vocabulary tests share the run."""
+    scenario = TRACED[name]
     traced_run = scenario if callable(scenario) else lambda: run_scenario(scenario)
-    _result, tracer, registry = _traced(0, traced_run)  # as `repro trace` runs one
+    result, tracer, registry = _traced(0, traced_run)  # as `repro trace` runs one
     artifact = render_artifact_json(build_artifact(tracer, registry))
-    return hashlib.sha256(artifact.encode("utf-8")).hexdigest()
+    kinds = frozenset(span.kind for span in tracer.spans)
+    return result.protocol, hashlib.sha256(artifact.encode("utf-8")).hexdigest(), kinds
+
+
+#: micro buys as ``perf/run.py``'s ``sim_micro_fast`` shapes them (20
+#: clients, 500 items, stock 500-1000), 5 s warm-up + 20 s measured at
+#: seed 7, on each first-class variant.
+SIM_CORE_COUNTS = {
+    "mdcc": {
+        "commits": 1895,
+        "aborts": 0,
+        "events": 141856,
+        "sim_ms": 35000.0,
+        "sent": 122604,
+        "delivered": 122604,
+        "dropped": 0,
+        "per_type": {
+            "FastReply": 36060,
+            "ProposeFast": 36060,
+            "ReadReply": 7212,
+            "ReadRequest": 7212,
+            "Visibility": 36060,
+        },
+    },
+    "fast": {
+        "commits": 920,
+        "aborts": 408,
+        "events": 113549,
+        "sim_ms": 35000.0,
+        "sent": 98886,
+        "delivered": 98886,
+        "dropped": 0,
+        "per_type": {
+            "FastReply": 22061,
+            "MPhase1a": 650,
+            "MPhase1b": 650,
+            "MPhase2a": 4405,
+            "MPhase2b": 4405,
+            "OptionOutcome": 1657,
+            "ProposeClassic": 3499,
+            "ProposeFast": 25560,
+            "ReadReply": 5112,
+            "ReadRequest": 5112,
+            "StartRecovery": 215,
+            "Visibility": 25560,
+        },
+    },
+    "multi": {
+        "commits": 746,
+        "aborts": 279,
+        "events": 91463,
+        "sim_ms": 35000.0,
+        "sent": 76781,
+        "delivered": 76781,
+        "dropped": 0,
+        "per_type": {
+            "CatchUp": 15,
+            "MPhase2a": 20590,
+            "MPhase2b": 20590,
+            "OptionOutcome": 3954,
+            "ProposeClassic": 3954,
+            "ReadReply": 3954,
+            "ReadRequest": 3954,
+            "Visibility": 19770,
+        },
+    },
+    "repcommit": {
+        "commits": 587,
+        "aborts": 142,
+        "events": 92728,
+        "sim_ms": 35000.0,
+        "sent": 85140,
+        "delivered": 85140,
+        "dropped": 0,
+        "per_type": {
+            "RcApply": 14190,
+            "RcCommitRequest": 4730,
+            "RcDecision": 4730,
+            "RcPrepare": 14190,
+            "RcPrepareReply": 14190,
+            "RcVote": 4730,
+            "ReadReply": 14190,
+            "ReadRequest": 14190,
+        },
+    },
+}
+
+
+def sim_core_counts(protocol):
+    cluster = build_cluster(
+        ClusterSpec(protocol=protocol, seed=7, partitions_per_table=2)
+    )
+    stats, _pool = MicroBenchmark(num_items=500, min_stock=500, max_stock=1000).run(
+        cluster, num_clients=20, warmup_ms=5_000.0, measure_ms=20_000.0
+    )
+    net = cluster.network.stats
+    return {
+        "commits": stats.commits,
+        "aborts": stats.aborts,
+        "events": cluster.sim.events_processed,
+        "sim_ms": cluster.sim.now,
+        "sent": net.messages_sent,
+        "delivered": net.messages_delivered,
+        "dropped": net.messages_dropped,
+        "per_type": dict(sorted(net.per_type.items())),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -227,13 +347,37 @@ def test_golden_trajectory(name):
 
 @pytest.mark.parametrize("name", sorted(TRACED))
 def test_golden_trace_artifact(name):
-    assert trace_digest(TRACED[name]) == TRACE_DIGESTS[name]
+    assert traced(name)[1] == TRACE_DIGESTS[name]
 
 
-if __name__ == "__main__":  # regenerate the pinned digests
+def test_traced_runs_emit_only_their_declared_span_kinds():
+    """Each run's span kinds (bar the ``transaction`` root) are in its
+    protocol's ``trace_span_kinds``; the eight MDCC-variant runs between
+    them emit the whole MDCC vocabulary, so no declared kind is dead."""
+    mdcc_emitted = set()
+    for name in sorted(TRACED):
+        protocol, _digest, kinds = traced(name)
+        descriptor = get_protocol(protocol)
+        kinds = kinds - {"transaction"}
+        undeclared = kinds - set(descriptor.trace_span_kinds)
+        assert not undeclared, (name, sorted(undeclared))
+        if descriptor.variant is not None:
+            mdcc_emitted |= kinds
+    assert mdcc_emitted == set(get_protocol("mdcc").trace_span_kinds)
+
+
+@pytest.mark.parametrize("protocol", list(SIM_CORE_COUNTS))
+def test_sim_core_counts(protocol):
+    assert sim_core_counts(protocol) == SIM_CORE_COUNTS[protocol]
+
+
+if __name__ == "__main__":  # regenerate the pinned digests and counts
     print("DIGESTS")
     for spec_name in SPECS:
         print(f'    "{spec_name}": "{digest(SPECS[spec_name])}",')
     print("TRACE_DIGESTS")
     for run_name in TRACED:
-        print(f'    "{run_name}": "{trace_digest(TRACED[run_name])}",')
+        print(f'    "{run_name}": "{traced(run_name)[1]}",')
+    print("SIM_CORE_COUNTS")
+    for protocol in SIM_CORE_COUNTS:
+        print(f'    "{protocol}": {sim_core_counts(protocol)!r},')
