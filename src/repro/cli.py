@@ -623,8 +623,7 @@ def _run_tcp(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.transport.runner import serve_node
 
-    _load_topology(args.topology)
-    return serve_node(args.topology, args.node)
+    return serve_node(_load_topology(args.topology), args.node)
 
 
 def _run_topology(args: argparse.Namespace) -> int:

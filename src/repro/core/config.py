@@ -74,7 +74,9 @@ class MDCCConfig:
         visibility_batch_ms: buffer visibility notifications per destination
             for this long and ship them as one
             :class:`~repro.core.messages.VisibilityBatch` (§7's "batching
-            techniques that reduce the message overhead"; 0 disables).
+            techniques that reduce the message overhead"), across
+            transactions.  0, the default, batches within a transaction
+            only: one message per replica set, sent at once.
             Visibilities are off the commit critical path, so batching
             trades a bounded visibility delay for fewer wide-area messages.
     """

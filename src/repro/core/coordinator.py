@@ -3,8 +3,9 @@
 The DB library is stateless; its commit logic lives here.  A coordinator
 
 1. sends proposals for every update in the transaction's write-set —
-   directly to the storage nodes in fast ballots, or to the record's
-   master in classic ballots (``SendProposal``, lines 9-13);
+   directly to the storage nodes in fast ballots, one message per replica
+   set carrying every option whose record it replicates, or to the
+   record's master in classic ballots (``SendProposal``, lines 9-13);
 2. learns each option: a fast quorum of matching acceptor decisions, or an
    ``OptionOutcome`` from the master after a collision (``Learn``, lines
    14-26);
@@ -12,7 +13,8 @@ The DB library is stateless; its commit logic lives here.  A coordinator
    fully determined by the learned options (§3.2.1), which is what makes
    single-round-trip commits safe;
 4. commits iff every option is learned accepted, then asynchronously sends
-   ``Visibility`` messages to execute the options (lines 5-8).
+   ``Visibility`` messages to execute the options (lines 5-8), grouped per
+   replica set the same way.
 
 Collisions (no fast quorum can agree) and timeouts escalate to the master
 via ``StartRecovery``; rejected *commutative* options additionally trigger
@@ -23,14 +25,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MDCCConfig
 from repro.core.messages import (
     FastReply,
+    FastReplyBatch,
     OptionOutcome,
     ProposeClassic,
     ProposeFast,
+    ProposeFastBatch,
     ReadReply,
     ReadRequest,
     StartRecovery,
@@ -155,6 +159,17 @@ class _TxState:
     recovery_round: int = 0
     recovery_sent: Dict[str, int] = field(default_factory=dict)
     finished: bool = False
+
+
+def _by_replica_set(
+    options: Iterable[Option], replicas_of: Callable[[RecordId], Sequence[str]]
+) -> Dict[Tuple[str, ...], List[Option]]:
+    """A transaction's options grouped by the replica set of their record,
+    in first-seen order: the unit one fast-path message goes to."""
+    groups: Dict[Tuple[str, ...], List[Option]] = {}
+    for option in options:
+        groups.setdefault(tuple(replicas_of(option.record)), []).append(option)
+    return groups
 
 
 class MDCCCoordinator(Node):
@@ -292,30 +307,41 @@ class MDCCCoordinator(Node):
                 txid, self.node_id, self.now, records=len(records)
             )
         with trace_runtime.under(root):
-            for option in options.values():
-                self._propose(tx, option)
+            if self._fast_ballots:
+                self._propose_fast(tx)
+            else:
+                for option in options.values():
+                    self._propose_classic(tx, option)
         self.set_timer(self.config.learn_timeout_ms, self._learn_timeout, txid)
         self.counters.increment("coordinator.transactions")
         return future
 
-    def _propose(self, tx: _TxState, option: Option) -> None:
-        if self._fast_ballots:
-            replicas = self.placement.replicas(option.record)
-            message = ProposeFast(
-                option=option, reply_to=self.node_id, epoch=self.placement.epoch
-            )
-            self.broadcast(replicas, message)
-            self.counters.increment("coordinator.fast_proposals")
-        else:
-            master = self.placement.master_node(option.record)
-            self.send(master, ProposeClassic(option=option, reply_to=self.node_id))
-            tx.learned_via_master = True
-            self.counters.increment("coordinator.classic_proposals")
-            # Figure-7 locality observability: was the master local to us?
-            if self.placement.master_dc(option.record) == self.dc:
-                self.counters.increment("coordinator.local_master_proposals")
+    def _propose_fast(self, tx: _TxState) -> None:
+        """One message per replica set: the set's options batched, a lone
+        option bare."""
+        epoch = self.placement.epoch
+        for replicas, options in _by_replica_set(
+            tx.options.values(), self.placement.replicas
+        ).items():
+            if len(options) == 1:
+                message = ProposeFast(option=options[0], reply_to=self.node_id, epoch=epoch)
             else:
-                self.counters.increment("coordinator.remote_master_proposals")
+                message = ProposeFastBatch(
+                    options=tuple(options), reply_to=self.node_id, epoch=epoch
+                )
+            self.broadcast(replicas, message)
+        self.counters.increment("coordinator.fast_proposals", amount=len(tx.options))
+
+    def _propose_classic(self, tx: _TxState, option: Option) -> None:
+        master = self.placement.master_node(option.record)
+        self.send(master, ProposeClassic(option=option, reply_to=self.node_id))
+        tx.learned_via_master = True
+        self.counters.increment("coordinator.classic_proposals")
+        # Figure-7 locality observability: was the master local to us?
+        if self.placement.master_dc(option.record) == self.dc:
+            self.counters.increment("coordinator.local_master_proposals")
+        else:
+            self.counters.increment("coordinator.remote_master_proposals")
 
     # ------------------------------------------------------------------
     # Learning (Algorithm 1, Learn)
@@ -367,6 +393,10 @@ class MDCCCoordinator(Node):
         ) and spec.fast_unreachable(rejected, len(tally)):
             # Neither outcome can reach a fast quorum: a collision.
             self._escalate(tx, message.option_id, "collision")
+
+    def handle_fast_reply_batch(self, message: FastReplyBatch, src_id: str) -> None:
+        for reply in message.replies:
+            self.handle_fast_reply(reply, src_id)
 
     def handle_option_outcome(self, message: OptionOutcome, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
@@ -467,13 +497,16 @@ class MDCCCoordinator(Node):
                 committed=committed,
             )
         with trace_runtime.under(fanout):
-            for option in tx.options.values():
-                visibility = Visibility(option=option, committed=committed)
-                # Repair scope, not quorum scope: joining replicas receive
-                # visibilities too, so a bootstrapping DC tracks live commits
-                # instead of deferring everything to the catch-up sweeps.
-                for replica in self.placement.replicas_for_repair(option.record):
-                    self._send_visibility(replica, visibility)
+            # Repair scope, not quorum scope: joining replicas receive
+            # visibilities too, so a bootstrapping DC tracks live commits
+            # instead of deferring everything to the catch-up sweeps.
+            for replicas, options in _by_replica_set(
+                tx.options.values(), self.placement.replicas_for_repair
+            ).items():
+                self._send_visibilities(
+                    replicas,
+                    [Visibility(option=option, committed=committed) for option in options],
+                )
         if fanout is not None:
             fanout.finish(self.now, "sent")
             if root is not None:
@@ -501,11 +534,20 @@ class MDCCCoordinator(Node):
     # ------------------------------------------------------------------
     # Visibility batching (§7's message-overhead reduction)
     # ------------------------------------------------------------------
-    def _send_visibility(self, replica: str, visibility: Visibility) -> None:
+    def _send_visibilities(
+        self, replicas: Tuple[str, ...], visibilities: List[Visibility]
+    ) -> None:
+        """One transaction's visibilities for one replica set: one message
+        now, or — with a batching window — buffered per destination with
+        other transactions' until the window closes."""
         if self.config.visibility_batch_ms <= 0:
-            self.send(replica, visibility)
+            if len(visibilities) == 1:
+                self.broadcast(replicas, visibilities[0])
+            else:
+                self.broadcast(replicas, VisibilityBatch(visibilities=tuple(visibilities)))
             return
-        self._visibility_buffer.setdefault(replica, []).append(visibility)
+        for replica in replicas:
+            self._visibility_buffer.setdefault(replica, []).extend(visibilities)
         if not self._visibility_flush_scheduled:
             self._visibility_flush_scheduled = True
             self.set_timer(self.config.visibility_batch_ms, self._flush_visibilities)

@@ -51,7 +51,7 @@ class _MasterRecordState:
     ballot: Optional[Ballot] = None          # established classic ballot
     established: bool = False
     round_counter: int = 0                   # for unique ballot generation
-    phase: str = "idle"                      # idle | phase1 | phase2
+    phase: str = "idle"                      # idle | phase1 | phase2 | backoff
     recovery_reason: Optional[str] = None
     phase1_replies: Dict[str, MPhase1b] = field(default_factory=dict)
     phase2_replies: Dict[str, MPhase2b] = field(default_factory=dict)
@@ -244,9 +244,7 @@ class MasterRole:
         if not message.granted:
             if self._abdicate_if_deposed(message.record, message.promised):
                 return
-            # Nacked: leapfrog past the competing ballot.
-            ms.round_counter = max(ms.round_counter, message.promised.round)
-            self._start_phase1(message.record)
+            self._preempted(message.record, message.promised)
             return
         ms.phase1_replies[src_id] = message
         if len(ms.phase1_replies) < self.placement.quorums().classic_size:
@@ -314,16 +312,20 @@ class MasterRole:
 
         * rejected flags are never flipped to accepted — a learner may
           already have acted on the rejection;
-        * ACCEPTED options behind the authoritative committed version are
-          *committed history* (their visibility executed somewhere): they
+        * ACCEPTED options behind the authoritative committed version that
+          the authoritative replica applied are *committed history*: they
           keep their flag and stay in the cstruct so replicas that have
           not executed them yet keep them pending.  Flipping or dropping
-          them would reopen their version slot on lagging replicas.
+          them would reopen their version slot on lagging replicas.  A
+          write it did not apply lost its slot to another write, so a
+          lagging replica's ACCEPTED vote for it is re-validated (and
+          rejected) like any other.
         """
         schema = self.node.store.schema(record.table)
         version = newest.committed_version
         value: Dict[str, object] = dict(newest.committed_value or {})
         exists = newest.committed_value is not None
+        applied = frozenset(newest.applied_ids)
         pending_any = False
         pending_deltas: Dict[str, List[float]] = {}
         out: List[Option] = []
@@ -350,8 +352,15 @@ class MasterRole:
                     out.append(option.with_status(OptionStatus.REJECTED))
                 continue
             update = option.update
-            if option.status is OptionStatus.ACCEPTED and update.vread < version:
-                # Committed history: already executed into `version`.
+            if (
+                option.status is OptionStatus.ACCEPTED
+                and update.vread < version
+                and (option.is_validation or option.option_id in applied)
+            ):
+                # Committed history: already executed into `version`.  A
+                # write behind `version` that the authoritative replica
+                # never applied was not chosen — another write took its
+                # slot — whatever a lagging replica voted for it.
                 out.append(option)
                 continue
             valid = update.vread == version and not pending_any and not any(
@@ -459,6 +468,25 @@ class MasterRole:
         }
         return base or None
 
+    def _preempted(self, record: RecordId, promised: Optional[Ballot]) -> None:
+        """A replica refused our ballot for ``promised``: leapfrog it with
+        a new Phase 1.  When ``promised`` is another master's, first pause
+        for a staggered interval — two masters that re-ran Phase 1 on every
+        refusal would pre-empt each other indefinitely."""
+        ms = self._state(record)
+        ms.established = False
+        if promised is not None:
+            ms.round_counter = max(ms.round_counter, promised.round)
+        if promised is None or promised.proposer in ("", self.node.node_id):
+            self._start_phase1(record)
+            return
+        ms.phase = "backoff"
+        self.node.set_timer(self._stagger(ms.round_counter + 13), self._end_backoff, record)
+
+    def _end_backoff(self, record: RecordId) -> None:
+        if self._state(record).phase == "backoff":
+            self._start_phase1(record)
+
     def _phase1_timeout(self, record: RecordId, ballot: Ballot) -> None:
         ms = self._state(record)
         if ms.phase == "phase1" and ms.ballot == ballot:
@@ -528,6 +556,9 @@ class MasterRole:
             post_grant=ms.pending_post_grant,
             new_base=ms.pending_new_base,
             epoch=ms.round_epoch,
+            committed_version=max(
+                self._local_version(record), *ms.replica_versions.values(), 0
+            ),
         )
         if span is not None:
             span.attrs["options"] = sum(1 for _ in cstruct)
@@ -564,9 +595,7 @@ class MasterRole:
                 message.record, message.promised
             ):
                 return
-            # Pre-empted by a higher ballot: restart from Phase 1.
-            ms.established = False
-            self._start_phase1(message.record)
+            self._preempted(message.record, message.promised)
             return
         ms.phase2_replies[src_id] = message
         self._try_decide_phase2(message.record)

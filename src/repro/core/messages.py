@@ -5,8 +5,16 @@ Visibility, StartRecovery (Algorithms 1-3).  Fast-path proposals go
 straight to the acceptors (ProposeFast); classic-path proposals go to the
 record's master (ProposeClassic).  All messages are immutable dataclasses.
 
+The fast path travels one message per (transaction, replica set): a
+transaction's options whose records share a replica set go out as one
+ProposeFastBatch, are answered with one FastReplyBatch and made visible
+with one VisibilityBatch; a lone option travels as the bare
+ProposeFast / FastReply / Visibility.  Each option remains its own
+record's Paxos instance — only the transport unit is grouped.
+
 Epoch fencing (elastic membership): every message that creates or
-carries a *quorum vote* — ProposeFast/FastReply on the fast path,
+carries a *quorum vote* — ProposeFast/FastReply (and their batches) on
+the fast path,
 MPhase1a/1b and MPhase2a/2b on the classic path — is stamped with the
 sender's membership epoch.  Receivers drop messages from a stale epoch,
 so no vote cast under one data-center configuration can count toward a
@@ -22,7 +30,7 @@ reconfiguration converge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.options import Option, OptionStatus, RecordId, Update
 from repro.paxos.ballot import Ballot, BallotRange
@@ -31,6 +39,7 @@ from repro.paxos.cstruct import CStruct
 __all__ = [
     "CatchUp",
     "FastReply",
+    "FastReplyBatch",
     "MPhase1a",
     "MPhase1b",
     "MPhase2a",
@@ -39,6 +48,7 @@ __all__ = [
     "OptionOutcome",
     "ProposeClassic",
     "ProposeFast",
+    "ProposeFastBatch",
     "RcApply",
     "RcCommitRequest",
     "RcDecision",
@@ -74,21 +84,62 @@ class ProposeFast:
 
 @dataclass(frozen=True, slots=True)
 class FastReply:
-    """Acceptor → learner: the option's locally decided status (Phase2b).
-
-    Carries the acceptor's committed version so learners can spot laggards,
-    and the era's fast/classic mode + master hint so coordinators can keep
-    their routing cache fresh.
-    """
+    """Acceptor → learner: the option's locally decided status (Phase2b)."""
 
     option_id: str
     txid: str
-    record: RecordId
     status: OptionStatus
-    committed_version: int
-    is_fast_era: bool
-    master_hint: str
     epoch: int = 0  # acceptor's membership epoch (fenced by the learner)
+
+
+def _one_txid(txids: Iterable[str]) -> str:
+    """The transaction every item of a fast-path batch belongs to."""
+    distinct = set(txids)
+    if len(distinct) != 1:
+        raise ValueError(
+            f"a batch carries exactly one transaction's items, got {sorted(distinct)}"
+        )
+    return distinct.pop()
+
+
+@dataclass(frozen=True, slots=True)
+class ProposeFastBatch:
+    """Coordinator → one replica set: every option of one transaction
+    whose record that set replicates, in one message.
+
+    Only the transport unit changes: each option is still its own
+    record's Paxos instance (§3.1), and an acceptor decides, logs and
+    epoch-fences it exactly as it would the :class:`ProposeFast` carrying
+    it alone.  A transaction with one option for a replica set sends that
+    bare :class:`ProposeFast` instead.
+    """
+
+    options: Tuple[Option, ...]
+    reply_to: str  # learner node id (the coordinating app-server)
+    epoch: int = 0  # sender's membership epoch (fenced per option)
+
+    def __post_init__(self) -> None:
+        _one_txid(option.txid for option in self.options)
+
+    @property
+    def txid(self) -> str:
+        return self.options[0].txid
+
+
+@dataclass(frozen=True, slots=True)
+class FastReplyBatch:
+    """Acceptor → learner: its votes on the options of one
+    :class:`ProposeFastBatch`, each tallied as the lone :class:`FastReply`
+    it stands for."""
+
+    replies: Tuple[FastReply, ...]
+
+    def __post_init__(self) -> None:
+        _one_txid(reply.txid for reply in self.replies)
+
+    @property
+    def txid(self) -> str:
+        return self.replies[0].txid
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +191,9 @@ class MPhase2a:
     ``post_grant`` optionally re-programs the record's mode after adoption:
     a classic range for the next γ instances after a physical collision, or
     a fresh fast ballot (with ``new_base`` demarcation values) after a
-    commutative base refresh (§3.4.2).
+    commutative base refresh (§3.4.2).  ``committed_version`` is the newest
+    committed version the master knows of: a replica behind it cannot
+    judge a write's read version and abstains on it.
     """
 
     record: RecordId
@@ -149,6 +202,7 @@ class MPhase2a:
     post_grant: Optional[BallotRange] = None
     new_base: Optional[Dict[str, float]] = None
     epoch: int = 0
+    committed_version: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,15 +287,16 @@ class Visibility:
 
 @dataclass(frozen=True, slots=True)
 class VisibilityBatch:
-    """Coordinator → one acceptor: several visibilities in one message.
+    """Coordinator → acceptors: several visibilities in one message.
 
     The §7 future-work optimization — "batching techniques that reduce the
-    message overhead".  Visibility notifications are off the commit's
-    critical path ("the Learned message ... can be asynchronous, but does
-    not influence the correctness"), so a coordinator may buffer them
-    briefly and ship one message per destination instead of one per
-    option.  Semantics are identical to delivering each
-    :class:`Visibility` in order.
+    message overhead".  A coordinator always sends a transaction's
+    visibilities for one replica set as one batch; with a batching window
+    (``MDCCConfig.visibility_batch_ms``) it also buffers them briefly —
+    they are off the commit's critical path ("the Learned message ... can
+    be asynchronous, but does not influence the correctness") — and ships
+    one message per destination across transactions.  Semantics are
+    identical to delivering each :class:`Visibility` in order.
     """
 
     visibilities: Tuple[Visibility, ...]

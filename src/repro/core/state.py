@@ -102,6 +102,15 @@ class RecordState:
     def is_fast(self) -> bool:
         return self.effective_ballot().fast
 
+    def promised_ballot(self) -> Ballot:
+        """The lowest ballot this replica may still vote in: the effective
+        ballot, or the ballot it last accepted a cstruct at when that is
+        higher — accepting at a ballot promises it, also for a stable
+        master that skipped Phase 1 and so was never granted a range."""
+        effective = self.effective_ballot()
+        accepted = self.accepted_ballot
+        return accepted if accepted is not None and accepted > effective else effective
+
     # ------------------------------------------------------------------
     # Pending bookkeeping
     # ------------------------------------------------------------------
@@ -133,13 +142,16 @@ class RecordState:
     # ------------------------------------------------------------------
     # SetCompatible (Algorithm 3, lines 83-99)
     # ------------------------------------------------------------------
-    def decide(self, option: Option, classic_mode: bool = False) -> OptionStatus:
+    def decide(
+        self, option: Option, classic_mode: bool = False, committed_version: int = 0
+    ) -> OptionStatus:
         """The active accept/reject decision for a newly proposed option.
 
         ``classic_mode`` relaxes the demarcation slack to plain escrow: in
         a classic ballot the chosen cstruct requires identical votes from a
         classic quorum, so local-order divergence — the reason demarcation
-        exists — cannot occur.
+        exists — cannot occur.  ``committed_version`` is the newest version
+        the classic round's master knows to be committed.
         """
         if option.option_id in self.executed:
             return OptionStatus.ACCEPTED  # idempotent re-delivery
@@ -147,6 +159,15 @@ class RecordState:
             return OptionStatus.REJECTED
         if isinstance(option.update, CommutativeUpdate):
             return self._decide_commutative(option.update, classic_mode)
+        if classic_mode and self.record.current_version < max(
+            option.update.vread, committed_version
+        ):
+            # A replica behind the read version, or behind what is known
+            # committed, cannot judge the read: a stale verdict would split
+            # the classic ballot's votes (a later Phase 1 could not tell
+            # which status it chose) or accept a write whose slot is gone.
+            # Abstain; the replicas that are up to date decide the round.
+            return OptionStatus.PENDING
         if isinstance(option.update, ReadValidation):
             return self._decide_validation(option.update)
         return self._decide_physical(option.update)
@@ -238,12 +259,19 @@ class RecordState:
             self.accepted_ballot = effective
         return decided
 
-    def adopt(self, proposed: CStruct, ballot: Ballot, classic_mode: bool = True) -> CStruct:
+    def adopt(
+        self,
+        proposed: CStruct,
+        ballot: Ballot,
+        classic_mode: bool = True,
+        committed_version: int = 0,
+    ) -> CStruct:
         """Phase2bClassic (lines 72-77): vala ← v, then SetCompatible.
 
         Options arriving with a decided status keep it (the master's
-        arbitration is authoritative); PENDING options are decided locally;
-        options this replica already executed stay executed.
+        arbitration is authoritative); PENDING options are decided locally
+        (see :meth:`decide` for ``committed_version``); options this
+        replica already executed stay executed.
 
         Decisions are made *incrementally*: each PENDING option is
         validated against the partially adopted cstruct, so two conflicting
@@ -265,7 +293,9 @@ class RecordState:
                 # Abort-visibility already applied: final, never resurrected.
                 decided = option.with_status(OptionStatus.REJECTED)
             elif option.status is OptionStatus.PENDING:
-                decided = option.with_status(self.decide(option, classic_mode))
+                decided = option.with_status(
+                    self.decide(option, classic_mode, committed_version)
+                )
             else:
                 decided = option
             cstruct = cstruct.append(decided)

@@ -10,10 +10,13 @@ Handlers map one-to-one onto Algorithm 3's ``ReceiveAcceptorMessage``:
 * ``ProposeFast``   → Phase2bFast (lines 78-82): decide & append in the
   current fast ballot, reply to the proposing learner.  In a classic era
   the proposal is *forwarded* to the record's master instead — this is how
-  coordinators with stale mode hints are transparently redirected.
+  coordinators with stale mode hints are transparently redirected.  A
+  ``ProposeFastBatch`` runs the same step per option and answers with one
+  ``FastReplyBatch``.
 * ``MPhase1a``      → Phase1b (lines 68-71).
 * ``MPhase2a``      → Phase2bClassic (lines 72-77).
-* ``Visibility``    → ApplyVisibility (lines 100-103).
+* ``Visibility``    → ApplyVisibility (lines 100-103), per item of a
+  ``VisibilityBatch``.
 * ``ReadRequest``   → committed-state read with mode/master hints.
 * ``StatusRequest`` → dangling-transaction reconstruction (§3.2.3).
 """
@@ -27,12 +30,14 @@ from repro.core.master import MasterRole
 from repro.core.messages import (
     CatchUp,
     FastReply,
+    FastReplyBatch,
     MPhase1a,
     MPhase1b,
     MPhase2a,
     MPhase2b,
     ProposeClassic,
     ProposeFast,
+    ProposeFastBatch,
     ReadReply,
     ReadRequest,
     RepairProbe,
@@ -87,10 +92,28 @@ class MDCCStorageNode(Node):
         #: in-flight snapshot-bootstrap streams this (joining) node receives:
         #: request_id -> {"seqs", "total", "adopted", "wal_cut", "reply_to"}.
         self._bootstrap_streams: Dict[int, Dict[str, object]] = {}
+        #: a joining node's records -> the version each was at when its DC
+        #: was admitted.  The old configuration may have chosen a value in
+        #: those open instances without this node, so its votes there are
+        #: uninformed: a Phase 1 must not read them as the votes of a
+        #: member that saw the instance (until a classic round informs it).
+        self._uninformed: Dict[RecordId, int] = {}
+        self._awaiting_admission = (
+            placement.membership is not None and dc in placement.joining_datacenters
+        )
+        if self._awaiting_admission:
+            placement.membership.on_resize.append(self._on_resize)
 
     # ------------------------------------------------------------------
     # State access
     # ------------------------------------------------------------------
+    def _on_resize(self) -> None:
+        if self._awaiting_admission and self.dc in self.placement.datacenters:
+            self._awaiting_admission = False
+            self._uninformed = {
+                record: state.version for record, state in self._states.items()
+            }
+
     def fence_stale(self, message_epoch: int) -> bool:
         """True (and counted) when a message predates the current epoch."""
         if message_epoch < self.placement.epoch:
@@ -136,7 +159,27 @@ class MDCCStorageNode(Node):
     # Fast path
     # ------------------------------------------------------------------
     def handle_propose_fast(self, message: ProposeFast, src_id: str) -> None:
-        if self.fence_stale(message.epoch):
+        reply = self._accept(message.option, message.reply_to, message.epoch)
+        if reply is not None:
+            self.send(message.reply_to, reply)
+
+    def handle_propose_fast_batch(self, message: ProposeFastBatch, src_id: str) -> None:
+        """One transaction's options for this replica set: each decided as
+        its own proposal, the votes answered in one message."""
+        replies = []
+        for option in message.options:
+            reply = self._accept(option, message.reply_to, message.epoch)
+            if reply is not None:
+                replies.append(reply)
+        if len(replies) == 1:
+            self.send(message.reply_to, replies[0])
+        elif replies:
+            self.send(message.reply_to, FastReplyBatch(replies=tuple(replies)))
+
+    def _accept(self, option: Option, reply_to: str, epoch: int) -> Optional[FastReply]:
+        """Phase2bFast for one option proposed under ``epoch``: the vote to
+        send ``reply_to``, or None when there is none to send."""
+        if self.fence_stale(epoch):
             # Proposed under an old configuration: accepting it would cast
             # a vote that could complete a quorum of the wrong size.  The
             # coordinator's learn timeout re-drives under the new epoch.
@@ -148,21 +191,20 @@ class MDCCStorageNode(Node):
                         self.node_id,
                         self.now,
                         parent=ctx,
-                        txid=message.option.txid,
-                        epoch=message.epoch,
+                        txid=option.txid,
+                        epoch=epoch,
                     )
                     span.finish(self.now, "stale-epoch")
-            return
-        option = message.option
+            return None
         state = self.record_state(option.record)
         if not state.is_fast or not self._fast_ballots:
             # Classic era: redirect to the master (dedup happens there).
             self.counters.increment("acceptor.forwarded_to_master")
             self.send(
                 self.placement.master_node(option.record),
-                ProposeClassic(option=option, reply_to=message.reply_to),
+                ProposeClassic(option=option, reply_to=reply_to),
             )
-            return
+            return None
         # Quorum sizes feed the escrow/demarcation windows the decision
         # below consults: decide under the current epoch's sizes.
         state.spec = self.placement.quorums()
@@ -176,38 +218,31 @@ class MDCCStorageNode(Node):
                 txid=option.txid,
                 record=f"{option.record.table}/{option.record.key}",
                 ballot=repr(state.effective_ballot()),
-                epoch=message.epoch,
+                epoch=epoch,
             )
         # Inside the span, so a demarcation rejection stitches beneath it.
         with trace_runtime.under(span):
             decided = state.accept_fast(option)
-            self._option_log[option.option_id] = decided
-            self.wal.append(
-                "option-learned",
-                option_id=decided.option_id,
-                txid=decided.txid,
-                status=decided.status.value,
-                writeset=[r._str for r in decided.writeset],
-            )
-            self.counters.increment("acceptor.fast_proposals")
-            self.send(
-                message.reply_to,
-                FastReply(
-                    option_id=decided.option_id,
-                    txid=decided.txid,
-                    record=decided.record,
-                    status=decided.status,
-                    committed_version=state.version,
-                    is_fast_era=True,
-                    master_hint=self.placement.master_node(option.record),
-                    epoch=self.placement.epoch,
-                ),
-            )
+        self._option_log[option.option_id] = decided
+        self.wal.append(
+            "option-learned",
+            option_id=decided.option_id,
+            txid=decided.txid,
+            status=decided.status.value,
+            writeset=[r._str for r in decided.writeset],
+        )
+        self.counters.increment("acceptor.fast_proposals")
         if span is not None:
             span.finish(
                 self.now,
                 "accepted" if decided.status is OptionStatus.ACCEPTED else "rejected",
             )
+        return FastReply(
+            option_id=decided.option_id,
+            txid=decided.txid,
+            status=decided.status,
+            epoch=self.placement.epoch,
+        )
 
     # ------------------------------------------------------------------
     # Classic path (acceptor side)
@@ -219,17 +254,24 @@ class MDCCStorageNode(Node):
             # Phase-1 timeout restarts the round under the new epoch.
             return
         state = self.record_state(message.record)
-        granted = state.mastership.grant(message.grant)
+        # Never promise below a ballot already accepted at: a lower-ballot
+        # master would take the instance over without seeing that vote.
+        accepted = state.accepted_ballot
+        granted = (accepted is None or not message.ballot < accepted) and (
+            state.mastership.grant(message.grant)
+        )
         snapshot = state.record.snapshot()
+        informed = state.version > self._uninformed.get(message.record, -1)
         self.send(
             src_id,
             MPhase1b(
                 record=message.record,
                 ballot=message.ballot,
                 granted=granted,
-                promised=state.effective_ballot(),
-                accepted_ballot=state.accepted_ballot,
-                cstruct=state.cstruct if len(state.cstruct) else None,
+                promised=state.promised_ballot(),
+                # uninformed votes are reported as none at all
+                accepted_ballot=state.accepted_ballot if informed else None,
+                cstruct=state.cstruct if informed and len(state.cstruct) else None,
                 committed_version=snapshot.version,
                 committed_value=snapshot.value,
                 applied_ids=tuple(sorted(state.record.applied_ids)),
@@ -242,8 +284,16 @@ class MDCCStorageNode(Node):
         if self.fence_stale(message.epoch):
             return
         state = self.record_state(message.record)
-        effective = state.effective_ballot()
-        if message.ballot < effective:
+        promised = state.promised_ballot()
+        if message.ballot < promised or state.mastership.outlived(
+            message.ballot, state.version
+        ):
+            # A lower ballot — or one whose classic range this replica has
+            # already left (after γ instances, say): adopting its cstruct
+            # would overwrite the votes of the current, fast instance,
+            # which that round never saw, and let a conflicting option be
+            # accepted next to one a fast quorum may have chosen.  The
+            # master re-runs Phase 1 for the current instance.
             self.send(
                 src_id,
                 MPhase2b(
@@ -252,15 +302,20 @@ class MDCCStorageNode(Node):
                     accepted=False,
                     cstruct=None,
                     committed_version=state.version,
-                    promised=effective,
+                    promised=promised,
                     epoch=self.placement.epoch,
                 ),
             )
             return
-        state.spec = self.placement.quorums()  # as in handle_propose_fast
-        adopted = state.adopt(message.cstruct, message.ballot)
+        state.spec = self.placement.quorums()  # as in _accept
+        adopted = state.adopt(
+            message.cstruct, message.ballot, committed_version=message.committed_version
+        )
         for option in adopted:
             self._option_log.setdefault(option.option_id, option)
+        # The master's value was made safe by a Phase 1: votes from here on
+        # are informed.
+        self._uninformed.pop(message.record, None)
         if message.new_base is not None:
             state.refresh_base(message.new_base)
         if message.post_grant is not None:

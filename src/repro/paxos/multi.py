@@ -96,6 +96,13 @@ class MastershipState:
         """Whether ``instance`` currently runs as a fast ballot."""
         return self.effective_range(instance).fast
 
+    def outlived(self, ballot: Ballot, instance: int) -> bool:
+        """Whether every instance granted to ``ballot`` here lies before
+        ``instance``: that ballot's Phase 2a was meant for instances this
+        acceptor has closed, not for the one it is voting in now."""
+        ends = [granted.end_instance for granted in self.ranges if granted.ballot == ballot]
+        return bool(ends) and all(end is not None and end < instance for end in ends)
+
     def _overlapping(self, new_range: BallotRange) -> List[BallotRange]:
         out = []
         for existing in self.ranges:

@@ -94,6 +94,7 @@ class CodecError(TransportError):
 MESSAGE_TYPES: Tuple[type, ...] = (
     _messages.CatchUp,
     _messages.FastReply,
+    _messages.FastReplyBatch,
     _messages.MPhase1a,
     _messages.MPhase1b,
     _messages.MPhase2a,
@@ -102,6 +103,7 @@ MESSAGE_TYPES: Tuple[type, ...] = (
     _messages.OptionOutcome,
     _messages.ProposeClassic,
     _messages.ProposeFast,
+    _messages.ProposeFastBatch,
     _messages.RcApply,
     _messages.RcCommitRequest,
     _messages.RcDecision,

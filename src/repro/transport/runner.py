@@ -122,9 +122,8 @@ async def _serve_async(topology: Topology, node_id: str) -> None:
     print(f"[serve] {node_id} shut down cleanly", file=sys.stderr, flush=True)
 
 
-def serve_node(topology_path: str, node_id: str) -> int:
-    """Entry point of one `repro serve` process."""
-    topology = Topology.load(topology_path)
+def serve_node(topology: Topology, node_id: str) -> int:
+    """Entry point of one `repro serve` process, on its loaded topology."""
     asyncio.run(_serve_async(topology, node_id))
     return 0
 

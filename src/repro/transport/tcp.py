@@ -16,8 +16,9 @@ Frames are ``4-byte big-endian length | codec tag | payload`` (see
 **One socket write per connection per loop tick, or per chunk received
 when its handlers did the sending.**  ``send`` never writes: a frame
 joins its connection's pending list and one ``_flush`` writes each list
-out joined — so the three ``ProposeFast`` a commit sends to one replica
-inside one handler call are one ``send(2)``, in ``send`` order.  The
+out joined — so the frames one handler call sends to one peer (a
+server's replies to a driver's transactions, say) are one ``send(2)``,
+in ``send`` order.  The
 flush has two triggers and no timer or size threshold: the end of the
 chunk being received, when the sends came from its handlers (a request
 is parsed, dispatched and answered in one loop iteration), otherwise

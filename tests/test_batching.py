@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import MDCCConfig
 from repro.core.messages import VisibilityBatch
+from repro.core.storage_node import MDCCStorageNode
 from repro.db.cluster import build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
@@ -41,19 +42,43 @@ class TestBatchMessage:
 
 
 class TestBatchingBehaviour:
-    def test_disabled_by_default(self):
+    def test_disabled_by_default(self, monkeypatch):
+        """Window 0, the default, batches within a transaction only: its
+        visibilities for one replica set travel as one batch, and no batch
+        ever carries two transactions — not even two in flight at once
+        from the same coordinator.  No window saving is counted."""
+        received = []
+        handle = MDCCStorageNode.handle_visibility_batch
+
+        def recording(node, message, src_id):
+            received.append(message)
+            handle(node, message, src_id)
+
+        monkeypatch.setattr(MDCCStorageNode, "handle_visibility_batch", recording)
         cluster = make_cluster(seed=1)
-        for i in range(4):
+        for i in range(8):
             cluster.load_record("items", f"k{i}", {"stock": 10})
         client = cluster.add_client("us-west")
-        assert commit_buys(cluster, client, [f"k{i}" for i in range(4)]).committed
+        commits = []
+        for first in (0, 4):  # two concurrent 4-record transactions
+            tx = cluster.begin(client)
+            for i in range(first, first + 4):
+                tx.decrement("items", f"k{i}", "stock", 1)
+            commits.append(tx.commit())
+        assert all(run_tx(cluster, commit).committed for commit in commits)
         drain(cluster)
+        # One partition per table: one replica set, so one batch per data
+        # center per transaction.
+        assert len(received) == 2 * 5
+        for batch in received:
+            assert len({v.option.txid for v in batch.visibilities}) == 1
+            assert len(batch.visibilities) == 4
+        assert cluster.network.stats.per_type.get("Visibility", 0) == 0
         assert cluster.counters.get("coordinator.visibility_batched") == 0
-        assert cluster.network.stats.per_type.get("VisibilityBatch", 0) == 0
 
     def test_multi_record_tx_batches_visibilities(self):
-        """A 4-record transaction sends 4 visibilities to each of 5 DCs
-        unbatched (20 messages); batched it sends one batch per replica."""
+        """With a window, a 4-record transaction's 4 visibilities per DC
+        are buffered and flushed as one batch per replica."""
         cluster = make_cluster(seed=2, batch_ms=5.0)
         for i in range(4):
             cluster.load_record("items", f"k{i}", {"stock": 10})

@@ -79,14 +79,25 @@ SAMPLES = {
         applied_ids=("opt-1", "opt-2"),
     ),
     "FastReply": messages.FastReply(
-        option_id="opt-9",
-        txid="tx-17",
-        record=RECORD,
-        status=OptionStatus.ACCEPTED,
-        committed_version=5,
-        is_fast_era=True,
-        master_hint="us-east",
-        epoch=2,
+        option_id="opt-9", txid="tx-17", status=OptionStatus.ACCEPTED, epoch=2
+    ),
+    # Fast-path batches: one transaction's options for one replica set —
+    # every Update kind and status, and the votes on them.
+    "FastReplyBatch": messages.FastReplyBatch(
+        replies=(
+            messages.FastReply(
+                option_id=COMMUTATIVE.option_id,
+                txid="tx-17",
+                status=OptionStatus.ACCEPTED,
+                epoch=2,
+            ),
+            messages.FastReply(
+                option_id="tx-17:items/item:000007",
+                txid="tx-17",
+                status=OptionStatus.REJECTED,
+                epoch=2,
+            ),
+        )
     ),
     "MPhase1a": messages.MPhase1a(record=RECORD, ballot=CLASSIC, grant=GRANT, epoch=1),
     "MPhase1b": messages.MPhase1b(
@@ -108,6 +119,7 @@ SAMPLES = {
         post_grant=GRANT,
         new_base={"stock": 120.0},
         epoch=1,
+        committed_version=9,
     ),
     "MPhase2b": messages.MPhase2b(
         record=RECORD,
@@ -127,6 +139,27 @@ SAMPLES = {
     "ProposeClassic": messages.ProposeClassic(option=PHYSICAL, reply_to="app-us-west-1"),
     "ProposeFast": messages.ProposeFast(
         option=COMMUTATIVE, reply_to="app-us-west-1", epoch=3
+    ),
+    "ProposeFastBatch": messages.ProposeFastBatch(
+        options=(
+            COMMUTATIVE,
+            Option(
+                txid="tx-17",
+                record=RecordId("items", "item:000007"),
+                update=PhysicalUpdate(vread=0, new_value=None, is_delete=True),
+                writeset=(RECORD, RecordId("items", "item:000007")),
+                status=OptionStatus.PENDING,
+            ),
+            Option(
+                txid="tx-17",
+                record=RecordId("orders", "o-77"),
+                update=ReadValidation(vread=4),
+                writeset=(),
+                status=OptionStatus.PENDING,
+            ),
+        ),
+        reply_to="app-us-west-1",
+        epoch=3,
     ),
     # Replicated Commit: write-sets nest every Update kind inside the
     # Tuple[Tuple[RecordId, Update], ...] shape — the worst case for

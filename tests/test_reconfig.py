@@ -192,7 +192,6 @@ class TestEpochFencing:
     def test_stale_epoch_message_counted(self):
         cluster = make_cluster()
         cluster.load_record("items", "k", {"stock": 5})
-        node = cluster.storage_nodes["store-us-west-p0"]
         client = cluster.add_client("us-west")
         cluster.membership.begin_join("ap-southeast")
         cluster.membership.admit("ap-southeast")
@@ -206,11 +205,7 @@ class TestEpochFencing:
         stale = FastReply(
             option_id="tx-fence:items/k",
             txid="tx-fence",
-            record=RecordId("items", "k"),
             status=OptionStatus.ACCEPTED,
-            committed_version=1,
-            is_fast_era=True,
-            master_hint=node.node_id,
             epoch=0,
         )
         client.handle_fast_reply(stale, "store-us-west-p0")

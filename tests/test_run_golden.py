@@ -117,18 +117,18 @@ SPECS = {
 }
 
 DIGESTS = {
-    "micro-mdcc": "06182e407a5a935be4e61640388893581d285855241818d8fa7922a8605ad8a3",
-    "micro-fast-hotspot": "024668b8667cb83d295e0fb6381e2905b1daa78037f9f94b9ceeea71ab5348e9",
-    "micro-multi-locality-fixed-master": "3e0e0015bd9ea5c2600c3de116442cc220c51ae2b763610b2e83b0e78bf22f62",
+    "micro-mdcc": "80e207bdf7b032f650eb9b588484e51be2c2d1c0303312622f73bfdf4b2c6cc0",
+    "micro-fast-hotspot": "f4d805b73afe9b526e175a3dffdd207d80460a200b0e87bbacd50f48a695bab8",
+    "micro-multi-locality-fixed-master": "cf6dceeec69014184194e3eba3efb23e6f34675193bf5e4500e8a53894676780",
     "tpcw-megastore": "9f4da5b9161113bb9a39fb42dc307ce322357fa4f50d916c2ba38713d97d246d",
     "tpcw-2pc": "a16df27babaad0ce29a7153e52b14ab7759feeff386966980207d684c6de30b1",
     "micro-qw3-no-audit": "82c1ffca5cf0405ff2ad18d186c7f8dae5fb1a2324f50bceb4af1388189a559e",
-    "geoshift-multi-adaptive": "f4386ceba3c1c04f259148e672bccb0e8ee55422d2396c029baac36269555943",
-    "micro-mdcc-fail-dc": "dbc2155b1afe13d631edb1a0f53dd1de82bc58120c849807c734b8423020395f",
-    "dc-outage-mdcc": "60a6e1075373a1842ffafdf53dbd8f6b5c639c70140f3f7b8ba22107df7ee8f6",
-    "follow-the-sun-outage-multi": "dbfb9fa380f7ddae82dad63c319dea94ae752e291221c3a6d492b939aa8ac262",
+    "geoshift-multi-adaptive": "b7bce96a77b23c91801baea36d1ba6f60ad87c7ae54a92ca1afe0ea2d6f640b7",
+    "micro-mdcc-fail-dc": "5d3c7e2b21f04b518743b1cfc6d1fabdeb441054d477792a7f9b26905cd4340a",
+    "dc-outage-mdcc": "cc4d757c7543dcfcb2a40668b5644ac00299fbd7f7e6cdb3afc1f6d7ad78c8c6",
+    "follow-the-sun-outage-multi": "272eb06ad3680f0a6e8c1fbe96cce6e0654b9c31db835d360b79486448ac18bb",
     "flaky-wan-repcommit": "272a5641267b8a2c61613a8d14635559cbc8b1017bdf7575bdf8727a65f83232",
-    "dc-replace-3dc": "2bf2d8f7dd13d5c507996b61c4e848fc04039d890e48ca4320f8be9ec8cb0316",
+    "dc-replace-3dc": "7b176c0cfbcfae9c260b09220d15e12292940b3062867b6066f9ff9c339cdd8b",
     "micro-2pc-hotspot": "9024b8a9a9c33e054bda2499a0b566edf243c4096deb1311df8e23c294585fb7",
     "micro-repcommit": "0a23983f9eaf30858925f435b47cc90ece4efe736306d108398c05ad7b9a07af",
     "micro-megastore": "585c9b9c8218624c901762bf9dc1f2b16dee7098f37ec1049e55379546856d30",
@@ -173,15 +173,15 @@ TRACED = {
 }
 
 TRACE_DIGESTS = {
-    "micro-mdcc": "86b191ecc4608d207b05bf9cc7522cc7486a93d1f439d19d5e3bf3f01cdbbda3",
-    "micro-fast-hotspot": "d334547f10a936097d126ec801c300b70400f5d8b938d006c9723fc41d7bc375",
-    "micro-multi-locality-fixed-master": "8221332f06dfe1e6eb64da73704c937cfc8e499c1da38cc79ab6aa563f60cc05",
-    "dc-outage-mdcc": "8668bc481449b9e142d2d48d42e0fb94975a68d4619a4a70943a140d7a938bef",
-    "dc-replace-3dc": "d2debfbfc98a72cbd8fe1d500f122f78e82b074aea9f1dd7b840285b09a30541",
-    "geoshift-multi-adaptive": "661f0ce9c67934f1050afd347000ee1276cd28eeb224569c30b590ee3b2851eb",
+    "micro-mdcc": "2fc1c8d55f5f4e741ca36e079eedcf0dffacb6692be54b8bab4c377ab5b12a52",
+    "micro-fast-hotspot": "526e76c2d4c18443e1e6bf7138cb014826bc15dcb119ab193c47f5d94f8e0aa1",
+    "micro-multi-locality-fixed-master": "96a5387e0e827f38081de4e0406cd201b7c4175fd0edd9a1ed42670da8fe30a5",
+    "dc-outage-mdcc": "10d3acb3cc9d3cbc27bf606c7ee42cb9a46d3b4f6a9be3a9f7673235690123b8",
+    "dc-replace-3dc": "88d0e596650b2754c76d06b0178c07f7cf7a69d78a62b5e784b7ac8865505027",
+    "geoshift-multi-adaptive": "a2ac5b4423706960d9ba7fae70bb1a07518b805d733a19de77a835d12ccac4d3",
     "micro-repcommit": "d7d51fbf194677bcc77f590c234ffe5878710dd82ea65cf9617877243454874c",
-    "coordinator-crash-mdcc": "0fd231fdc718bb78e2358f09b61bd2eed8c6faec51766c59af7c1ded092f2f4e",
-    "micro-mdcc-scarce-stock": "9cf8fbed919fbadcb5d5c89782e42054a86abcf3f7102351da9b42c770db2a9c",
+    "coordinator-crash-mdcc": "134c6de7c651e8b84e38e160e321c291a60bae5368da93472b81ef58f71df62b",
+    "micro-mdcc-scarce-stock": "aa57813a0576b412d8fb28ea49f9e77a3408dd62a0d1e58ba33997bf48765a29",
 }
 
 
@@ -241,61 +241,69 @@ def traced(name):
 #: seed 7, on each first-class variant.
 SIM_CORE_COUNTS = {
     "mdcc": {
-        "commits": 1895,
+        "commits": 1922,
         "aborts": 0,
-        "events": 141856,
+        "events": 98155,
         "sim_ms": 35000.0,
-        "sent": 122604,
-        "delivered": 122604,
+        "sent": 78615,
+        "delivered": 78615,
         "dropped": 0,
         "per_type": {
-            "FastReply": 36060,
-            "ProposeFast": 36060,
-            "ReadReply": 7212,
-            "ReadRequest": 7212,
-            "Visibility": 36060,
+            "FastReply": 9125,
+            "FastReplyBatch": 12200,
+            "ProposeFast": 9125,
+            "ProposeFastBatch": 12200,
+            "ReadReply": 7320,
+            "ReadRequest": 7320,
+            "Visibility": 9125,
+            "VisibilityBatch": 12200,
         },
     },
     "fast": {
-        "commits": 920,
-        "aborts": 408,
-        "events": 113549,
+        "commits": 968,
+        "aborts": 418,
+        "events": 85733,
         "sim_ms": 35000.0,
-        "sent": 98886,
-        "delivered": 98886,
+        "sent": 70598,
+        "delivered": 70598,
         "dropped": 0,
         "per_type": {
-            "FastReply": 22061,
-            "MPhase1a": 650,
-            "MPhase1b": 650,
-            "MPhase2a": 4405,
-            "MPhase2b": 4405,
-            "OptionOutcome": 1657,
-            "ProposeClassic": 3499,
-            "ProposeFast": 25560,
-            "ReadReply": 5112,
-            "ReadRequest": 5112,
-            "StartRecovery": 215,
-            "Visibility": 25560,
+            "CatchUp": 5,
+            "FastReply": 7336,
+            "FastReplyBatch": 7214,
+            "MPhase1a": 535,
+            "MPhase1b": 535,
+            "MPhase2a": 4080,
+            "MPhase2b": 4080,
+            "OptionOutcome": 1535,
+            "ProposeClassic": 3354,
+            "ProposeFast": 6675,
+            "ProposeFastBatch": 8870,
+            "ReadReply": 5322,
+            "ReadRequest": 5322,
+            "StartRecovery": 190,
+            "Visibility": 6675,
+            "VisibilityBatch": 8870,
         },
     },
     "multi": {
-        "commits": 746,
-        "aborts": 279,
-        "events": 91463,
+        "commits": 764,
+        "aborts": 267,
+        "events": 83429,
         "sim_ms": 35000.0,
-        "sent": 76781,
-        "delivered": 76781,
+        "sent": 68710,
+        "delivered": 68710,
         "dropped": 0,
         "per_type": {
-            "CatchUp": 15,
-            "MPhase2a": 20590,
-            "MPhase2b": 20590,
-            "OptionOutcome": 3954,
-            "ProposeClassic": 3954,
-            "ReadReply": 3954,
-            "ReadRequest": 3954,
-            "Visibility": 19770,
+            "CatchUp": 3,
+            "MPhase2a": 20655,
+            "MPhase2b": 20655,
+            "OptionOutcome": 3963,
+            "ProposeClassic": 3963,
+            "ReadReply": 3963,
+            "ReadRequest": 3963,
+            "Visibility": 4940,
+            "VisibilityBatch": 6605,
         },
     },
     "repcommit": {
