@@ -18,10 +18,9 @@ quiet periods (:mod:`repro.core.fastpolicy`).  Expectations:
   and the adaptive run stays on the fast path for most transactions.
 """
 
-from repro.core.config import MDCCConfig
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads import MicroBenchmark
 
 _CACHE = {}
@@ -36,9 +35,8 @@ def adaptive_results():
     if not _CACHE:
         for scenario, extra in SCENARIOS.items():
             for policy in ("static", "adaptive"):
-                config = MDCCConfig(gamma_policy=policy)
                 _CACHE[(scenario, policy)] = run(
-                    build_cluster("mdcc", seed=44, partitions_per_table=2, config=config),
+                    build_cluster(ClusterSpec(seed=44, gamma_policy=policy)),
                     MicroBenchmark(min_stock=500, max_stock=1_000, **extra),
                     num_clients=30,
                     warmup_ms=5_000,

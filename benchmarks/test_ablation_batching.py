@@ -14,10 +14,9 @@ messages.  This ablation measures that trade on the micro-benchmark:
 * all consistency audits still pass.
 """
 
-from repro.core.config import MDCCConfig
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads import MicroBenchmark
 
 _CACHE = {}
@@ -28,9 +27,8 @@ WINDOWS_MS = (0.0, 5.0, 20.0)
 def batching_results():
     if not _CACHE:
         for window in WINDOWS_MS:
-            config = MDCCConfig(visibility_batch_ms=window)
             _CACHE[window] = run(
-                build_cluster("mdcc", seed=66, partitions_per_table=2, config=config),
+                build_cluster(ClusterSpec(seed=66, batch_ms=window)),
                 MicroBenchmark(num_items=1_000, min_stock=500, max_stock=1_000),
                 num_clients=25,
                 warmup_ms=5_000,

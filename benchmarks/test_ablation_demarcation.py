@@ -14,8 +14,7 @@ slack); with plain escrow some rounds over-commit and drive every replica
 negative.
 """
 
-from repro.core.config import MDCCConfig
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 from repro.bench.reporting import format_table, save_results
 
@@ -30,10 +29,8 @@ _CACHE = {}
 def _burst_round(demarcation: bool, seed: int) -> dict:
     """One Figure-2 burst: 8 simultaneous decrement-1 txs on stock 4."""
     cluster = build_cluster(
-        "mdcc",
-        seed=seed,
+        ClusterSpec(partitions_per_table=1, seed=seed, demarcation=demarcation),
         jitter_sigma=JITTER_SIGMA,
-        config=MDCCConfig(demarcation_enabled=demarcation),
     )
     cluster.register_table(
         TableSchema("items", constraints={"stock": Constraint(minimum=0)})

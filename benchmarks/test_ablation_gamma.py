@@ -14,7 +14,7 @@ hot records in (stable, slower) master-routed mode longer than needed.
 from repro.core.config import MDCCConfig, ProtocolVariant
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads import MicroBenchmark
 
 GAMMAS = (1, 10, 100, 1_000)
@@ -26,7 +26,7 @@ def gamma_results():
         for gamma in GAMMAS:
             config = MDCCConfig(variant=ProtocolVariant.FAST, gamma=gamma)
             _CACHE[gamma] = run(
-                build_cluster("fast", seed=21, partitions_per_table=2, config=config),
+                build_cluster(ClusterSpec(protocol="fast", seed=21), config=config),
                 # 200 items: hot, plenty of write-write conflicts
                 MicroBenchmark(num_items=200, min_stock=2_000, max_stock=4_000),
                 num_clients=30,

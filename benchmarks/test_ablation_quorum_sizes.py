@@ -19,13 +19,11 @@ _CACHE = {}
 
 def quorum_results():
     if not _CACHE:
-        from repro.db.cluster import build_cluster
+        from repro.db.cluster import ClusterSpec, build_cluster
         from repro.workloads.micro import MicroBenchmark
 
         for n, regions in DEPLOYMENTS.items():
-            cluster = build_cluster(
-                "mdcc", seed=23, datacenters=regions, partitions_per_table=2
-            )
+            cluster = build_cluster(ClusterSpec(seed=23, datacenters=regions))
             bench = MicroBenchmark(num_items=1_000, min_stock=500, max_stock=1_000)
             stats, pool = bench.run(
                 cluster, num_clients=30, warmup_ms=5_000, measure_ms=30_000

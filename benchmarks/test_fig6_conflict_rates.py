@@ -25,7 +25,7 @@ short accordingly.)
 
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads import MicroBenchmark
 
 HOTSPOTS = (0.02, 0.05, 0.10, 0.20, 0.50, 0.90)
@@ -38,7 +38,7 @@ def fig6_results():
         for protocol in CONFIGS:
             for hotspot in HOTSPOTS:
                 _CACHE[(protocol, hotspot)] = run(
-                    build_cluster(protocol, seed=6, partitions_per_table=2),
+                    build_cluster(ClusterSpec(protocol=protocol, seed=6)),
                     MicroBenchmark(
                         num_items=1_000,
                         min_stock=150,  # a stock range no spec can say

@@ -22,7 +22,7 @@ the paper's scenario never recovers the data center.
 
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.faults import FaultSchedule
 from repro.workloads import MicroBenchmark
 
@@ -40,7 +40,7 @@ def fig8_schedule() -> FaultSchedule:
 def fig8_result():
     if not _CACHE:
         _CACHE["run"] = run(
-            build_cluster("mdcc", seed=8, partitions_per_table=2),
+            build_cluster(ClusterSpec(seed=8)),
             MicroBenchmark(num_items=2_000, min_stock=500, max_stock=1_000),
             fig8_schedule(),
             num_clients=40,

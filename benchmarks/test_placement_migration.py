@@ -24,7 +24,7 @@ Expected shape (deterministic under the fixed seed):
 
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads import GeoShiftBenchmark
 from repro.placement.policy import MigrationPolicy
 
@@ -51,10 +51,7 @@ def placement_results():
         for master_policy in ("hash", "adaptive"):
             _CACHE[master_policy] = run(
                 build_cluster(
-                    PROTOCOL,
-                    seed=SEED,
-                    partitions_per_table=2,
-                    master_policy=master_policy,
+                    ClusterSpec(protocol=PROTOCOL, seed=SEED, master_policy=master_policy),
                     migration_policy=POLICY if master_policy == "adaptive" else None,
                     tracker_halflife_ms=5_000.0,
                 ),

@@ -25,7 +25,7 @@ Run it:
     python examples/bank_constraints.py
 """
 
-from repro import Constraint, MDCCConfig, TableSchema, build_cluster
+from repro import ClusterSpec, Constraint, TableSchema, build_cluster
 
 SCHEMA = TableSchema("accounts", constraints={"balance": Constraint(minimum=0)})
 
@@ -33,7 +33,7 @@ SCHEMA = TableSchema("accounts", constraints={"balance": Constraint(minimum=0)})
 def burst_demo(demarcation: bool, balance: int = 8, n_clients: int = 25) -> dict:
     """25 clients debit the same account at the same instant."""
     cluster = build_cluster(
-        "mdcc", seed=7, config=MDCCConfig(demarcation_enabled=demarcation)
+        ClusterSpec(partitions_per_table=1, seed=7, demarcation=demarcation)
     )
     cluster.register_table(SCHEMA)
     cluster.load_record("accounts", "acct:burst", {"balance": balance})
@@ -64,10 +64,8 @@ def figure2_demo(demarcation: bool, rounds: int = 10) -> dict:
     worst_floor = 0
     for seed in range(rounds):
         cluster = build_cluster(
-            "mdcc",
-            seed=seed,
+            ClusterSpec(partitions_per_table=1, seed=seed, demarcation=demarcation),
             jitter_sigma=0.25,
-            config=MDCCConfig(demarcation_enabled=demarcation),
         )
         cluster.register_table(SCHEMA)
         cluster.load_record("accounts", "acct:scarce", {"balance": 4})

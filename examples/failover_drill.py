@@ -17,7 +17,7 @@ Run it:
     python examples/failover_drill.py
 """
 
-from repro import Constraint, TableSchema, build_cluster
+from repro import ClusterSpec, Constraint, TableSchema, build_cluster
 from repro.bench import run
 from repro.db.checkers import check_replica_convergence
 from repro.workloads import MicroBenchmark
@@ -29,7 +29,7 @@ BUCKET_MS = 10_000.0
 
 def main() -> None:
     result = run(
-        build_cluster("mdcc", seed=8, partitions_per_table=2),
+        build_cluster(ClusterSpec(seed=8)),
         MicroBenchmark(num_items=2_000, min_stock=500, max_stock=1_000),
         num_clients=30,
         warmup_ms=5_000,
@@ -67,7 +67,7 @@ def main() -> None:
 def heal_demo() -> None:
     """Outage, recovery, then anti-entropy repair of the stale replicas."""
     print("\n=== healing the recovered data center ===")
-    cluster = build_cluster("mdcc", seed=9)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=9))
     cluster.register_table(
         TableSchema("items", constraints={"stock": Constraint(minimum=0)})
     )

@@ -18,7 +18,7 @@ Run it:
     python examples/follow_the_sun.py
 """
 
-from repro import build_cluster
+from repro import ClusterSpec, build_cluster
 from repro.bench import run
 from repro.placement.policy import MigrationPolicy
 from repro.workloads import GeoShiftBenchmark
@@ -35,10 +35,7 @@ def main() -> None:
     for master_policy in ("hash", "adaptive"):
         results[master_policy] = run(
             build_cluster(
-                "multi",
-                seed=17,
-                partitions_per_table=2,
-                master_policy=master_policy,
+                ClusterSpec(protocol="multi", seed=17, master_policy=master_policy),
                 migration_policy=policy if master_policy == "adaptive" else None,
                 tracker_halflife_ms=4_000.0,
             ),

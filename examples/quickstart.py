@@ -14,13 +14,13 @@ Run it:
     python examples/quickstart.py
 """
 
-from repro import Constraint, TableSchema, build_cluster
+from repro import ClusterSpec, Constraint, TableSchema, build_cluster
 
 
 def main() -> None:
     # One full replica per data center; the "items" table carries a value
     # constraint: stock must never drop below zero (§3.4.2).
-    cluster = build_cluster("mdcc", seed=42)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=42))
     cluster.register_table(
         TableSchema("items", constraints={"stock": Constraint(minimum=0)})
     )

@@ -17,7 +17,7 @@ Run it:
     python examples/serializable_oncall.py
 """
 
-from repro import TableSchema, build_cluster
+from repro import ClusterSpec, TableSchema, build_cluster
 
 
 def on_call_count(cluster) -> int:
@@ -29,7 +29,7 @@ def on_call_count(cluster) -> int:
 
 
 def shift_change(serializable: bool, seed: int) -> dict:
-    cluster = build_cluster("mdcc", seed=seed)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=seed))
     cluster.register_table(TableSchema("doctors"))
     cluster.load_record("doctors", "alice", {"on_call": True})
     cluster.load_record("doctors", "bob", {"on_call": True})

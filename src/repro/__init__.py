@@ -10,7 +10,8 @@ The package implements the full MDCC stack from scratch:
   acceptors, master recovery, quorum demarcation, fast/classic policy).
 * :mod:`repro.protocols` — the paper's baselines: 2PC, quorum writes
   (QW-3/QW-4) and Megastore*.
-* :mod:`repro.db` — cluster assembly and the stateless DB library clients.
+* :mod:`repro.db` — the deployment spec, cluster assembly and the
+  stateless DB library clients.
 * :mod:`repro.workloads` — TPC-W, the micro-benchmark and geoshift.
 * :mod:`repro.bench` — the one run driver and result reporting.
 * :mod:`repro.api` — typed specs: the canonical way to describe a run.
@@ -20,11 +21,12 @@ __version__ = "1.0.0"
 
 from repro.core.config import MDCCConfig, ProtocolVariant
 from repro.db.client import Transaction
-from repro.db.cluster import PROTOCOLS, Cluster, build_cluster
+from repro.db.cluster import PROTOCOLS, Cluster, ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 __all__ = [
     "Cluster",
+    "ClusterSpec",
     "Constraint",
     "MDCCConfig",
     "PROTOCOLS",

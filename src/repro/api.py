@@ -5,8 +5,11 @@ suite, a user script — describes *what to run* with two frozen
 dataclasses and hands them to two functions:
 
 * :class:`ClusterSpec` — the deployment: protocol, data centers,
-  partitioning, master placement, seed and the MDCC tunables the CLI
-  exposes.  :func:`build_cluster` turns one into a running cluster.
+  partitioning, master placement, seed, the MDCC tunables the CLI
+  exposes and elastic membership.  :func:`build_cluster` turns one into
+  a running simulated cluster; both live in :mod:`repro.db.cluster` and
+  are re-exported here (``repro.build_cluster``, ``repro.db.build_cluster``
+  and ``repro.api.build_cluster`` are one function).
 * :class:`ScenarioSpec` — the experiment: a :class:`ClusterSpec` plus
   workload, scale, measurement window, workload knobs and (optionally)
   a named fault schedule.  :func:`run_scenario` resolves one into the
@@ -23,10 +26,11 @@ same block under ``"spec"`` in every JSON result envelope.
 An experiment a spec cannot say — a hand-built fault schedule, a custom
 :class:`~repro.core.config.MDCCConfig`, a stock range, a
 ``migration_policy`` — composes the same three pieces directly: each
-knob lives in exactly one place.  Deployment knobs (``table_master_dc``,
-``migration_policy``, ``rtt_matrix``, ``jitter_sigma``, placement-manager
-cadences) are keywords of :func:`repro.db.cluster.build_cluster`; table
-size, stock range and access pattern are keywords of the workload
+knob lives in exactly one place.  The deployment is a
+:class:`ClusterSpec`; what a spec does not describe (a custom
+``config``, ``migration_policy``, ``jitter_sigma``, placement-manager
+cadences) are the five keywords :func:`build_cluster` takes beside it;
+table size, stock range and access pattern are keywords of the workload
 constructors (:mod:`repro.workloads`); clients, windows, client
 placement, the single outage, audit and bucket are keywords of the
 driver.
@@ -41,18 +45,13 @@ asks capability flags, never protocol names.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Optional
 
 from repro.bench.driver import RunResult, run
-from repro.core.config import MDCCConfig
-from repro.db.cluster import (
-    Cluster,
-    build_cluster as _build_cluster,
-)
-from repro.faults.schedule import NAMED_SCHEDULES, FaultSchedule, named_schedule
+from repro.db.cluster import ClusterSpec, build_cluster, checked_fields
+from repro.faults.schedule import NAMED_SCHEDULES, named_schedule
 from repro.protocols.base import get_protocol
-from repro.sim.network import EC2_REGIONS
 from repro.workloads import get_workload
 
 __all__ = [
@@ -66,113 +65,6 @@ __all__ = [
 #: high enough that no measurement window exhausts an item.  (The
 #: workload constructors default to the paper's 10-30.)
 SPEC_STOCK = {"min_stock": 500, "max_stock": 1_000}
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """The deployment half of an experiment: what cluster to build.
-
-    Attributes:
-        protocol: any of :data:`repro.db.cluster.PROTOCOLS` — the three
-            MDCC variants or a baseline.
-        datacenters: initial membership; ``None`` means the paper's five
-            EC2 regions.
-        partitions_per_table: storage nodes per table per data center
-            (Megastore* always collapses to 1 — single entity group).
-        master_policy: ``"hash"``, ``"adaptive"`` or ``"fixed:<dc>"``;
-            ``None`` defers to the context default (``"hash"``, or a
-            fault schedule's hint).
-        seed: the experiment seed — every RNG stream derives from it.
-        gamma_policy / batch_ms / demarcation: the MDCC tunables the CLI
-            exposes (γ policy of §3.3.2, visibility batching window,
-            §3.4.2 demarcation limit).
-        elastic: build the cluster reconfigurable (runtime DC join/leave).
-    """
-
-    protocol: str = "mdcc"
-    datacenters: Optional[Tuple[str, ...]] = None
-    partitions_per_table: int = 2
-    master_policy: Optional[str] = None
-    seed: int = 1
-    gamma_policy: str = "static"
-    batch_ms: float = 0.0
-    demarcation: bool = True
-    elastic: bool = False
-
-    def __post_init__(self) -> None:
-        descriptor = get_protocol(self.protocol)  # raises on unknown names
-        if self.datacenters is not None:
-            object.__setattr__(self, "datacenters", tuple(self.datacenters))
-            if len(self.datacenters) < 2:
-                raise ValueError("need at least two data centers")
-            if len(set(self.datacenters)) != len(self.datacenters):
-                raise ValueError("duplicate data center")
-            unknown = [dc for dc in self.datacenters if dc not in EC2_REGIONS]
-            if unknown:
-                raise ValueError(
-                    f"unknown data center(s) {', '.join(unknown)}; "
-                    f"choose from {', '.join(EC2_REGIONS)}"
-                )
-        if self.partitions_per_table < 1:
-            raise ValueError("partitions_per_table must be positive")
-        policies = ("hash", "adaptive") + tuple(
-            f"fixed:{dc}" for dc in self.effective_datacenters
-        )
-        if self.master_policy == "table":
-            # Per-table defaults have no spec field; the cluster would
-            # fail on its first proposal without them.
-            raise ValueError(
-                "the 'table' master policy needs per-table master defaults, "
-                "which a spec cannot carry: use "
-                "repro.db.cluster.build_cluster(table_master_dc=...)"
-            )
-        if self.master_policy is not None and self.master_policy not in policies:
-            raise ValueError(
-                f"unknown master policy {self.master_policy!r}; "
-                f"choose from {', '.join(policies)}"
-            )
-        if self.master_policy == "adaptive":
-            descriptor.require("supports_placement", "adaptive master placement")
-        if self.elastic:
-            descriptor.require("supports_elastic", "elastic membership")
-        if self.gamma_policy not in ("static", "adaptive"):
-            raise ValueError(
-                f"unknown gamma_policy {self.gamma_policy!r}; "
-                "choose 'static' or 'adaptive'"
-            )
-        if self.batch_ms < 0:
-            raise ValueError("batch_ms must be non-negative")
-
-    @property
-    def effective_datacenters(self) -> Tuple[str, ...]:
-        return self.datacenters if self.datacenters is not None else EC2_REGIONS
-
-    @property
-    def effective_partitions(self) -> int:
-        # The paper's Megastore* places all data in a single entity group.
-        if get_protocol(self.protocol).single_entity_group:
-            return 1
-        return self.partitions_per_table
-
-    def config(self) -> Optional[MDCCConfig]:
-        """The :class:`MDCCConfig` this spec describes (``None`` for
-        protocols the γ/batching/demarcation tunables do not configure)."""
-        return get_protocol(self.protocol).make_config(
-            len(self.effective_datacenters),
-            gamma_policy=self.gamma_policy,
-            visibility_batch_ms=self.batch_ms,
-            demarcation_enabled=self.demarcation,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        data = {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
-        if self.datacenters is not None:
-            data["datacenters"] = list(self.datacenters)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClusterSpec":
-        return cls(**_checked_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -291,7 +183,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        checked = _checked_fields(cls, data)
+        checked = checked_fields(cls, data)
         cluster = checked.get("cluster")
         if isinstance(cluster, dict):
             checked["cluster"] = ClusterSpec.from_dict(cluster)
@@ -303,52 +195,6 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ValueError("a scenario spec must be a JSON object")
         return cls.from_dict(data)
-
-
-def _checked_fields(cls: Any, data: Dict[str, object]) -> Dict[str, Any]:
-    """Reject unknown keys loudly — a typo'd spec must not half-apply."""
-    known = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} field(s): {', '.join(unknown)}"
-        )
-    prepared = dict(data)
-    if isinstance(prepared.get("datacenters"), list):
-        prepared["datacenters"] = tuple(prepared["datacenters"])
-    return prepared
-
-
-# ----------------------------------------------------------------------
-# Canonical entry points
-# ----------------------------------------------------------------------
-def build_cluster(spec: ClusterSpec = ClusterSpec()) -> Cluster:
-    """Build the deployment a :class:`ClusterSpec` describes.
-
-    Knobs without spec fields (``table_master_dc``, ``migration_policy``,
-    ``rtt_matrix``, ``jitter_sigma``, placement-manager cadences) live on
-    :func:`repro.db.cluster.build_cluster` directly.
-    """
-    return _deploy(spec)
-
-
-def _deploy(
-    spec: ClusterSpec, schedule: Optional[FaultSchedule] = None, **placement: Any
-) -> Cluster:
-    """``spec``'s cluster; a schedule's hints fill what the spec left open
-    (its master policy; elastic when it contains membership events)."""
-    return _build_cluster(
-        spec.protocol,
-        datacenters=spec.effective_datacenters,
-        partitions_per_table=spec.effective_partitions,
-        master_policy=spec.master_policy
-        or (schedule.master_policy if schedule is not None else None)
-        or "hash",
-        seed=spec.seed,
-        config=spec.config(),
-        elastic=spec.elastic or (schedule is not None and schedule.needs_reconfig),
-        **placement,
-    )
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
@@ -381,12 +227,22 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
         **SPEC_STOCK,
         **{knob: knobs[knob] for knob in workload_cls.spec_knobs},
     )
-    if schedule is None and workload.tracker_halflife_ms is not None:
-        cluster = _deploy(
+    if schedule is not None:
+        # A schedule's hints fill what the spec left open: its master
+        # policy, and elastic when it contains membership events.
+        cluster = build_cluster(
+            replace(
+                spec.cluster,
+                master_policy=spec.cluster.master_policy or schedule.master_policy,
+                elastic=spec.cluster.elastic or schedule.needs_reconfig,
+            )
+        )
+    elif workload.tracker_halflife_ms is not None:
+        cluster = build_cluster(
             spec.cluster, tracker_halflife_ms=workload.tracker_halflife_ms
         )
     else:
-        cluster = _deploy(spec.cluster, schedule)
+        cluster = build_cluster(spec.cluster)
     client_dcs = None
     preferred_dc = cluster.descriptor.preferred_client_dc
     if workload.pins_preferred_client_dc and preferred_dc is not None:

@@ -3,8 +3,10 @@
 Every experiment — a figure, a chaos cell, a CLI invocation, a test —
 is three already-built pieces handed to :func:`run`:
 
-* a :class:`~repro.db.cluster.Cluster` (deployment knobs live on
-  :func:`repro.db.cluster.build_cluster`),
+* a :class:`~repro.db.cluster.Cluster` (the deployment is a
+  :class:`~repro.db.cluster.ClusterSpec`, built by
+  :func:`repro.db.cluster.build_cluster` — or, over TCP, by
+  :mod:`repro.transport.runner` from a topology file's spec),
 * a :class:`~repro.workloads.base.Workload` (table size, stock range and
   access-pattern knobs live on the workload's constructor),
 * optionally a :class:`~repro.faults.schedule.FaultSchedule`,

@@ -56,7 +56,6 @@ __all__ = ["build_parser", "main"]
 _MASTER_POLICY_NOTES = {
     "hash": "static, uniform by key hash (the paper's Multi setup)",
     "fixed:<dc>": "static, all masters in one data center",
-    "table": "static, the table schema's default master DC (Python API only)",
     "adaptive": "dynamic: mastership migrates to the dominant write origin",
 }
 
@@ -567,14 +566,17 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _load_topology(path: str):
-    """A topology file the loader refuses is a usage error, not a traceback."""
+    """A topology file the loader — or the cluster spec it fixes — refuses
+    is a usage error, not a traceback."""
     from repro.transport.base import TransportError
     from repro.transport.topology import Topology
 
     try:
-        return Topology.load(path)
+        topology = Topology.load(path)
+        topology.spec()
     except TransportError as exc:
         raise SystemExit(f"bad topology {path!r}: {exc}")
+    return topology
 
 
 def _run_tcp(args: argparse.Namespace) -> int:
@@ -606,9 +608,9 @@ def _run_tcp(args: argparse.Namespace) -> int:
         spec,
         args.trace,
         lambda spec: runner.run_topology(
-            args.topology,
+            topology,
             topology.build_workload(hotspot_fraction=spec.hotspot, locality=spec.locality),
-            spawn_servers=args.spawn_servers,
+            spawn_from=args.topology if args.spawn_servers else None,
             num_clients=spec.clients,
             warmup_ms=spec.warmup_s * 1_000.0,
             measure_ms=spec.measure_s * 1_000.0,
@@ -631,10 +633,7 @@ def _run_topology(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)  # the spec's rules are the file's rules
     topology = make_local_topology(
-        datacenters=spec.cluster.datacenters,
-        protocol=spec.cluster.protocol,
-        partitions_per_table=spec.cluster.partitions_per_table,
-        seed=spec.cluster.seed,
+        spec.cluster,
         codec=args.codec,
         base_port=args.base_port,
         items=spec.items,

@@ -13,7 +13,6 @@ Master policies (§2: "MDCC supports an individual master per record"):
   being uniformly distributed across all the data centers", §5.3.1).
 * ``fixed:<dc>`` — all masters in one data center (the Megastore*-style
   setup, and the paper's insert default of one master per table).
-* ``table`` — the table schema's ``default_master_dc``.
 * ``adaptive`` — mastership starts out hash-placed but *moves*: write
   origins are tracked per record and the
   :mod:`repro.placement` subsystem migrates masters toward the dominant
@@ -38,7 +37,7 @@ ones from an elastic map; no role keeps a flag or a copy of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.options import RecordId
 from repro.paxos.quorum import QuorumSpec
@@ -47,7 +46,7 @@ from repro.storage.partition import stable_hash
 __all__ = ["ReplicaMap", "MASTER_POLICIES"]
 
 #: The named master policies (``fixed:<dc>`` is the parameterized one).
-MASTER_POLICIES = ("hash", "table", "adaptive")
+MASTER_POLICIES = ("hash", "adaptive")
 
 
 class ReplicaMap:
@@ -58,7 +57,6 @@ class ReplicaMap:
         datacenters: Sequence[str],
         partitions_per_table: int = 1,
         master_policy: str = "hash",
-        table_master_dc: Optional[Dict[str, str]] = None,
         tracker_halflife_ms: float = 10_000.0,
         membership=None,
     ) -> None:
@@ -78,7 +76,6 @@ class ReplicaMap:
             )
         self.partitions_per_table = partitions_per_table
         self.master_policy = master_policy
-        self.table_master_dc = dict(table_master_dc or {})
         if master_policy.startswith("fixed:"):
             fixed_dc = master_policy.split(":", 1)[1]
             if fixed_dc not in self.datacenters:
@@ -199,11 +196,6 @@ class ReplicaMap:
     def master_dc(self, record: RecordId) -> str:
         if self.master_policy.startswith("fixed:"):
             return self.master_policy.split(":", 1)[1]
-        if self.master_policy == "table":
-            dc = self.table_master_dc.get(record.table)
-            if dc is None:
-                raise ValueError(f"no default master DC for table {record.table!r}")
-            return dc
         if self.master_policy == "adaptive":
             return self.directory.master_dc(record)
         return self._hash_master_dc(record)

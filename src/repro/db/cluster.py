@@ -1,15 +1,24 @@
-"""Cluster builder: a five-data-center deployment of any protocol.
+"""One deployment description and one builder, for both transports.
 
-Builds the simulation substrate (network + storage nodes + app servers)
-for the protocol under test and pre-loads tables, mirroring the paper's
-setup (§5.1): every data center holds a full replica, tables are
-partitioned across storage nodes within a data center, and clients are
-app-server nodes in a chosen data center.
+The paper runs every protocol on one deployment (§5.1): every data
+center holds a full replica, tables are range-partitioned across storage
+nodes within a data center, and clients are app-server nodes in a chosen
+data center.  This module states that deployment once:
 
-:class:`Cluster` itself is transport-neutral — one process's view of a
-deployment.  :func:`build_cluster` hosts every storage node in this
-process over the simulator; over TCP a ``repro serve`` process hosts one
-and the driver hosts none (:mod:`repro.transport.runner`).
+* :class:`ClusterSpec` — what to deploy: protocol, data centers,
+  partitioning, master placement, seed, the MDCC tunables, elastic
+  membership.  Every rule about what may be deployed lives in its
+  ``__post_init__``; :meth:`ClusterSpec.placement` and
+  :meth:`ClusterSpec.config` derive the replica map and the
+  :class:`~repro.core.config.MDCCConfig` from it.
+* :class:`Cluster` — one process's view of a running deployment, built
+  from a spec and a transport.  Its constructor is the one place a
+  deployment's placement, config, RNG streams and counters come from,
+  whichever transport carries the messages.
+* :func:`build_cluster` — the simulator deployment: every storage node
+  in this process.  Over TCP a ``repro serve`` process hosts one storage
+  node and the driver hosts none (:mod:`repro.transport.runner`); both
+  build the same :class:`Cluster` from the topology file's spec.
 
 Which protocols exist, how their roles are built, and what features they
 can run all come from the :mod:`repro.protocols.base` registry — this
@@ -20,7 +29,8 @@ never branches on a protocol name.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import MDCCConfig
 from repro.core.options import RecordId
@@ -37,41 +47,208 @@ from repro.transport.base import Transport
 from repro.transport.simnet import SimTransport
 from repro.storage.schema import TableSchema
 
-__all__ = ["Cluster", "build_cluster", "PROTOCOLS"]
+__all__ = ["Cluster", "ClusterSpec", "build_cluster", "PROTOCOLS"]
+
+#: The spec fields a hand-built :class:`MDCCConfig` would replace.
+_TUNABLES = ("gamma_policy", "batch_ms", "demarcation")
+
+
+@dataclass(frozen=True)
+class ClusterSpec:
+    """The deployment half of an experiment: what cluster to build.
+
+    Attributes:
+        protocol: any of :data:`PROTOCOLS` — the three MDCC variants or a
+            baseline.
+        datacenters: initial membership; ``None`` means the paper's five
+            EC2 regions.
+        partitions_per_table: storage nodes per table per data center
+            (Megastore* always collapses to 1 — single entity group).
+        master_policy: ``"hash"``, ``"adaptive"`` or ``"fixed:<dc>"``;
+            ``None`` defers to the context default (``"hash"``, or a
+            fault schedule's hint).
+        seed: the experiment seed — every RNG stream derives from it.
+        gamma_policy / batch_ms / demarcation: the MDCC tunables the CLI
+            exposes (γ policy of §3.3.2, visibility batching window,
+            §3.4.2 demarcation limit).
+        elastic: build the cluster reconfigurable (runtime DC join/leave).
+    """
+
+    protocol: str = "mdcc"
+    datacenters: Optional[Tuple[str, ...]] = None
+    partitions_per_table: int = 2
+    master_policy: Optional[str] = None
+    seed: int = 1
+    gamma_policy: str = "static"
+    batch_ms: float = 0.0
+    demarcation: bool = True
+    elastic: bool = False
+
+    def __post_init__(self) -> None:
+        descriptor = get_protocol(self.protocol)  # raises on unknown names
+        if self.datacenters is not None:
+            object.__setattr__(self, "datacenters", tuple(self.datacenters))
+            if len(self.datacenters) < 2:
+                raise ValueError("need at least two data centers")
+            if len(set(self.datacenters)) != len(self.datacenters):
+                raise ValueError("duplicate data center")
+            unknown = [dc for dc in self.datacenters if dc not in EC2_REGIONS]
+            if unknown:
+                raise ValueError(
+                    f"unknown data center(s) {', '.join(unknown)}; "
+                    f"choose from {', '.join(EC2_REGIONS)}"
+                )
+        if self.partitions_per_table < 1:
+            raise ValueError("partitions_per_table must be positive")
+        policies = ("hash", "adaptive") + tuple(
+            f"fixed:{dc}" for dc in self.effective_datacenters
+        )
+        if self.master_policy is not None and self.master_policy not in policies:
+            raise ValueError(
+                f"unknown master policy {self.master_policy!r}; "
+                f"choose from {', '.join(policies)}"
+            )
+        if self.master_policy == "adaptive":
+            descriptor.require("supports_placement", "adaptive master placement")
+        if self.elastic:
+            descriptor.require("supports_elastic", "elastic membership")
+        if self.gamma_policy not in ("static", "adaptive"):
+            raise ValueError(
+                f"unknown gamma_policy {self.gamma_policy!r}; "
+                "choose 'static' or 'adaptive'"
+            )
+        if self.batch_ms < 0:
+            raise ValueError("batch_ms must be non-negative")
+
+    @property
+    def effective_datacenters(self) -> Tuple[str, ...]:
+        return self.datacenters if self.datacenters is not None else EC2_REGIONS
+
+    @property
+    def effective_partitions(self) -> int:
+        # The paper's Megastore* places all data in a single entity group
+        # ("we placed all data into a single entity group", §5.2): one log.
+        if get_protocol(self.protocol).single_entity_group:
+            return 1
+        return self.partitions_per_table
+
+    def placement(self, **tuning: float) -> ReplicaMap:
+        """The replica map this spec describes; ``tuning`` holds the
+        :class:`ReplicaMap` keywords no spec field describes (the adaptive
+        policy's ``tracker_halflife_ms``)."""
+        membership = None
+        if self.elastic:
+            from repro.reconfig.directory import MembershipDirectory
+
+            membership = MembershipDirectory(self.effective_datacenters)
+        return ReplicaMap(
+            self.effective_datacenters,
+            partitions_per_table=self.effective_partitions,
+            master_policy=self.master_policy or "hash",
+            membership=membership,
+            **tuning,
+        )
+
+    def config(self, given: Optional[MDCCConfig] = None) -> MDCCConfig:
+        """The :class:`MDCCConfig` this spec describes — or ``given``, a
+        hand-built one, once it is checked not to contradict the spec: it
+        must run this protocol's variant on this many data centers, and it
+        replaces the spec's tunables, so those must be left at their
+        defaults."""
+        described = get_protocol(self.protocol).make_config(
+            len(self.effective_datacenters),
+            gamma_policy=self.gamma_policy,
+            visibility_batch_ms=self.batch_ms,
+            demarcation_enabled=self.demarcation,
+        )
+        if given is None:
+            return described
+        if given.replication != described.replication:
+            raise ValueError(
+                f"config.replication={given.replication} does not match "
+                f"{described.replication} data centers"
+            )
+        if given.variant is not described.variant:
+            raise ValueError(
+                f"config.variant={given.variant.value!r} contradicts protocol "
+                f"{self.protocol!r}, which runs {described.variant.value!r}"
+            )
+        # (a dataclass keeps each field's default as a class attribute)
+        tuned = [name for name in _TUNABLES if getattr(self, name) != getattr(ClusterSpec, name)]
+        if tuned:
+            raise ValueError(
+                f"a config replaces the spec's {', '.join(tuned)}: set "
+                "them on the MDCCConfig instead"
+            )
+        return given
+
+    def to_dict(self) -> Dict[str, object]:
+        data = {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
+        if self.datacenters is not None:
+            data["datacenters"] = list(self.datacenters)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "ClusterSpec":
+        return cls(**checked_fields(cls, data))
+
+
+def checked_fields(cls: Any, data: Dict[str, object]) -> Dict[str, Any]:
+    """``data`` as constructor keywords of spec class ``cls`` — unknown
+    keys are rejected loudly: a typo'd spec must not half-apply."""
+    known = {spec_field.name for spec_field in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} field(s): {', '.join(unknown)}"
+        )
+    prepared = dict(data)
+    if isinstance(prepared.get("datacenters"), list):
+        prepared["datacenters"] = tuple(prepared["datacenters"])
+    return prepared
 
 
 class Cluster:
-    """A running deployment: substrate + storage nodes + app servers."""
+    """A running deployment: substrate + storage nodes + app servers.
+
+    Built from a :class:`ClusterSpec` and the transport that carries its
+    messages; the constructor derives the placement, config, RNG streams
+    and counters, and hosts no storage node — the caller adds the ones
+    this process serves.  ``rng`` is the spec's stream registry when the
+    transport was built on it first (the simulated network draws its
+    jitter from it); ``config`` goes to :meth:`ClusterSpec.config`,
+    ``tuning`` to :meth:`ClusterSpec.placement`.
+    """
 
     def __init__(
         self,
-        protocol: str,
+        spec: ClusterSpec,
         transport: Transport,
-        placement: ReplicaMap,
-        config: MDCCConfig,
-        counters: CounterSet,
-        rng: RngRegistry,
+        *,
+        config: Optional[MDCCConfig] = None,
+        rng: Optional[RngRegistry] = None,
+        **tuning: float,
     ) -> None:
-        self.protocol = protocol
+        self.protocol = spec.protocol
         #: the registry descriptor: role factories + capability flags.
-        self.descriptor = get_protocol(protocol)
+        self.descriptor = get_protocol(spec.protocol)
         self.transport = transport
         # Simulator-backed deployments expose the substrate for drivers
         # (sim.run_until, fault injection); None over other backends.
         self.sim = getattr(transport, "sim", None)
         self.network = getattr(transport, "network", None)
-        self.placement = placement
-        self.config = config
-        self.counters = counters
-        self.rng = rng
+        self.placement = spec.placement(**tuning)
+        self.config = spec.config(config)
+        self.counters = CounterSet()
+        self.rng = rng if rng is not None else RngRegistry(seed=spec.seed)
         self.storage_nodes: Dict[str, object] = {}
         self.clients: List[object] = []
         self._client_seq = itertools.count(1)
         self._schemas: Dict[str, TableSchema] = {}
         #: the adaptive-placement control plane (None under static policies).
         self.placement_manager = None
-        #: elastic-membership state (None unless built with elastic=True).
-        self.membership = None
+        #: elastic-membership state (None unless the spec is elastic).
+        self.membership = self.placement.membership
         self.reconfig = None
 
     # ------------------------------------------------------------------
@@ -181,28 +358,36 @@ class Cluster:
     # Elastic membership (storage-node lifecycle)
     # ------------------------------------------------------------------
     def add_datacenter_nodes(self, dc: str) -> List[str]:
-        """Build and register ``dc``'s storage nodes at runtime (a join).
+        """Build and register ``dc``'s storage nodes — every data center's
+        at build time, a joining one's at runtime.
 
         The new nodes carry every registered table schema but no data —
-        the reconfig manager's snapshot bootstrap fills them.  Elastic
-        clusters only (``supports_elastic`` gates the build).
+        on a join the reconfig manager's snapshot bootstrap fills them
+        (elastic clusters only: ``supports_elastic`` gates the build).
         """
-        node_ids: List[str] = []
-        for partition in range(self.placement.partitions_per_table):
-            node_id = self.placement.storage_node_id(dc, partition)
-            node = self.descriptor.make_storage_node(
-                self.transport,
-                node_id,
-                dc,
-                placement=self.placement,
-                config=self.config,
-                counters=self.counters,
-            )
-            for schema in self._schemas.values():
-                node.store.register_table(schema)
-            self.storage_nodes[node_id] = node
-            node_ids.append(node_id)
+        node_ids = [
+            self.placement.storage_node_id(dc, partition)
+            for partition in range(self.placement.partitions_per_table)
+        ]
+        for node_id in node_ids:
+            self.add_storage_node(node_id, dc)
         return node_ids
+
+    def add_storage_node(self, node_id: str, dc: str):
+        """Build and register one storage node of ``dc`` hosted in this
+        process, carrying every registered table schema."""
+        node = self.descriptor.make_storage_node(
+            self.transport,
+            node_id,
+            dc,
+            placement=self.placement,
+            config=self.config,
+            counters=self.counters,
+        )
+        for schema in self._schemas.values():
+            node.store.register_table(schema)
+        self.storage_nodes[node_id] = node
+        return node
 
     def drop_datacenter_nodes(self, dc: str) -> List[str]:
         """Deregister and forget ``dc``'s storage nodes (a decommission)."""
@@ -225,101 +410,65 @@ class Cluster:
 
 
 def build_cluster(
-    protocol: str = "mdcc",
-    datacenters: Sequence[str] = EC2_REGIONS,
-    partitions_per_table: int = 1,
-    master_policy: str = "hash",
-    table_master_dc: Optional[Dict[str, str]] = None,
-    seed: int = 0,
-    jitter_sigma: float = 0.06,
+    spec: ClusterSpec = ClusterSpec(),
+    *,
     config: Optional[MDCCConfig] = None,
-    rtt_matrix=None,
+    jitter_sigma: float = 0.06,
     migration_policy=None,
     placement_scan_ms: float = 1_000.0,
     tracker_halflife_ms: float = 10_000.0,
-    elastic: bool = False,
 ) -> Cluster:
-    """Assemble a full deployment of ``protocol`` over ``datacenters``.
+    """Deploy ``spec`` over the simulator: every storage node of every
+    data center in this process.
+
+    The keywords are what a spec does not describe: ``config`` a
+    hand-built :class:`MDCCConfig` (checked by :meth:`ClusterSpec.config`),
+    ``jitter_sigma`` the WAN latency jitter, and for the adaptive policy
+    ``migration_policy`` (the migration thresholds), ``placement_scan_ms``
+    (the scan cadence) and ``tracker_halflife_ms`` (the write-origin
+    decay).
 
     ``master_policy="adaptive"`` additionally deploys a
     :class:`~repro.placement.manager.PlacementManager` that migrates
-    per-record mastership toward the dominant write-origin data center
-    (``migration_policy`` tunes its thresholds, ``placement_scan_ms`` its
-    cadence, ``tracker_halflife_ms`` the write-origin decay).  Mastership
-    migration runs over the MDCC master machinery, so it is limited to the
-    MDCC variants.
-
-    ``elastic=True`` attaches a
-    :class:`~repro.reconfig.directory.MembershipDirectory` and deploys a
-    :class:`~repro.reconfig.manager.ReconfigManager`
+    per-record mastership toward the dominant write-origin data center.
+    ``elastic=True`` deploys a :class:`~repro.reconfig.manager.ReconfigManager`
     (``cluster.reconfig``) so data centers can join or leave at runtime
-    with epoch-fenced quorum resizing.  Like adaptive placement, elastic
-    membership runs over the MDCC master machinery and is limited to the
-    MDCC variants.  The reconfig control plane lives in the *first* data
-    center — fault scenarios that kill that DC stall membership
-    operations themselves (by design: the manager is an ordinary node,
-    not an oracle), so schedules should pick their victims elsewhere.
+    with epoch-fenced quorum resizing.  Both run over the MDCC master
+    machinery; the spec admits them for the MDCC variants only.  The
+    reconfig control plane lives in the *first* data center — fault
+    scenarios that kill that DC stall membership operations themselves (by
+    design: the manager is an ordinary node, not an oracle), so schedules
+    should pick their victims elsewhere.
     """
-    descriptor = get_protocol(protocol)
-    if descriptor.single_entity_group and partitions_per_table != 1:
-        # The paper's Megastore* places all data in a single entity group
-        # ("we placed all data into a single entity group", §5.2): one log.
-        raise ValueError(f"{protocol} uses a single entity group: 1 partition")
-    if master_policy == "adaptive":
-        descriptor.require("supports_placement", "adaptive master placement")
-    if elastic:
-        descriptor.require("supports_elastic", "elastic membership")
-    rng = RngRegistry(seed=seed)
+    rng = RngRegistry(seed=spec.seed)
     sim = Simulator()
-    latency = LatencyModel(
-        rtt_matrix=rtt_matrix, jitter_sigma=jitter_sigma, rng_registry=rng
-    )
+    latency = LatencyModel(jitter_sigma=jitter_sigma, rng_registry=rng)
     network = Network(sim, latency_model=latency, rng_registry=rng)
     transport = SimTransport(sim, network)
     # No-op unless a tracer is ambient (repro.trace.runtime.install);
     # untraced runs keep the unwrapped network hot path.
     instrument_sim_transport(transport)
-    membership = None
-    if elastic:
-        from repro.reconfig.directory import MembershipDirectory
-
-        membership = MembershipDirectory(datacenters)
-    placement = ReplicaMap(
-        datacenters,
-        partitions_per_table=partitions_per_table,
-        master_policy=master_policy,
-        table_master_dc=table_master_dc,
-        tracker_halflife_ms=tracker_halflife_ms,
-        membership=membership,
-    )
-    if config is None:
-        config = descriptor.default_config(len(placement.datacenters))
-    elif config.replication != len(placement.datacenters):
-        raise ValueError(
-            f"config.replication={config.replication} does not match "
-            f"{len(placement.datacenters)} data centers"
-        )
-    counters = CounterSet()
     cluster = Cluster(
-        protocol=protocol,
-        transport=transport,
-        placement=placement,
+        spec,
+        transport,
         config=config,
-        counters=counters,
         rng=rng,
+        tracker_halflife_ms=tracker_halflife_ms,
     )
-    cluster.storage_nodes = _build_storage_nodes(cluster)
+    placement = cluster.placement
+    for dc in placement.datacenters:
+        cluster.add_datacenter_nodes(dc)
+    membership = cluster.membership
     if membership is not None:
         from repro.reconfig.manager import ReconfigManager
 
-        cluster.membership = membership
         cluster.reconfig = ReconfigManager(
             transport,
             f"reconfig-{membership.active[0]}",
             membership.active[0],
             cluster=cluster,
             membership=membership,
-            counters=counters,
+            counters=cluster.counters,
         )
     if placement.is_adaptive:
         from repro.placement.manager import PlacementManager
@@ -329,26 +478,10 @@ def build_cluster(
             f"placement-{placement.datacenters[0]}",
             placement.datacenters[0],
             placement=placement,
-            config=config,
-            counters=counters,
+            config=cluster.config,
+            counters=cluster.counters,
             policy=migration_policy,
             scan_ms=placement_scan_ms,
         )
         cluster.placement_manager.start()
     return cluster
-
-
-def _build_storage_nodes(cluster: Cluster) -> Dict[str, object]:
-    nodes: Dict[str, object] = {}
-    for dc in cluster.placement.datacenters:
-        for partition in range(cluster.placement.partitions_per_table):
-            node_id = cluster.placement.storage_node_id(dc, partition)
-            nodes[node_id] = cluster.descriptor.make_storage_node(
-                cluster.transport,
-                node_id,
-                dc,
-                placement=cluster.placement,
-                config=cluster.config,
-                counters=cluster.counters,
-            )
-    return nodes

@@ -161,28 +161,18 @@ class Protocol:
     # ------------------------------------------------------------------
     # Quorum/engine configuration
     # ------------------------------------------------------------------
-    def make_config(self, replication: int, **tunables: Any) -> Optional[MDCCConfig]:
-        """The :class:`MDCCConfig` a spec's tunables describe.
-
-        ``None`` for protocols that do not parameterize the MDCC engine —
-        their clusters run on :meth:`default_config` and the γ/batching
-        knobs have nothing to configure.
-        """
-        if self.variant is None:
-            return None
-        return MDCCConfig(replication=replication, variant=self.variant, **tunables)
-
-    def default_config(self, replication: int) -> MDCCConfig:
-        """The config a cluster of this protocol runs when none is given.
+    def make_config(self, replication: int, **tunables: Any) -> MDCCConfig:
+        """The config a cluster of this protocol runs, with the engine
+        ``tunables`` (:class:`MDCCConfig` keywords) applied.
 
         Protocols outside the MDCC engine still share its timeout/quorum
         parameters (``learn_timeout_ms``, :attr:`MDCCConfig.quorums`), so
-        they get a neutral default-variant config.
+        they get a neutral default-variant config; the γ/batching
+        tunables have nothing to configure there and are ignored.
         """
-        return MDCCConfig(
-            replication=replication,
-            variant=self.variant if self.variant is not None else ProtocolVariant.MDCC,
-        )
+        if self.variant is None:
+            return MDCCConfig(replication=replication)
+        return MDCCConfig(replication=replication, variant=self.variant, **tunables)
 
 
 # ----------------------------------------------------------------------

@@ -58,20 +58,16 @@ class Constraint:
 
 @dataclass
 class TableSchema:
-    """Metadata for one table: name, constraints and default mastership.
+    """Metadata for one table: name and constraints.
 
     Attributes:
         name: table name, unique within a cluster.
         constraints: attribute name -> :class:`Constraint`.  Attributes
             without an entry are unconstrained.
-        default_master_dc: data center whose storage node is the default
-            (Multi-Paxos) master for records of this table; ``None`` lets
-            the cluster builder pick.
     """
 
     name: str
     constraints: Dict[str, Constraint] = field(default_factory=dict)
-    default_master_dc: Optional[str] = None
 
     def constraint(self, attribute: str) -> Optional[Constraint]:
         """The constraint for ``attribute``, or None if unconstrained."""

@@ -1,14 +1,18 @@
 """Process plumbing for the TCP backend: serve, spawn, connect, reap.
 
 A TCP deployment is the simulator's :class:`~repro.db.cluster.Cluster`
-split across OS processes.  ``serve_node`` — the body of one ``repro
-serve`` process — is a cluster hosting a single storage node, listening
-on its topology address until told to shut down (SIGTERM/SIGINT or a
-``@ctrl`` shutdown frame).  ``run_topology`` — the driver behind ``repro
-run --transport tcp`` — is a cluster hosting *no* storage node: it
-optionally spawns the servers, hands (cluster, workload, schedule) to
-the one run driver :func:`repro.bench.driver.run`, then shuts the servers
-down and reaps them.
+split across OS processes, each built by the one constructor the
+simulator uses, from the topology file's
+:class:`~repro.db.cluster.ClusterSpec` (:meth:`Topology.spec`) — so every
+process derives the same placement, config and RNG streams.
+``serve_node`` — the body of one ``repro serve`` process — is a cluster
+hosting a single storage node, listening on its topology address until
+told to shut down (SIGTERM/SIGINT or a ``@ctrl`` shutdown frame).
+``run_topology`` — the driver behind ``repro run --transport tcp`` — is
+a cluster hosting *no* storage node: it optionally spawns the servers,
+hands (cluster, workload, schedule) to the one run driver
+:func:`repro.bench.driver.run`, then shuts the servers down and reaps
+them.
 
 Nothing here drives a transaction.  The workload, the closed loop, the
 ledger, the checkers and the fault timeline are the simulator's; what is
@@ -35,8 +39,6 @@ from repro.bench.driver import RunResult, run
 from repro.core.options import RecordId
 from repro.db.cluster import Cluster
 from repro.faults.schedule import FaultSchedule
-from repro.metrics import CounterSet
-from repro.sim.rng import RngRegistry
 from repro.storage.record import Snapshot
 from repro.transport.base import TransportError, all_of
 from repro.transport.tcp import AsyncioTcpTransport, ClusterLinks
@@ -63,20 +65,6 @@ REPLICA_SETTLE_MS = 10_000.0
 REPLICA_READ_MS = 5_000.0
 
 
-def _pieces(topology: Topology, transport: AsyncioTcpTransport) -> Dict[str, Any]:
-    """The :class:`Cluster` constructor arguments of one process — derived
-    from the topology alone, so every process of the deployment builds the
-    same placement, config and RNG streams."""
-    return dict(
-        protocol=topology.protocol,
-        transport=transport,
-        placement=topology.build_placement(),
-        config=topology.build_config(),
-        counters=CounterSet(),
-        rng=RngRegistry(seed=topology.seed),
-    )
-
-
 # ----------------------------------------------------------------------
 # Server process
 # ----------------------------------------------------------------------
@@ -90,16 +78,8 @@ async def host_node(topology: Topology, node_id: str) -> AsyncioTcpTransport:
     transport = AsyncioTcpTransport(
         topology, local_dc=address.dc, listen=(address.host, address.port)
     )
-    cluster = Cluster(**_pieces(topology, transport))
-    node = cluster.descriptor.make_storage_node(
-        transport,
-        node_id,
-        address.dc,
-        placement=cluster.placement,
-        config=cluster.config,
-        counters=cluster.counters,
-    )
-    cluster.storage_nodes[node_id] = node
+    cluster = Cluster(topology.spec(), transport)
+    node = cluster.add_storage_node(node_id, address.dc)
     topology.build_workload().populate(cluster)
     await transport.start()
     print(
@@ -231,7 +211,7 @@ class RemoteCluster(Cluster):
     over the wire, and link faults go through :class:`ClusterLinks`."""
 
     def __init__(self, topology: Topology, transport: AsyncioTcpTransport) -> None:
-        super().__init__(**_pieces(topology, transport))
+        super().__init__(topology.spec(), transport)
         self.network = ClusterLinks(transport)
         self._reader: Any = None
 
@@ -265,26 +245,26 @@ class RemoteCluster(Cluster):
 
 
 def run_topology(
-    topology_path: str,
+    topology: Topology,
     workload: Optional[Workload] = None,
     schedule: Optional[FaultSchedule] = None,
     *,
-    spawn_servers: bool = False,
+    spawn_from: Optional[str] = None,
     **run_keywords: Any,
 ) -> RunResult:
-    """:func:`repro.bench.driver.run` against the cluster ``topology_path``
+    """:func:`repro.bench.driver.run` against the cluster ``topology``
     describes; ``workload`` (default: the topology's, no access-pattern
     knobs), ``schedule`` and ``run_keywords`` are ``run``'s own arguments.
 
-    With ``spawn_servers`` the servers are launched first and shut down
-    afterwards; otherwise the cluster must already be listening and is
-    left running.  ``result.extra["tcp"]`` holds the wire codec, the
+    With ``spawn_from`` — the file ``topology`` was loaded from, which
+    every ``repro serve`` process reads — the servers are launched first
+    and shut down afterwards; otherwise the cluster must already be
+    listening and is left running.  ``result.extra["tcp"]`` holds the wire codec, the
     driver's frame counters and each spawned server's exit code.  Over
     TCP a schedule may only contain link-level faults
     (:attr:`ClusterLinks.ACTIONS`) — anything else, ``fail_dc_at``
     included, is rejected here, before any process exists.
     """
-    topology = Topology.load(topology_path)
     actions = {event.action for event in schedule.events} if schedule else set()
     if run_keywords.get("fail_dc_at") is not None:
         actions.add("fail-dc")
@@ -294,8 +274,8 @@ def run_topology(
             f"of processes; only {', '.join(sorted(ClusterLinks.ACTIONS))} can"
         )
     servers = contextlib.nullcontext({})
-    if spawn_servers:
-        servers = spawned_servers(topology_path, topology)
+    if spawn_from is not None:
+        servers = spawned_servers(spawn_from, topology)
     with servers as processes:
         with driver_transport(topology) as transport:
             result = run(

@@ -26,16 +26,25 @@ the framing-layer nemesis RNG.  ``workload`` parameterizes the one
 :class:`~repro.workloads.micro.MicroBenchmark` every process builds
 (:meth:`Topology.build_workload`): servers populate their replicas from
 it, the driver runs its closed loop and ledger from it.
+
+The four deployment keys — ``protocol``, ``datacenters``,
+``partitions_per_table``, ``seed`` — are the
+:class:`~repro.db.cluster.ClusterSpec` fields the file fixes; a key it
+omits takes the spec's default.  They become a spec
+(:meth:`Topology.spec`) only when a cluster is assembled, never on load:
+a file may also describe bare transports — one data center, nodes that
+are not storage nodes — that no spec admits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MDCCConfig
 from repro.core.topology import ReplicaMap
+from repro.db.cluster import ClusterSpec
 from repro.protocols.base import get_protocol, protocols_supporting
 from repro.sim.rng import RngRegistry
 from repro.transport.base import TransportError
@@ -61,9 +70,9 @@ class Topology:
 
     datacenters: Tuple[str, ...]
     nodes: Dict[str, NodeAddress]
-    protocol: str = "mdcc"
-    partitions_per_table: int = 1
-    seed: int = 1
+    protocol: str = ClusterSpec.protocol
+    partitions_per_table: int = ClusterSpec.partitions_per_table
+    seed: int = ClusterSpec.seed
     codec: str = "json"
     workload: Dict[str, object] = field(default_factory=dict)
 
@@ -103,13 +112,16 @@ class Topology:
             nodes[node_id] = NodeAddress(
                 dc=spec["dc"], host=spec.get("host", "127.0.0.1"), port=int(spec["port"])
             )
+        deployment = {
+            key: convert(raw[key])
+            for key, convert in (("protocol", str), ("partitions_per_table", int), ("seed", int))
+            if key in raw
+        }
         return cls(
             datacenters=tuple(raw["datacenters"]),
             nodes=nodes,
-            protocol=raw.get("protocol", "mdcc"),
-            partitions_per_table=int(raw.get("partitions_per_table", 1)),
-            seed=int(raw.get("seed", 1)),
             codec=raw.get("codec", "json"),
+            **deployment,
             workload=_checked(
                 "workload",
                 raw.get("workload", {}),
@@ -144,10 +156,11 @@ class Topology:
     # ------------------------------------------------------------------
     # Derived cluster objects
     # ------------------------------------------------------------------
-    def cluster_fields(self) -> Dict[str, object]:
-        """The :class:`repro.api.ClusterSpec` fields this file fixes.  A
-        cluster of real processes runs these and the spec's defaults for
-        the rest — a flag asking for anything else cannot be honoured."""
+    def cluster_fields(self) -> Dict[str, Any]:
+        """The :class:`~repro.db.cluster.ClusterSpec` fields this file
+        fixes.  A cluster of real processes runs these and the spec's
+        defaults for the rest — a flag asking for anything else cannot be
+        honoured."""
         return {
             "protocol": self.protocol,
             "datacenters": self.datacenters,
@@ -155,19 +168,26 @@ class Topology:
             "seed": self.seed,
         }
 
+    def spec(self) -> ClusterSpec:
+        """The deployment every process of this file builds its
+        :class:`~repro.db.cluster.Cluster` from; a file no spec admits is
+        a :class:`TransportError` here, when a cluster is assembled."""
+        try:
+            return ClusterSpec(**self.cluster_fields())
+        except ValueError as exc:
+            raise TransportError(str(exc)) from None
+
     def dc_of(self, node_id: str) -> Optional[str]:
         address = self.nodes.get(node_id)
         return address.dc if address else None
 
     def build_placement(self) -> ReplicaMap:
-        return ReplicaMap(
-            self.datacenters, partitions_per_table=self.partitions_per_table
-        )
+        """The replica map every process of this file derives."""
+        return self.spec().placement()
 
-    def build_config(self, config: Optional[MDCCConfig] = None) -> MDCCConfig:
-        if config is not None:
-            return config
-        return get_protocol(self.protocol).default_config(len(self.datacenters))
+    def build_config(self) -> MDCCConfig:
+        """The config every process of this file derives."""
+        return self.spec().config()
 
     # ------------------------------------------------------------------
     # Workload
@@ -194,8 +214,8 @@ def _checked(
     what: str, raw: object, known: Sequence[str], required: Sequence[str] = ()
 ) -> Dict:
     """A copy of ``raw`` — or a :class:`TransportError` naming the key: a
-    typo'd topology must not half-apply (the ``_checked_fields`` rule of
-    :mod:`repro.api`), and a missing key is not a bare ``KeyError``."""
+    typo'd topology must not half-apply (the ``checked_fields`` rule of
+    the specs), and a missing key is not a bare ``KeyError``."""
     if not isinstance(raw, dict):
         raise TransportError(f"{what} must be a JSON object")
     unknown = sorted(set(raw) - set(known))
@@ -210,10 +230,8 @@ def _checked(
 
 
 def make_local_topology(
-    datacenters=("us-west", "us-east", "eu-west"),
-    protocol: str = "mdcc",
-    partitions_per_table: int = 1,
-    seed: int = 1,
+    spec: ClusterSpec,
+    *,
     codec: str = "json",
     base_port: int = 7100,
     host: str = "127.0.0.1",
@@ -222,13 +240,25 @@ def make_local_topology(
     min_stock: int = 100,
     max_stock: int = 200,
 ) -> Topology:
-    """A loopback topology: every storage node on ``host``, sequential
-    ports from ``base_port`` (or explicit ``ports``, e.g. pre-bound free
-    ones in tests)."""
+    """A loopback topology deploying ``spec``: every storage node on
+    ``host``, sequential ports from ``base_port`` (or explicit ``ports``,
+    e.g. pre-bound free ones in tests).  A file carries only the four
+    deployment keys, so a spec that sets any other field is refused."""
+    fixed = {
+        "protocol": spec.protocol,
+        "datacenters": spec.datacenters,
+        "partitions_per_table": spec.partitions_per_table,
+        "seed": spec.seed,
+    }
+    if spec != ClusterSpec(**fixed):
+        raise TransportError(
+            "a topology file carries only protocol, data centers, partitions "
+            "and seed"
+        )
     slots = [
         (dc, partition)
-        for dc in datacenters
-        for partition in range(partitions_per_table)
+        for dc in spec.effective_datacenters
+        for partition in range(spec.effective_partitions)
     ]
     if ports is None:
         ports = [base_port + index for index in range(len(slots))]
@@ -241,11 +271,11 @@ def make_local_topology(
         for (dc, partition), port in zip(slots, ports)
     }
     return Topology(
-        datacenters=tuple(datacenters),
+        datacenters=spec.effective_datacenters,
         nodes=nodes,
-        protocol=protocol,
-        partitions_per_table=partitions_per_table,
-        seed=seed,
+        protocol=spec.protocol,
+        partitions_per_table=spec.effective_partitions,
+        seed=spec.seed,
         codec=codec,
         workload={
             "name": "micro",

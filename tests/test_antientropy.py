@@ -3,14 +3,14 @@
 import pytest
 
 from repro.db.checkers import check_replica_convergence
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(seed=1, **kwargs):
-    cluster = build_cluster("mdcc", seed=seed, **kwargs)
+def make_cluster(seed=1, **spec):
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=seed, **spec))
     cluster.register_table(ITEMS)
     return cluster
 

@@ -10,14 +10,17 @@ knob a spec carries is honoured with or without a fault schedule.
 """
 
 import dataclasses
+import inspect
 import json
+import pathlib
 
 import pytest
 
+import repro.api
 from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
+from repro.core.config import MDCCConfig, ProtocolVariant
 from repro.bench import run
 from repro.cli import main
-from repro.db.cluster import build_cluster as build_cluster_raw
 from repro.faults.schedule import named_schedule
 from repro.workloads import MicroBenchmark
 
@@ -120,7 +123,7 @@ def test_spec_validation():
         ClusterSpec(master_policy="fixed:mars")
     with pytest.raises(ValueError, match="fixed:eu-west"):  # a region, not a member
         ClusterSpec(master_policy="fixed:eu-west", datacenters=("us-west", "us-east"))
-    with pytest.raises(ValueError, match="table_master_dc"):
+    with pytest.raises(ValueError, match="unknown master policy 'table'"):
         ClusterSpec(master_policy="table")
     with pytest.raises(ValueError, match="atlantis"):
         ClusterSpec(datacenters=("us-west", "atlantis"))
@@ -137,7 +140,7 @@ def test_spec_and_composed_driver_calls_agree():
     """run_scenario(spec) is exactly: build the three pieces, call run."""
     via_spec = run_scenario(ScenarioSpec(**CHAOS))
     direct = run(
-        build_cluster_raw("fast", seed=3, partitions_per_table=2),
+        build_cluster(ClusterSpec(protocol="fast", seed=3)),
         MicroBenchmark(num_items=80, min_stock=500, max_stock=1_000),
         named_schedule("dc-outage", start_ms=1_000.0, duration_ms=6_000.0),
         num_clients=5,
@@ -256,3 +259,69 @@ def test_chaos_envelope_carries_spec(capsys):
     spec = ScenarioSpec.from_dict(payload["spec"])
     assert spec.schedule == "dc-outage"
     assert spec.cluster.protocol == "mdcc"
+
+
+# ----------------------------------------------------------------------
+# One description of a deployment: each knob in one place
+# ----------------------------------------------------------------------
+def test_no_spec_field_is_a_builder_parameter():
+    """The deployment is the spec; the builder takes only what a spec
+    does not describe."""
+    spec_fields = {f.name for f in dataclasses.fields(ClusterSpec)}
+    parameters = set(inspect.signature(build_cluster).parameters)
+    assert parameters == {
+        "spec", "config", "jitter_sigma", "migration_policy",
+        "placement_scan_ms", "tracker_halflife_ms",
+    }
+    assert not spec_fields & parameters
+
+
+def test_the_three_builder_names_are_one_function():
+    import repro
+    import repro.db
+
+    assert repro.build_cluster is repro.api.build_cluster is repro.db.build_cluster
+    assert repro.ClusterSpec is repro.api.ClusterSpec is repro.db.ClusterSpec
+
+
+@pytest.mark.parametrize(
+    "name", ["_deploy", "_pieces", "table_master_dc", "default_master_dc"]
+)
+def test_deleted_deployment_surfaces_stay_deleted(name):
+    src = pathlib.Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_a_config_must_run_the_protocols_variant():
+    """A hand-built config used to override the protocol silently: a
+    "multi" cluster ran fast ballots under the config's default variant."""
+    with pytest.raises(ValueError, match="contradicts protocol 'multi'"):
+        build_cluster(ClusterSpec(protocol="multi"), config=MDCCConfig())
+    cluster = build_cluster(
+        ClusterSpec(protocol="fast"), config=MDCCConfig(variant=ProtocolVariant.FAST, gamma=7)
+    )
+    assert cluster.config.gamma == 7
+    assert not cluster.config.commutative_enabled
+
+
+@pytest.mark.parametrize(
+    "tuned", [dict(gamma_policy="adaptive"), dict(batch_ms=5.0), dict(demarcation=False)]
+)
+def test_a_config_refuses_to_replace_spec_tunables(tuned):
+    """A config replaces the spec's tunables wholesale; set beside one it
+    would have dropped it without a word."""
+    with pytest.raises(ValueError, match=f"replaces the spec's {next(iter(tuned))}"):
+        build_cluster(ClusterSpec(**tuned), config=MDCCConfig())
+
+
+def test_a_config_must_match_the_membership_size():
+    with pytest.raises(ValueError, match="does not match 3 data centers"):
+        build_cluster(
+            ClusterSpec(datacenters=("us-west", "us-east", "eu-west")),
+            config=MDCCConfig(),
+        )

@@ -5,15 +5,16 @@ import pytest
 from repro.core.config import MDCCConfig
 from repro.core.messages import VisibilityBatch
 from repro.core.storage_node import MDCCStorageNode
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
 def make_cluster(seed=1, batch_ms=0.0):
-    config = MDCCConfig(visibility_batch_ms=batch_ms)
-    cluster = build_cluster("mdcc", seed=seed, config=config)
+    cluster = build_cluster(
+        ClusterSpec(partitions_per_table=1, seed=seed, batch_ms=batch_ms)
+    )
     cluster.register_table(ITEMS)
     return cluster
 

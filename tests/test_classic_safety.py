@@ -33,7 +33,7 @@ from repro.core.messages import (
 )
 from repro.core.options import Option, OptionStatus, PhysicalUpdate, ReadValidation, RecordId
 from repro.core.state import RecordState
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.paxos.ballot import Ballot, BallotRange
 from repro.paxos.cstruct import CStruct
 from repro.paxos.quorum import QuorumSpec
@@ -55,10 +55,10 @@ def write(txid, vread, stock):
     )
 
 
-def acceptor(**cluster_kwargs):
+def acceptor():
     """store-us-west-p0 of a fresh cluster holding items/k, its outbound
     messages captured instead of sent."""
-    cluster = build_cluster("mdcc", seed=1, **cluster_kwargs)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=1))
     cluster.register_table(ITEMS)
     cluster.load_record("items", "k", {"stock": 10})
     node = cluster.storage_nodes["store-us-west-p0"]
@@ -161,7 +161,12 @@ def test_a_lagging_accept_of_a_superseded_write_is_not_committed_history():
 
 def test_a_joiners_votes_in_an_instance_open_at_admission_are_not_reported():
     cluster = build_cluster(
-        "mdcc", seed=1, datacenters=("us-west", "us-east", "eu-west"), elastic=True
+        ClusterSpec(
+            datacenters=("us-west", "us-east", "eu-west"),
+            partitions_per_table=1,
+            seed=1,
+            elastic=True,
+        )
     )
     cluster.register_table(ITEMS)
     cluster.load_record("items", "k", {"stock": 10})
@@ -234,7 +239,7 @@ def test_gamma_one_under_contention_loses_no_update(seed):
     the schedule that exposed the first three holes above."""
     config = MDCCConfig(variant=ProtocolVariant.FAST, gamma=1)
     result = run(
-        build_cluster("fast", seed=seed, partitions_per_table=2, config=config),
+        build_cluster(ClusterSpec(protocol="fast", seed=seed), config=config),
         MicroBenchmark(num_items=200, min_stock=2_000, max_stock=4_000),
         num_clients=30,
         warmup_ms=5_000,

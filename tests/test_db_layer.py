@@ -10,15 +10,17 @@ from repro.db.checkers import (
     check_constraints,
     check_replica_convergence,
 )
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.db.reads import local_read, pseudo_master_read, quorum_read
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(protocol="mdcc", seed=1, **kwargs):
-    cluster = build_cluster(protocol, seed=seed, **kwargs)
+def make_cluster(protocol="mdcc", seed=1):
+    cluster = build_cluster(
+        ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed)
+    )
     cluster.register_table(ITEMS)
     return cluster
 
@@ -57,14 +59,6 @@ class TestTopology:
     def test_fixed_master_policy(self):
         placement = ReplicaMap(["a", "b", "c"], master_policy="fixed:b")
         assert placement.master_dc(RecordId("items", "anything")) == "b"
-
-    def test_table_master_policy(self):
-        placement = ReplicaMap(
-            ["a", "b"], master_policy="table", table_master_dc={"items": "b"}
-        )
-        assert placement.master_dc(RecordId("items", "k")) == "b"
-        with pytest.raises(ValueError):
-            placement.master_dc(RecordId("unknown", "k"))
 
     def test_unknown_policies_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import sys
 
 from repro.core.messages import RepairProbe
 from repro.core.options import RecordId
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -24,7 +24,7 @@ ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
 def _make_cluster(protocol, seed=1):
-    cluster = build_cluster(protocol, seed=seed)
+    cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed))
     cluster.register_table(ITEMS)
     return cluster
 

@@ -25,15 +25,17 @@ from repro.core.options import (
     ReadValidation,
     RecordId,
 )
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.paxos.ballot import Ballot, BallotRange
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(seed=1, **kwargs):
-    cluster = build_cluster("mdcc", seed=seed, **kwargs)
+def make_cluster(seed=1, partitions_per_table=1, **spec):
+    cluster = build_cluster(
+        ClusterSpec(partitions_per_table=partitions_per_table, seed=seed, **spec)
+    )
     cluster.register_table(ITEMS)
     return cluster
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench import run
-from repro.api import ClusterSpec, ScenarioSpec, run_scenario
-from repro.db.cluster import build_cluster
+from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
 from repro.faults import (
     CHAOS_TABLE,
     ChaosController,
@@ -114,7 +113,7 @@ ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
 def make_cluster(seed=3, protocol="mdcc"):
-    cluster = build_cluster(protocol, seed=seed)
+    cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed))
     cluster.register_table(ITEMS)
     cluster.load_record("items", "a", {"stock": 10})
     return cluster
@@ -205,7 +204,7 @@ class TestChaosController:
         assert snapshot.value == expected
 
     def test_coordinator_crash_skipped_for_non_mdcc(self):
-        cluster = build_cluster("2pc", seed=3)
+        cluster = build_cluster(ClusterSpec(protocol="2pc", partitions_per_table=1, seed=3))
         schedule = FaultSchedule("s").crash_coordinator(100.0)
         controller = ChaosController(cluster, schedule)
         controller.install()
@@ -220,7 +219,7 @@ class TestScheduledRun:
     @staticmethod
     def _run():
         return run(
-            build_cluster("mdcc", seed=5, partitions_per_table=2),
+            build_cluster(ClusterSpec(seed=5)),
             MicroBenchmark(num_items=60, min_stock=500, max_stock=1_000),
             named_schedule("dc-outage", start_ms=1_000, duration_ms=8_000),
             num_clients=4,

@@ -8,15 +8,16 @@ durability across records, commutative commits, and constraint safety.
 
 import pytest
 
-from repro.core.config import MDCCConfig, ProtocolVariant
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(protocol="mdcc", seed=1, **kwargs):
-    cluster = build_cluster(protocol, seed=seed, **kwargs)
+def make_cluster(protocol="mdcc", seed=1):
+    cluster = build_cluster(
+        ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed)
+    )
     cluster.register_table(ITEMS)
     cluster.register_table(TableSchema("orders"))
     return cluster
@@ -276,8 +277,7 @@ class TestCommutative:
 
 class TestVariants:
     def test_fast_variant_converts_deltas_to_physical(self):
-        config = MDCCConfig(variant=ProtocolVariant.FAST)
-        cluster = make_cluster("fast", seed=5, config=config)
+        cluster = make_cluster("fast", seed=5)
         cluster.load_record("items", "i", {"stock": 10})
         client = cluster.add_client("us-west")
         tx = cluster.begin(client)
@@ -289,8 +289,7 @@ class TestVariants:
         assert cluster.read_committed("items", "i").value["stock"] == 7
 
     def test_fast_variant_requires_read_before_delta(self):
-        config = MDCCConfig(variant=ProtocolVariant.FAST)
-        cluster = make_cluster("fast", seed=5, config=config)
+        cluster = make_cluster("fast", seed=5)
         cluster.load_record("items", "i", {"stock": 10})
         client = cluster.add_client("us-west")
         tx = cluster.begin(client)

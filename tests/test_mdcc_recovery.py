@@ -8,7 +8,7 @@ txid and the full write-set keys) and drive it to a definitive outcome.
 from repro.core.coordinator import MDCCCoordinator
 from repro.core.options import Option, PhysicalUpdate, RecordId
 from repro.core.messages import ProposeFast
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
@@ -23,7 +23,7 @@ class CrashingCoordinator(MDCCCoordinator):
 
 
 def make_cluster(seed=1):
-    cluster = build_cluster("mdcc", seed=seed)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=seed))
     cluster.register_table(ITEMS)
     cluster.register_table(TableSchema("orders"))
     return cluster

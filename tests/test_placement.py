@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.options import RecordId
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.placement.directory import PlacementDirectory
 from repro.placement.policy import MigrationPolicy
 from repro.placement.tracker import AccessTracker
@@ -161,11 +161,11 @@ class TestPlacementDirectory:
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def _adaptive_cluster(protocol="multi", **kwargs):
+def _adaptive_cluster(protocol="multi"):
     cluster = build_cluster(
-        protocol,
-        seed=11,
-        master_policy="adaptive",
+        ClusterSpec(
+            protocol=protocol, partitions_per_table=1, master_policy="adaptive", seed=11
+        ),
         placement_scan_ms=500.0,
         tracker_halflife_ms=2_000.0,
         migration_policy=MigrationPolicy(
@@ -174,7 +174,6 @@ def _adaptive_cluster(protocol="multi", **kwargs):
             min_weight=2.0,
             cooldown_ms=2_000.0,
         ),
-        **kwargs,
     )
     cluster.register_table(ITEMS)
     return cluster
@@ -183,7 +182,7 @@ def _adaptive_cluster(protocol="multi", **kwargs):
 class TestAdaptiveCluster:
     def test_adaptive_requires_mdcc_variant(self):
         with pytest.raises(ValueError, match="adaptive master placement"):
-            build_cluster("2pc", master_policy="adaptive")
+            build_cluster(ClusterSpec(protocol="2pc", master_policy="adaptive"))
 
     def test_build_deploys_a_manager(self):
         cluster = _adaptive_cluster()

@@ -21,7 +21,7 @@ import repro.api
 import repro.db.cluster
 import repro.protocols
 from repro.core.config import MDCCConfig, ProtocolVariant
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.protocols.base import (
     CAPABILITY_FLAGS,
     PROTOCOLS,
@@ -138,13 +138,18 @@ class TestConfigDerivation:
             assert config.replication == 5
 
     def test_non_engine_protocols_make_no_config(self):
+        """The engine tunables configure nothing outside the engine: those
+        protocols get the neutral config whatever the tunables say."""
         for name in ("repcommit", "2pc", "qw3", "qw4", "megastore"):
-            assert get_protocol(name).make_config(5) is None
+            config = get_protocol(name).make_config(
+                5, gamma_policy="adaptive", visibility_batch_ms=5.0
+            )
+            assert config == MDCCConfig(replication=5)
 
     def test_default_config_always_exists(self):
         """Every protocol shares the engine's timeout/quorum parameters."""
         for name in PROTOCOLS:
-            config = get_protocol(name).default_config(5)
+            config = get_protocol(name).make_config(5)
             assert isinstance(config, MDCCConfig)
             assert config.replication == 5
             assert config.quorums.classic_size == 3
@@ -153,7 +158,7 @@ class TestConfigDerivation:
 class TestRoleConstruction:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_cluster_roles_come_from_the_descriptor(self, protocol):
-        cluster = build_cluster(protocol, seed=1)
+        cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=1))
         client_cls, storage_cls = EXPECTED_ROLES[protocol]
         assert {type(node).__name__ for node in cluster.storage_nodes.values()} == {
             storage_cls

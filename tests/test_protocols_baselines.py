@@ -3,15 +3,17 @@
 import pytest
 
 from repro.core.options import RecordId
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.protocols.base import get_protocol
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(protocol, seed=1, **kwargs):
-    cluster = build_cluster(protocol, seed=seed, **kwargs)
+def make_cluster(protocol, seed=1):
+    cluster = build_cluster(
+        ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed)
+    )
     cluster.register_table(ITEMS)
     return cluster
 
@@ -259,8 +261,15 @@ class TestMegastore:
         assert latencies[-1] > 3 * latencies[0]
 
     def test_multiple_partitions_rejected(self):
-        with pytest.raises(ValueError, match="entity group"):
-            build_cluster("megastore", partitions_per_table=2)
+        """A single entity group: asking for more partitions collapses to
+        one, on every deployment built from a spec."""
+        spec = ClusterSpec(protocol="megastore", partitions_per_table=2)
+        assert spec.effective_partitions == 1
+        cluster = build_cluster(spec)
+        assert cluster.placement.partitions_per_table == 1
+        assert sorted(cluster.storage_nodes) == sorted(
+            f"store-{dc}-p0" for dc in cluster.placement.datacenters
+        )
 
 
 class TestAbortPathsThroughProtocolInterface:

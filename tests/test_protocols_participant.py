@@ -13,7 +13,7 @@ from repro.core.options import (
     RecordId,
 )
 from repro.core.topology import ReplicaMap
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.protocols.participant import (
     PREPARED,
     REASONS,
@@ -194,7 +194,7 @@ def test_prepare_after_decision_does_not_strand_lock(protocol, messages):
     transaction on the record would abort (regression for the abort storm
     this once caused in 2PC under link jitter; Replicated Commit's per-DC
     2PC has the same reorder hazard)."""
-    cluster = build_cluster(protocol, seed=7)
+    cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=7))
     cluster.register_table(ITEMS)
     cluster.load_record("items", "i", {"stock": 10})
     node = cluster.storage_nodes[cluster.placement.replica_in(HERE, "us-west")]

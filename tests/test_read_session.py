@@ -1,6 +1,6 @@
 """Tests for §4.2 session guarantees (monotonic reads, read-your-writes)."""
 
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.db.reads import ReadSession
 from repro.storage.schema import TableSchema
 
@@ -8,7 +8,7 @@ ITEMS = TableSchema("items")
 
 
 def make_cluster(seed=1):
-    cluster = build_cluster("mdcc", seed=seed)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=seed))
     cluster.register_table(ITEMS)
     return cluster
 

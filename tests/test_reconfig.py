@@ -5,7 +5,7 @@ import pytest
 from repro.core.messages import FastReply
 from repro.core.options import OptionStatus, RecordId
 from repro.core.topology import ReplicaMap
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.reconfig.directory import MembershipDirectory, MembershipError
 from repro.storage.schema import Constraint, TableSchema
 
@@ -13,9 +13,15 @@ THREE_DCS = ("us-west", "us-east", "eu-west")
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(protocol="mdcc", seed=1, datacenters=THREE_DCS, **kwargs):
+def make_cluster(protocol="mdcc", seed=1):
     cluster = build_cluster(
-        protocol, seed=seed, datacenters=datacenters, elastic=True, **kwargs
+        ClusterSpec(
+            protocol=protocol,
+            datacenters=THREE_DCS,
+            partitions_per_table=1,
+            seed=seed,
+            elastic=True,
+        )
     )
     cluster.register_table(ITEMS)
     return cluster
@@ -154,7 +160,7 @@ class TestElasticReplicaMap:
 class TestBuildClusterElastic:
     def test_elastic_requires_mdcc_variant(self):
         with pytest.raises(ValueError):
-            build_cluster("2pc", elastic=True)
+            build_cluster(ClusterSpec(protocol="2pc", elastic=True))
 
     def test_elastic_cluster_exposes_manager(self):
         cluster = make_cluster()
@@ -163,7 +169,7 @@ class TestBuildClusterElastic:
         assert cluster.placement.is_elastic
 
     def test_static_cluster_has_no_manager(self):
-        cluster = build_cluster("mdcc")
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=0))
         assert cluster.reconfig is None
         assert cluster.membership is None
 
@@ -212,7 +218,9 @@ class TestEpochFencing:
         assert cluster.counters.get("reconfig.stale_epoch_dropped") > before
 
     def test_static_cluster_never_fences(self):
-        cluster = build_cluster("mdcc", datacenters=THREE_DCS)
+        cluster = build_cluster(
+            ClusterSpec(datacenters=THREE_DCS, partitions_per_table=1, seed=0)
+        )
         cluster.register_table(ITEMS)
         cluster.load_record("items", "k", {"stock": 5})
         client = cluster.add_client("us-west")

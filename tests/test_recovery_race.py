@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.coordinator import MDCCCoordinator
 from repro.core.options import RecordId
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
@@ -64,7 +64,7 @@ def assert_converged(cluster, committed: bool):
 def test_two_racing_agents_converge(seed):
     """Two agents starting from different DCs with seed-dependent skew
     must agree, and the replicas must hold exactly the agreed outcome."""
-    cluster = build_cluster("mdcc", seed=100 + seed)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=100 + seed))
     record_a, _record_b = dangle_transaction(cluster, f"race-{seed}")
 
     skew = cluster.rng.stream("test.race").uniform(0.0, 500.0)
@@ -93,7 +93,7 @@ def test_racing_agents_converge_under_message_loss(seed):
     eat the *winning* visibility at some replica, so the post-heal repair
     (an anti-entropy sweep, as in every chaos scenario) runs before the
     convergence check — the verdict itself must never be ambiguous."""
-    cluster = build_cluster("mdcc", seed=200 + seed)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=200 + seed))
     record_a, _record_b = dangle_transaction(cluster, f"lossy-{seed}")
 
     cluster.network.set_drop_rate(0.15)
@@ -126,7 +126,7 @@ def test_racing_agents_converge_under_message_loss(seed):
 def test_agent_rejoining_after_decision_sees_cached_outcome():
     """A third agent recovering long after the verdict must re-derive the
     SAME outcome from durable acceptor state, not flip it."""
-    cluster = build_cluster("mdcc", seed=33)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=33))
     record_a, _record_b = dangle_transaction(cluster, "late")
 
     first = cluster.add_recovery_agent("us-east")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.messages import RcApply, RcPrepare, CatchUp
 from repro.core.options import PhysicalUpdate, RecordId
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.protocols.replicatedcommit import (
     ReplicatedCommitClient,
     ReplicatedCommitStorageNode,
@@ -21,8 +21,10 @@ from repro.storage.schema import Constraint, TableSchema
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
 
-def make_cluster(seed=1, **kwargs):
-    cluster = build_cluster("repcommit", seed=seed, **kwargs)
+def make_cluster(seed=1):
+    cluster = build_cluster(
+        ClusterSpec(protocol="repcommit", partitions_per_table=1, seed=seed)
+    )
     cluster.register_table(ITEMS)
     return cluster
 
@@ -287,8 +289,8 @@ class TestClusterIntegration:
 
     def test_adaptive_placement_rejected(self):
         with pytest.raises(ValueError, match="adaptive master placement"):
-            build_cluster("repcommit", master_policy="adaptive")
+            build_cluster(ClusterSpec(protocol="repcommit", master_policy="adaptive"))
 
     def test_elastic_membership_rejected(self):
         with pytest.raises(ValueError, match="elastic membership"):
-            build_cluster("repcommit", elastic=True)
+            build_cluster(ClusterSpec(protocol="repcommit", elastic=True))

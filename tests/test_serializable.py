@@ -11,14 +11,16 @@ non-conflicts, and the interplay with commutative updates.
 import pytest
 
 from repro.core.options import ReadValidation
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.storage.schema import TableSchema
 
 ITEMS = TableSchema("items")
 
 
-def make_cluster(protocol="mdcc", seed=1, **kwargs):
-    cluster = build_cluster(protocol, seed=seed, **kwargs)
+def make_cluster(protocol="mdcc", seed=1):
+    cluster = build_cluster(
+        ClusterSpec(protocol=protocol, partitions_per_table=1, seed=seed)
+    )
     cluster.register_table(ITEMS)
     return cluster
 

@@ -16,11 +16,14 @@ import struct
 
 import pytest
 
+from repro.api import ClusterSpec
 from repro.core import messages
 from repro.transport import codec, tcp
 from repro.transport.base import Node
 from repro.transport.tcp import AsyncioTcpTransport
 from repro.transport.topology import Topology, make_local_topology
+
+LOOPBACK = ("us-west", "us-east", "eu-west")
 
 SINKS = ("sink-a", "sink-b", "sink-c")
 
@@ -297,7 +300,11 @@ PARENT_DECISIONS = [1, 0, 1, 1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 0, 1, 0, 2, 1, 0, 0, 
 
 def test_nemesis_decisions_equal_the_parents_for_a_fixed_seed():
     async def scenario():
-        topology = make_local_topology(items=10, seed=5, ports=[7001, 7002, 7003])
+        topology = make_local_topology(
+            ClusterSpec(datacenters=LOOPBACK, partitions_per_table=1, seed=5),
+            items=10,
+            ports=[7001, 7002, 7003],
+        )
         transport = AsyncioTcpTransport(topology, local_dc="us-west", nemesis_seed=42)
         transmitted = []
         transport._transmit = lambda dst_id, frame: transmitted.append(dst_id)
@@ -374,7 +381,11 @@ def _hosting(node_class):
     """A transport hosting one ``node_class`` node, "sink", and one
     connection to it over a fake socket: ``(transport, sink, connection,
     socket)``.  Needs a running loop."""
-    topology = make_local_topology(items=10, ports=[7001, 7002, 7003])
+    topology = make_local_topology(
+        ClusterSpec(datacenters=LOOPBACK, partitions_per_table=1),
+        items=10,
+        ports=[7001, 7002, 7003],
+    )
     transport = AsyncioTcpTransport(topology, local_dc="us-west")
     sink = node_class(transport, "sink")
     connection = tcp._Connection(transport)

@@ -47,24 +47,6 @@ class TestFixedPolicy:
             ReplicaMap(EC2_REGIONS, master_policy="fixed:mars-north")
 
 
-class TestTablePolicy:
-    def test_uses_the_table_default(self):
-        placement = ReplicaMap(
-            EC2_REGIONS,
-            master_policy="table",
-            table_master_dc={"items": "us-east", "orders": "ap-northeast"},
-        )
-        assert placement.master_dc(RecordId("items", "k")) == "us-east"
-        assert placement.master_dc(RecordId("orders", "k")) == "ap-northeast"
-
-    def test_missing_table_default_raises(self):
-        placement = ReplicaMap(
-            EC2_REGIONS, master_policy="table", table_master_dc={"items": "us-east"}
-        )
-        with pytest.raises(ValueError, match="no default master DC"):
-            placement.master_dc(RecordId("mystery", "k"))
-
-
 class TestPolicyValidation:
     def test_unknown_policy_string_rejected(self):
         with pytest.raises(ValueError, match="unknown master policy"):

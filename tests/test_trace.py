@@ -22,9 +22,8 @@ import socket
 import pytest
 
 import repro
-from repro.api import ClusterSpec, ScenarioSpec, run_scenario
+from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
 from repro.cli import _as_dict
-from repro.db.cluster import build_cluster
 from repro.storage.schema import Constraint, TableSchema
 from repro.trace import (
     MetricsRegistry,
@@ -293,7 +292,7 @@ class TestSimTimelines:
         tracer = Tracer(seed=7)
         trace_runtime.install(tracer)
         try:
-            cluster = build_cluster("mdcc", seed=7)
+            cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=7))
             cluster.register_table(
                 TableSchema("items", constraints={"stock": Constraint(minimum=0)})
             )
@@ -336,7 +335,7 @@ class TestSimTimelines:
         tracer = Tracer(seed=5)
         trace_runtime.install(tracer)
         try:
-            cluster = build_cluster("mdcc", seed=5)
+            cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=5))
             cluster.register_table(
                 TableSchema("items", constraints={"stock": Constraint(minimum=0)})
             )
@@ -386,8 +385,11 @@ class TestTcpStitching:
         from repro.transport.topology import make_local_topology
 
         topology = make_local_topology(
-            datacenters=("us-west", "us-east", "eu-west"),
-            seed=5,
+            ClusterSpec(
+                datacenters=("us-west", "us-east", "eu-west"),
+                partitions_per_table=1,
+                seed=5,
+            ),
             items=10,
             ports=_free_ports(3),
         )

@@ -125,9 +125,9 @@ def test_deregister_stops_delivery():
 
 
 def test_cluster_nodes_share_one_sim_transport():
-    from repro.db.cluster import build_cluster
+    from repro.db.cluster import ClusterSpec, build_cluster
 
-    cluster = build_cluster("mdcc", seed=3)
+    cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=3))
     assert isinstance(cluster.transport, SimTransport)
     storage = next(iter(cluster.storage_nodes.values()))
     assert storage.transport is cluster.transport

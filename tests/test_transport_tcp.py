@@ -57,9 +57,20 @@ def _free_ports(count):
     return ports
 
 
-def _write_topology(tmp_path, **kwargs):
-    kwargs.setdefault("ports", _free_ports(3 * kwargs.get("partitions_per_table", 1)))
-    topology = make_local_topology(**kwargs)
+LOOPBACK = ("us-west", "us-east", "eu-west")
+
+
+def _spec(**fields):
+    """The three-data-center loopback deployment, one partition unless
+    ``fields`` say otherwise."""
+    return ClusterSpec(**{"datacenters": LOOPBACK, "partitions_per_table": 1, **fields})
+
+
+def _write_topology(tmp_path, items, **fields):
+    spec = _spec(**fields)
+    topology = make_local_topology(
+        spec, items=items, ports=_free_ports(3 * spec.partitions_per_table)
+    )
     path = tmp_path / "topology.json"
     topology.dump(str(path))
     return str(path), topology
@@ -116,7 +127,7 @@ def test_topology_round_trips(tmp_path):
 
 def _raw_topology(**changes):
     """What ``perf/tcp_load.py`` writes: the seven keys, loopback nodes."""
-    raw = make_local_topology(items=30, seed=9).as_dict()
+    raw = make_local_topology(_spec(seed=9), items=30).as_dict()
     raw.update(changes)
     return raw
 
@@ -179,10 +190,8 @@ def test_topology_preload_is_deterministic(tmp_path):
 def test_topology_preload_is_the_workloads_population():
     """The plan a topology hands out is the one ``MicroBenchmark.populate``
     loads under the simulator at the same seed — stated once."""
-    topology = make_local_topology(items=30, seed=11)
-    cluster = build_cluster(
-        ClusterSpec(datacenters=topology.datacenters, partitions_per_table=1, seed=11)
-    )
+    topology = make_local_topology(_spec(seed=11), items=30)
+    cluster = build_cluster(topology.spec())
     topology.build_workload().populate(cluster)
     for key, stock in topology.preload_plan():
         assert cluster.read_committed("items", key).value == {"stock": stock}
@@ -192,7 +201,7 @@ def test_served_node_preloads_its_partition_only():
     """Each server hosts — and loads — exactly its own share of the plan:
     every key lands on one partition per DC, with the plan's stock."""
     topology = make_local_topology(
-        items=30, partitions_per_table=2, ports=_free_ports(6)
+        _spec(partitions_per_table=2), items=30, ports=_free_ports(6)
     )
     plan = dict(topology.preload_plan())
     placement = topology.build_placement()
@@ -219,7 +228,34 @@ def test_served_node_preloads_its_partition_only():
 
 def test_topology_rejects_non_mdcc_protocols():
     with pytest.raises(TransportError, match="MDCC variants"):
-        make_local_topology(protocol="twopc")
+        make_local_topology(_spec(protocol="2pc"))
+    with pytest.raises(TransportError, match="MDCC variants"):
+        Topology.from_dict(_raw_topology(protocol="twopc"))
+
+
+def test_topology_carries_only_the_four_deployment_fields():
+    with pytest.raises(TransportError, match="only protocol, data centers"):
+        make_local_topology(_spec(master_policy="fixed:us-east"))
+
+
+def test_a_topology_builds_what_its_processes_build():
+    """``build_placement`` / ``build_config`` are the placement and config
+    of the one Cluster constructor, fed the file's spec."""
+    topology = make_local_topology(_spec(protocol="multi", seed=3), items=30)
+    cluster = build_cluster(topology.spec())
+    placement = topology.build_placement()
+    assert topology.build_config() == cluster.config
+    assert placement.datacenters == cluster.placement.datacenters == LOOPBACK
+    assert placement.partitions_per_table == cluster.placement.partitions_per_table == 1
+    assert placement.master_policy == cluster.placement.master_policy == "hash"
+    assert cluster.rng.seed == 3
+
+
+def test_a_topology_no_spec_admits_is_refused_when_a_cluster_is_assembled():
+    """One data center is a valid file (a bare transport) but no cluster."""
+    topology = Topology.from_dict(_raw_topology(datacenters=["us-west"], nodes={}))
+    with pytest.raises(TransportError, match="two data centers"):
+        topology.spec()
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +264,7 @@ def test_topology_rejects_non_mdcc_protocols():
 @pytest.mark.parametrize("protocol", ["mdcc", "fast", "multi"])
 def test_tcp_variants_commit_across_processes(tmp_path, protocol):
     path, topology = _write_topology(tmp_path, items=30, seed=5, protocol=protocol)
-    result = run_topology(path, spawn_servers=True, **WINDOW)
+    result = run_topology(topology, spawn_from=path, **WINDOW)
     assert result.protocol == protocol
     assert result.seed == 5
     _assert_clean_live_run(result, topology)
@@ -239,7 +275,7 @@ def test_hotspot_run_over_tcp_audits_clean(tmp_path):
     because the loop that honours it is the simulator's."""
     path, topology = _write_topology(tmp_path, items=30, seed=5)
     workload = topology.build_workload(hotspot_fraction=0.1)
-    result = run_topology(path, workload, spawn_servers=True, **WINDOW)
+    result = run_topology(topology, workload, spawn_from=path, **WINDOW)
     _assert_clean_live_run(result, topology)
     hot = set(workload.keys[:3])
     bought = {
@@ -267,7 +303,7 @@ _GARBAGE = {
 
 @pytest.mark.parametrize("case", [*_GARBAGE, "truncated frame"])
 def test_bad_frame_closes_that_connection_and_the_server_keeps_serving(case, capfd):
-    topology = make_local_topology(items=30, seed=5, ports=_free_ports(3))
+    topology = make_local_topology(_spec(seed=5), items=30, ports=_free_ports(3))
     victim = sorted(topology.nodes)[0]
     address = topology.nodes[victim]
 
@@ -408,10 +444,10 @@ def test_flaky_wan_over_tcp_no_post_heal_violations(tmp_path):
     path, topology = _write_topology(tmp_path, items=40, seed=7)
     schedule = named_schedule("flaky-wan", start_ms=100.0, duration_ms=1_500.0)
     result = run_topology(
-        path,
+        topology,
         None,
         schedule,
-        spawn_servers=True,
+        spawn_from=path,
         num_clients=3,
         warmup_ms=100.0,
         measure_ms=1_500.0,
@@ -436,14 +472,14 @@ def test_flaky_wan_over_tcp_no_post_heal_violations(tmp_path):
 def test_unsupported_schedule_is_rejected_before_spawning(tmp_path, monkeypatch):
     """dc-outage needs fail-dc, which no framing nemesis can apply: the
     run must refuse before a single server process exists."""
-    path, _ = _write_topology(tmp_path, items=30, seed=5)
+    path, topology = _write_topology(tmp_path, items=30, seed=5)
     spawned = []
     monkeypatch.setattr(
         runner.subprocess, "Popen", lambda *a, **k: spawned.append(a) or 1 / 0
     )
     schedule = named_schedule("dc-outage", start_ms=100.0, duration_ms=1_000.0)
     with pytest.raises(TransportError, match="fail-dc"):
-        run_topology(path, None, schedule, spawn_servers=True, **WINDOW)
+        run_topology(topology, None, schedule, spawn_from=path, **WINDOW)
     assert spawned == []
 
 
@@ -484,10 +520,8 @@ def _first_buys(cluster, topology, count, measure_ms):
 def test_same_seed_same_transaction_mix_on_both_transports():
     """Keys and amounts come from per-client streams of the run's seed and
     the one ``MicroBenchmark``: transport and timing do not enter."""
-    topology = make_local_topology(items=30, seed=13, ports=_free_ports(3))
-    simulated = build_cluster(
-        ClusterSpec(datacenters=topology.datacenters, partitions_per_table=1, seed=13)
-    )
+    topology = make_local_topology(_spec(seed=13), items=30, ports=_free_ports(3))
+    simulated = build_cluster(topology.spec())
     over_sim = _first_buys(simulated, topology, count=4, measure_ms=5_000.0)
     with _in_process_cluster(topology) as driver:
         over_tcp = _first_buys(

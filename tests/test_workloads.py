@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.cluster import build_cluster
+from repro.db.cluster import ClusterSpec, build_cluster
 from repro.workloads.generator import ClientPool, WorkloadStats
 from repro.workloads.micro import MicroBenchmark
 from repro.workloads.tpcw import TPCW_MIX, TPCWBenchmark, WRITE_INTERACTIONS
@@ -20,7 +20,7 @@ class TestMicroConfig:
             MicroBenchmark(locality=-0.1)
 
     def test_populate_loads_items(self):
-        cluster = build_cluster("mdcc", seed=41)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=41))
         bench = MicroBenchmark(num_items=20)
         bench.populate(cluster)
         snap = cluster.read_committed("items", "item:000000")
@@ -28,7 +28,7 @@ class TestMicroConfig:
         assert 10 <= snap.value["stock"] <= 30
 
     def test_hotspot_selection_is_skewed(self):
-        cluster = build_cluster("mdcc", seed=42)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=42))
         bench = MicroBenchmark(num_items=1000, hotspot_fraction=0.02)
         bench.populate(cluster)
         rng = cluster.rng.stream("test.pick")
@@ -42,7 +42,7 @@ class TestMicroConfig:
         assert 0.85 <= hits / 2000 <= 0.95
 
     def test_uniform_selection_without_hotspot(self):
-        cluster = build_cluster("mdcc", seed=43)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=43))
         bench = MicroBenchmark(num_items=100)
         bench.populate(cluster)
         rng = cluster.rng.stream("test.pick")
@@ -50,7 +50,7 @@ class TestMicroConfig:
         assert len(seen) > 80  # nearly all items touched
 
     def test_locality_selection_prefers_local_masters(self):
-        cluster = build_cluster("mdcc", seed=44)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=44))
         bench = MicroBenchmark(num_items=500, locality=1.0)
         bench.populate(cluster)
         rng = cluster.rng.stream("test.pick")
@@ -61,7 +61,7 @@ class TestMicroConfig:
             assert cluster.placement.master_dc(RecordId("items", key)) == "us-west"
 
     def test_distinct_items_per_transaction(self):
-        cluster = build_cluster("mdcc", seed=45)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=45))
         bench = MicroBenchmark(num_items=10)
         bench.populate(cluster)
         rng = cluster.rng.stream("test.pick")
@@ -72,7 +72,7 @@ class TestMicroConfig:
 
 class TestMicroRun:
     def test_short_run_produces_stats(self):
-        cluster = build_cluster("mdcc", seed=46)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=46))
         bench = MicroBenchmark(num_items=200, min_stock=500, max_stock=1000)
         stats, pool = bench.run(
             cluster, num_clients=10, warmup_ms=2_000, measure_ms=8_000
@@ -90,7 +90,7 @@ class TestMicroRun:
         from repro.db.checkers import check_replica_convergence
 
         for protocol in ("mdcc", "fast", "multi"):
-            cluster = build_cluster(protocol, seed=47)
+            cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=47))
             bench = MicroBenchmark(num_items=50, min_stock=1000, max_stock=2000)
             stats, pool = bench.run(
                 cluster, num_clients=20, warmup_ms=1_000, measure_ms=8_000
@@ -105,7 +105,7 @@ class TestMicroRun:
         commutative MDCC commits far more than Fast (physical writes)."""
         results = {}
         for protocol in ("mdcc", "fast"):
-            cluster = build_cluster(protocol, seed=48)
+            cluster = build_cluster(ClusterSpec(protocol=protocol, partitions_per_table=1, seed=48))
             bench = MicroBenchmark(num_items=50, min_stock=5000, max_stock=9000)
             stats, _pool = bench.run(
                 cluster, num_clients=15, warmup_ms=1_000, measure_ms=8_000
@@ -124,7 +124,7 @@ class TestTPCW:
         assert WRITE_INTERACTIONS <= set(TPCW_MIX)
 
     def test_interaction_selection_follows_mix(self):
-        cluster = build_cluster("mdcc", seed=49)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=49))
         bench = TPCWBenchmark(num_items=100)
         rng = cluster.rng.stream("test.mix")
         counts = {}
@@ -136,7 +136,7 @@ class TestTPCW:
         assert counts["shopping_cart"] > counts["best_sellers"]
 
     def test_populate_creates_items_and_customers(self):
-        cluster = build_cluster("mdcc", seed=50)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=50))
         bench = TPCWBenchmark(num_items=50)
         bench.populate(cluster)
         item = cluster.read_committed("item", "item:000000")
@@ -146,7 +146,7 @@ class TestTPCW:
 
     def test_every_interaction_runs(self):
         """Each of the 14 WIs executes end-to-end without error."""
-        cluster = build_cluster("mdcc", seed=51)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=51))
         bench = TPCWBenchmark(num_items=50)
         bench.populate(cluster)
         client = cluster.add_client("us-west")
@@ -172,7 +172,7 @@ class TestTPCW:
                 assert name in WRITE_INTERACTIONS, name
 
     def test_short_tpcw_run(self):
-        cluster = build_cluster("mdcc", seed=52)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=52))
         bench = TPCWBenchmark(num_items=200, min_stock=1000, max_stock=2000)
         stats, pool = bench.run(
             cluster, num_clients=10, warmup_ms=2_000, measure_ms=10_000
@@ -184,7 +184,7 @@ class TestTPCW:
         assert bench.ledger.audit(cluster) == []
 
     def test_buy_confirm_respects_stock(self):
-        cluster = build_cluster("mdcc", seed=53)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=53))
         bench = TPCWBenchmark(num_items=30, min_stock=1, max_stock=2)
         stats, pool = bench.run(
             cluster, num_clients=10, warmup_ms=1_000, measure_ms=10_000
@@ -197,7 +197,7 @@ class TestTPCW:
 
 class TestClientPool:
     def test_closed_loop_counts_only_measurement_window(self):
-        cluster = build_cluster("mdcc", seed=54)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=54))
         bench = MicroBenchmark(num_items=100, min_stock=500, max_stock=900)
         bench.populate(cluster)
 
@@ -211,7 +211,7 @@ class TestClientPool:
         assert 5 <= per_client <= 40
 
     def test_stats_latency_series_populated(self):
-        cluster = build_cluster("mdcc", seed=55)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=55))
         bench = MicroBenchmark(num_items=100, min_stock=500, max_stock=900)
         bench.populate(cluster)
         pool = ClientPool(
@@ -221,7 +221,7 @@ class TestClientPool:
         assert len(stats.latency_series) == stats.commits
 
     def test_client_dcs_override(self):
-        cluster = build_cluster("mdcc", seed=56)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=56))
         bench = MicroBenchmark(num_items=50)
         bench.populate(cluster)
         pool = ClientPool(
@@ -276,7 +276,7 @@ class TestGeoShift:
     def test_run_commits_and_audits_clean(self):
         from repro.workloads.geoshift import GeoShiftBenchmark
 
-        cluster = build_cluster("mdcc", seed=9)
+        cluster = build_cluster(ClusterSpec(partitions_per_table=1, seed=9))
         bench = GeoShiftBenchmark(num_items=60, phase_ms=2_000.0)
         stats, _pool = bench.run(
             cluster, num_clients=10, warmup_ms=1_000, measure_ms=6_000
