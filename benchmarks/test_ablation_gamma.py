@@ -11,7 +11,6 @@ still contended and pays repeated collision resolutions; large γ parks
 hot records in (stable, slower) master-routed mode longer than needed.
 """
 
-from repro.core.config import MDCCConfig, ProtocolVariant
 from repro.bench import run
 from repro.bench.reporting import format_table, save_results
 from repro.db.cluster import ClusterSpec, build_cluster
@@ -24,9 +23,8 @@ _CACHE = {}
 def gamma_results():
     if not _CACHE:
         for gamma in GAMMAS:
-            config = MDCCConfig(variant=ProtocolVariant.FAST, gamma=gamma)
             _CACHE[gamma] = run(
-                build_cluster(ClusterSpec(protocol="fast", seed=21), config=config),
+                build_cluster(ClusterSpec(protocol="fast", seed=21, gamma=gamma)),
                 # 200 items: hot, plenty of write-write conflicts
                 MicroBenchmark(num_items=200, min_stock=2_000, max_stock=4_000),
                 num_clients=30,

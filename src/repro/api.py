@@ -23,13 +23,13 @@ so an experiment is a reviewable artifact: commit the JSON, re-run it
 byte-identically with ``repro run --spec scenario.json``, and find the
 same block under ``"spec"`` in every JSON result envelope.
 
-An experiment a spec cannot say — a hand-built fault schedule, a custom
-:class:`~repro.core.config.MDCCConfig`, a stock range, a
-``migration_policy`` — composes the same three pieces directly: each
-knob lives in exactly one place.  The deployment is a
-:class:`ClusterSpec`; what a spec does not describe (a custom
-``config``, ``migration_policy``, ``jitter_sigma``, placement-manager
-cadences) are the five keywords :func:`build_cluster` takes beside it;
+An experiment a spec cannot say — a hand-built fault schedule, a stock
+range, a ``migration_policy`` — composes the same three pieces
+directly: each knob lives in exactly one place.  The deployment is a
+:class:`ClusterSpec` (the MDCC tunables γ, γ policy, batching and
+demarcation included); what a spec does not describe
+(``migration_policy``, ``jitter_sigma``, placement-manager cadences)
+are the four keywords :func:`build_cluster` takes beside it;
 table size, stock range and access pattern are keywords of the workload
 constructors (:mod:`repro.workloads`); clients, windows, client
 placement, the single outage, audit and bucket are keywords of the
@@ -107,6 +107,7 @@ class ScenarioSpec:
             raise ValueError("workload is required without a fault schedule")
         # (get_workload raises on unknown names)
         knobs = () if self.workload is None else get_workload(self.workload).spec_knobs
+        datacenters = self.cluster.effective_datacenters
         if self.clients < 1 or self.items < 1:
             raise ValueError("clients and items must be positive")
         if self.warmup_s < 0 or self.measure_s <= 0:
@@ -120,6 +121,16 @@ class ScenarioSpec:
         if self.schedule is None:
             if self.fail_at_s is not None and self.fail_dc is None:
                 raise ValueError("fail_at_s needs fail_dc")
+            if self.fail_dc is not None and self.fail_dc not in datacenters:
+                raise ValueError(
+                    f"fail_dc {self.fail_dc!r} is not a data center of the "
+                    f"cluster; choose from {', '.join(datacenters)}"
+                )
+            if self.fail_at_s is not None and not 0 <= self.fail_at_s < self.measure_s:
+                raise ValueError(
+                    f"fail_at_s={self.fail_at_s} is outside the measurement "
+                    f"window [0, {self.measure_s})"
+                )
         elif self.schedule not in NAMED_SCHEDULES:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; "
@@ -144,7 +155,6 @@ class ScenarioSpec:
                         f"{name} parameterizes the dc-replace schedule"
                     )
             return
-        datacenters = self.cluster.effective_datacenters
         if self.victim is not None:
             if self.victim not in datacenters:
                 raise ValueError(
@@ -183,11 +193,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        checked = checked_fields(cls, data)
-        cluster = checked.get("cluster")
-        if isinstance(cluster, dict):
-            checked["cluster"] = ClusterSpec.from_dict(cluster)
-        return cls(**checked)
+        return cls(**checked_fields(cls, data))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

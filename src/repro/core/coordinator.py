@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import MDCCConfig
+from repro.core.config import LEARN_TIMEOUT_MS, RECOVERY_TIMEOUT_MS, MDCCConfig
 from repro.core.messages import (
     FastReply,
     FastReplyBatch,
@@ -199,7 +199,7 @@ class MDCCCoordinator(Node):
         self._txid_seq = itertools.count(1)
         self._read_seq = itertools.count(1)
         self._pending_reads: Dict[int, Tuple[Future, ReadRequest, int]] = {}
-        self.read_timeout_ms = 4 * config.learn_timeout_ms
+        self.read_timeout_ms = 4 * LEARN_TIMEOUT_MS
         #: visibility batching (§7): destination -> buffered visibilities.
         self._visibility_buffer: Dict[str, List[Visibility]] = {}
         self._visibility_flush_scheduled = False
@@ -312,7 +312,7 @@ class MDCCCoordinator(Node):
             else:
                 for option in options.values():
                     self._propose_classic(tx, option)
-        self.set_timer(self.config.learn_timeout_ms, self._learn_timeout, txid)
+        self.set_timer(LEARN_TIMEOUT_MS, self._learn_timeout, txid)
         self.counters.increment("coordinator.transactions")
         return future
 
@@ -472,7 +472,7 @@ class MDCCCoordinator(Node):
                 tx.recovery_sent[option_id] = tx.recovery_round
                 self._send_recovery(tx, option, "timeout")
                 self.counters.increment("coordinator.timeout_recoveries")
-        self.set_timer(self.config.recovery_timeout_ms, self._learn_timeout, txid)
+        self.set_timer(RECOVERY_TIMEOUT_MS, self._learn_timeout, txid)
 
     # ------------------------------------------------------------------
     # Outcome & visibility (Algorithm 1, lines 5-8)

@@ -51,14 +51,12 @@ class GammaPolicy(Protocol):
 
 @dataclass(frozen=True)
 class StaticGammaPolicy:
-    """The paper's §3.3.2 policy: a fixed γ for every collision."""
+    """The paper's §3.3.2 policy: a fixed γ for every collision — a
+    demarcation-limit hit included (§3.4.2)."""
 
     gamma: int = 100
-    commutative_gamma: int = 100
 
     def classic_horizon(self, record: RecordId, reason: str, now: float) -> int:
-        if reason == "commutative-limit":
-            return max(self.commutative_gamma, 0)
         return max(self.gamma, 1)
 
 
@@ -110,14 +108,8 @@ class AdaptiveGammaPolicy:
 
 
 def make_policy(config) -> GammaPolicy:
-    """Build the configured policy from an :class:`MDCCConfig`."""
+    """Build the configured policy from an :class:`MDCCConfig`; the
+    adaptive policy runs at its constructor defaults."""
     if config.gamma_policy == "adaptive":
-        return AdaptiveGammaPolicy(
-            gamma_min=config.adaptive_gamma_min,
-            gamma_max=config.adaptive_gamma_max,
-            window_ms=config.adaptive_window_ms,
-        )
-    return StaticGammaPolicy(
-        gamma=config.gamma,
-        commutative_gamma=config.effective_commutative_gamma,
-    )
+        return AdaptiveGammaPolicy()
+    return StaticGammaPolicy(gamma=config.gamma)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.config import MDCCConfig
+from repro.core.config import RECOVERY_TIMEOUT_MS, MDCCConfig
 from repro.core.messages import (
     CatchUp,
     MPhase1a,
@@ -214,7 +214,7 @@ class MasterRole:
                     ),
                 )
         self.node.set_timer(
-            self.config.recovery_timeout_ms + self._stagger(ms.round_counter),
+            RECOVERY_TIMEOUT_MS + self._stagger(ms.round_counter),
             self._phase1_timeout,
             record,
             ballot,
@@ -438,20 +438,8 @@ class MasterRole:
             self.node.counters.increment(f"master.recovery.{reason}")
             return
         horizon = self.policy.classic_horizon(record, reason, self.node.now)
-        if reason == "commutative-limit" and horizon == 0:
-            # One classic round refreshes the base, then fast re-opens.
-            # Classic outranks fast at equal round, so the re-opened fast
-            # ballot needs the next round number to become effective.
-            fast_ballot = Ballot(
-                round=ms.ballot.round + 1, fast=True, proposer=self.node.node_id
-            )
-            ms.pending_post_grant = BallotRange(version, None, fast_ballot)
-            ms.pending_new_base = self._constrained_values(record, newest)
-        else:
-            ms.pending_post_grant = BallotRange(
-                version, version + max(horizon, 1) - 1, ms.ballot
-            )
-            ms.pending_new_base = self._constrained_values(record, newest)
+        ms.pending_post_grant = BallotRange(version, version + horizon - 1, ms.ballot)
+        ms.pending_new_base = self._constrained_values(record, newest)
         self.node.counters.increment(f"master.recovery.{reason}")
 
     def _constrained_values(
@@ -566,7 +554,7 @@ class MasterRole:
             for replica in self.placement.replicas(record):
                 self.node.send(replica, message)
         self.node.set_timer(
-            self.config.recovery_timeout_ms + self._stagger(ms.round_counter + 7),
+            RECOVERY_TIMEOUT_MS + self._stagger(ms.round_counter + 7),
             self._phase2_timeout,
             record,
             ms.ballot,

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.core.config import MDCCConfig
+from repro.core.config import RECOVERY_TIMEOUT_MS, MDCCConfig
 from repro.core.messages import (
     OptionOutcome,
     StartRecovery,
@@ -126,7 +126,7 @@ class RecoveryAgent(Node):
         with trace_runtime.under(state.trace_span):
             self._probe(state, hint_record)
         self.counters.increment("recovery.started")
-        self.set_timer(self.config.recovery_timeout_ms, self._retry, state)
+        self.set_timer(RECOVERY_TIMEOUT_MS, self._retry, state)
         return state.future
 
     # ------------------------------------------------------------------
@@ -248,7 +248,7 @@ class RecoveryAgent(Node):
                 state.escalated.discard(record)
                 self._evaluate(state, record)
         self.counters.increment("recovery.retries")
-        self.set_timer(self.config.recovery_timeout_ms, self._retry, state)
+        self.set_timer(RECOVERY_TIMEOUT_MS, self._retry, state)
 
     # ------------------------------------------------------------------
     # Decision

@@ -9,8 +9,10 @@ data center.  This module states that deployment once:
   partitioning, master placement, seed, the MDCC tunables, elastic
   membership.  Every rule about what may be deployed lives in its
   ``__post_init__``; :meth:`ClusterSpec.placement` and
-  :meth:`ClusterSpec.config` derive the replica map and the
-  :class:`~repro.core.config.MDCCConfig` from it.
+  :meth:`ClusterSpec.config` derive the replica map (the one owner of
+  replication and quorum sizes) and the
+  :class:`~repro.core.config.MDCCConfig` from it — the only way a
+  cluster gets either.
 * :class:`Cluster` — one process's view of a running deployment, built
   from a spec and a transport.  Its constructor is the one place a
   deployment's placement, config, RNG streams and counters come from,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from repro.core.config import MDCCConfig
 from repro.core.options import RecordId
@@ -49,10 +51,6 @@ from repro.storage.schema import TableSchema
 
 __all__ = ["Cluster", "ClusterSpec", "build_cluster", "PROTOCOLS"]
 
-#: The spec fields a hand-built :class:`MDCCConfig` would replace.
-_TUNABLES = ("gamma_policy", "batch_ms", "demarcation")
-
-
 @dataclass(frozen=True)
 class ClusterSpec:
     """The deployment half of an experiment: what cluster to build.
@@ -68,9 +66,11 @@ class ClusterSpec:
             ``None`` defers to the context default (``"hash"``, or a
             fault schedule's hint).
         seed: the experiment seed — every RNG stream derives from it.
-        gamma_policy / batch_ms / demarcation: the MDCC tunables the CLI
-            exposes (γ policy of §3.3.2, visibility batching window,
-            §3.4.2 demarcation limit).
+        gamma / gamma_policy / batch_ms / demarcation: the MDCC tunables
+            (γ and its policy, §3.3.2; the visibility batching window;
+            §3.4.2's demarcation limit).  The CLI exposes all but γ,
+            which the γ ablation sets from Python.  Protocols outside the
+            MDCC engine ignore them.
         elastic: build the cluster reconfigurable (runtime DC join/leave).
     """
 
@@ -79,6 +79,7 @@ class ClusterSpec:
     partitions_per_table: int = 2
     master_policy: Optional[str] = None
     seed: int = 1
+    gamma: int = 100
     gamma_policy: str = "static"
     batch_ms: float = 0.0
     demarcation: bool = True
@@ -112,6 +113,8 @@ class ClusterSpec:
             descriptor.require("supports_placement", "adaptive master placement")
         if self.elastic:
             descriptor.require("supports_elastic", "elastic membership")
+        if self.gamma < 1:
+            raise ValueError("gamma must be at least 1")
         if self.gamma_policy not in ("static", "adaptive"):
             raise ValueError(
                 f"unknown gamma_policy {self.gamma_policy!r}; "
@@ -149,38 +152,14 @@ class ClusterSpec:
             **tuning,
         )
 
-    def config(self, given: Optional[MDCCConfig] = None) -> MDCCConfig:
-        """The :class:`MDCCConfig` this spec describes — or ``given``, a
-        hand-built one, once it is checked not to contradict the spec: it
-        must run this protocol's variant on this many data centers, and it
-        replaces the spec's tunables, so those must be left at their
-        defaults."""
-        described = get_protocol(self.protocol).make_config(
-            len(self.effective_datacenters),
+    def config(self) -> MDCCConfig:
+        """The :class:`MDCCConfig` this spec describes."""
+        return get_protocol(self.protocol).make_config(
+            gamma=self.gamma,
             gamma_policy=self.gamma_policy,
             visibility_batch_ms=self.batch_ms,
             demarcation_enabled=self.demarcation,
         )
-        if given is None:
-            return described
-        if given.replication != described.replication:
-            raise ValueError(
-                f"config.replication={given.replication} does not match "
-                f"{described.replication} data centers"
-            )
-        if given.variant is not described.variant:
-            raise ValueError(
-                f"config.variant={given.variant.value!r} contradicts protocol "
-                f"{self.protocol!r}, which runs {described.variant.value!r}"
-            )
-        # (a dataclass keeps each field's default as a class attribute)
-        tuned = [name for name in _TUNABLES if getattr(self, name) != getattr(ClusterSpec, name)]
-        if tuned:
-            raise ValueError(
-                f"a config replaces the spec's {', '.join(tuned)}: set "
-                "them on the MDCCConfig instead"
-            )
-        return given
 
     def to_dict(self) -> Dict[str, object]:
         data = {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
@@ -194,18 +173,55 @@ class ClusterSpec:
 
 
 def checked_fields(cls: Any, data: Dict[str, object]) -> Dict[str, Any]:
-    """``data`` as constructor keywords of spec class ``cls`` — unknown
-    keys are rejected loudly: a typo'd spec must not half-apply."""
-    known = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(data) - known)
+    """``data``, a parsed JSON object, as constructor keywords of spec
+    class ``cls``.  An unknown key or a value of the wrong JSON type is
+    refused loudly, naming the field: a spec file must not half-apply."""
+    hints = get_type_hints(cls)
+    known = [spec_field.name for spec_field in fields(cls)]
+    unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(
             f"unknown {cls.__name__} field(s): {', '.join(unknown)}"
         )
-    prepared = dict(data)
-    if isinstance(prepared.get("datacenters"), list):
-        prepared["datacenters"] = tuple(prepared["datacenters"])
-    return prepared
+    return {
+        name: _json_value(f"{cls.__name__}.{name}", hints[name], value)
+        for name, value in data.items()
+    }
+
+
+def _json_value(where: str, expected: Any, value: object) -> Any:
+    """``value`` as the annotated type ``expected`` of field ``where``.
+    JSON has no tuples or nested specs: a list of strings becomes a tuple
+    and an object becomes the nested spec (``ScenarioSpec.cluster``)."""
+    options = get_args(expected)
+    optional = type(None) in options
+    if optional:
+        if value is None:
+            return None
+        (expected,) = [option for option in options if option is not type(None)]
+    if expected is bool:
+        kind, ok = "true or false", isinstance(value, bool)
+    elif expected is int:
+        kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif expected is float:
+        kind = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif expected is str:
+        kind, ok = "a string", isinstance(value, str)
+    elif get_origin(expected) is tuple:
+        kind = "a list of strings"
+        ok = isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+        if ok:
+            value = tuple(value)
+    else:  # a nested spec
+        if isinstance(value, dict):
+            return expected.from_dict(value)
+        kind, ok = "an object", False
+    if not ok:
+        raise ValueError(
+            f"{where} must be {kind}{' or null' if optional else ''}, got {value!r}"
+        )
+    return value
 
 
 class Cluster:
@@ -216,8 +232,7 @@ class Cluster:
     and counters, and hosts no storage node — the caller adds the ones
     this process serves.  ``rng`` is the spec's stream registry when the
     transport was built on it first (the simulated network draws its
-    jitter from it); ``config`` goes to :meth:`ClusterSpec.config`,
-    ``tuning`` to :meth:`ClusterSpec.placement`.
+    jitter from it); ``tuning`` goes to :meth:`ClusterSpec.placement`.
     """
 
     def __init__(
@@ -225,7 +240,6 @@ class Cluster:
         spec: ClusterSpec,
         transport: Transport,
         *,
-        config: Optional[MDCCConfig] = None,
         rng: Optional[RngRegistry] = None,
         **tuning: float,
     ) -> None:
@@ -238,7 +252,7 @@ class Cluster:
         self.sim = getattr(transport, "sim", None)
         self.network = getattr(transport, "network", None)
         self.placement = spec.placement(**tuning)
-        self.config = spec.config(config)
+        self.config = spec.config()
         self.counters = CounterSet()
         self.rng = rng if rng is not None else RngRegistry(seed=spec.seed)
         self.storage_nodes: Dict[str, object] = {}
@@ -347,11 +361,11 @@ class Cluster:
                 f"protocol {self.protocol!r} does not support serializable "
                 "transactions"
             )
-        commutative = (
-            self.descriptor.supports_commutative and self.config.commutative_enabled
-        )
+        variant = self.descriptor.variant
         return Transaction(
-            client, commutative=commutative, serializable=serializable
+            client,
+            commutative=variant is not None and variant.commutative,
+            serializable=serializable,
         )
 
     # ------------------------------------------------------------------
@@ -412,7 +426,6 @@ class Cluster:
 def build_cluster(
     spec: ClusterSpec = ClusterSpec(),
     *,
-    config: Optional[MDCCConfig] = None,
     jitter_sigma: float = 0.06,
     migration_policy=None,
     placement_scan_ms: float = 1_000.0,
@@ -421,9 +434,8 @@ def build_cluster(
     """Deploy ``spec`` over the simulator: every storage node of every
     data center in this process.
 
-    The keywords are what a spec does not describe: ``config`` a
-    hand-built :class:`MDCCConfig` (checked by :meth:`ClusterSpec.config`),
-    ``jitter_sigma`` the WAN latency jitter, and for the adaptive policy
+    The keywords are what a spec does not describe: ``jitter_sigma`` the
+    WAN latency jitter, and for the adaptive policy
     ``migration_policy`` (the migration thresholds), ``placement_scan_ms``
     (the scan cadence) and ``tracker_halflife_ms`` (the write-origin
     decay).
@@ -451,7 +463,6 @@ def build_cluster(
     cluster = Cluster(
         spec,
         transport,
-        config=config,
         rng=rng,
         tracker_halflife_ms=tracker_halflife_ms,
     )

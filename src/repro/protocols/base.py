@@ -10,8 +10,8 @@ surface as code: a :class:`Protocol` descriptor names each protocol's
   storage-node replica over any :class:`~repro.transport.base.Transport`;
 * **capability flags** — which cluster features it can run (adaptive
   placement, elastic membership, causal tracing, serializable reads,
-  commutative updates, §3.2.3 recovery, the TCP backend, anti-entropy
-  repair);
+  §3.2.3 recovery, the TCP backend); commutative updates follow from its
+  :class:`~repro.core.config.ProtocolVariant`;
 * **vocabulary** — its conflict/abort reasons and causal trace span
   kinds, and which named chaos schedules its guarantees are gated on.
 
@@ -51,7 +51,6 @@ CAPABILITY_FLAGS = (
     "supports_elastic",
     "supports_tracing",
     "supports_serializable",
-    "supports_commutative",
     "supports_recovery",
     "supports_tcp",
 )
@@ -76,7 +75,6 @@ class Protocol:
         supports_elastic: runtime DC join/leave (epoch-fenced quorums).
         supports_tracing: the roles emit causal trace spans.
         supports_serializable: §4.4 read-set validation at commit.
-        supports_commutative: commutative (delta) updates with escrow.
         supports_recovery: §3.2.3 recovery agents can finish its dangling
             transactions (gates the coordinator-crash chaos fault).
         supports_tcp: the roles run over ``AsyncioTcpTransport``.
@@ -99,7 +97,6 @@ class Protocol:
     supports_elastic: bool = False
     supports_tracing: bool = False
     supports_serializable: bool = False
-    supports_commutative: bool = False
     supports_recovery: bool = False
     supports_tcp: bool = False
     single_entity_group: bool = False
@@ -159,20 +156,20 @@ class Protocol:
             )
 
     # ------------------------------------------------------------------
-    # Quorum/engine configuration
+    # Engine configuration
     # ------------------------------------------------------------------
-    def make_config(self, replication: int, **tunables: Any) -> MDCCConfig:
+    def make_config(self, **tunables: Any) -> MDCCConfig:
         """The config a cluster of this protocol runs, with the engine
-        ``tunables`` (:class:`MDCCConfig` keywords) applied.
+        ``tunables`` (:class:`MDCCConfig` keywords) applied — called by
+        :meth:`~repro.db.cluster.ClusterSpec.config` only.
 
-        Protocols outside the MDCC engine still share its timeout/quorum
-        parameters (``learn_timeout_ms``, :attr:`MDCCConfig.quorums`), so
-        they get a neutral default-variant config; the γ/batching
-        tunables have nothing to configure there and are ignored.
+        Protocols outside the MDCC engine have nothing for the tunables to
+        configure: they get the neutral default config (their roles take
+        a ``config`` like every role) and the tunables are ignored.
         """
         if self.variant is None:
-            return MDCCConfig(replication=replication)
-        return MDCCConfig(replication=replication, variant=self.variant, **tunables)
+            return MDCCConfig()
+        return MDCCConfig(variant=self.variant, **tunables)
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +252,6 @@ def _register_mdcc(name: str, variant: ProtocolVariant, summary: str) -> None:
             supports_elastic=True,
             supports_tracing=True,
             supports_serializable=True,
-            supports_commutative=True,
             supports_recovery=True,
             supports_tcp=True,
             chaos_schedules=NAMED_SCHEDULES,

@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.config import LEARN_TIMEOUT_MS
 from repro.core.coordinator import WriteSet
 from repro.core.messages import (
     CatchUp,
@@ -333,8 +334,8 @@ class ReplicatedCommitClient(ClientRole[_RcTx]):
         self._reads: Dict[int, _RcRead] = {}
         #: one wide-area round out and back, same budget 2PC gives its
         #: all-replica prepare round.
-        self.vote_timeout_ms = 4 * self.config.learn_timeout_ms
-        self.read_retry_ms = 2 * self.config.learn_timeout_ms
+        self.vote_timeout_ms = 4 * LEARN_TIMEOUT_MS
+        self.read_retry_ms = 2 * LEARN_TIMEOUT_MS
 
     # ------------------------------------------------------------------
     # Reads: majority of data centers (or one pinned replica)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
+from repro.core.config import LEARN_TIMEOUT_MS
 from repro.core.coordinator import WriteSet
 from repro.core.options import RecordId, Update
 from repro.protocols.client import ClientRole, Tx
@@ -105,7 +106,7 @@ class TwoPCCoordinator(ClientRole[_TwoPCTx]):
 
     @property
     def prepare_timeout_ms(self) -> float:
-        return 4 * self.config.learn_timeout_ms
+        return 4 * LEARN_TIMEOUT_MS
 
     def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
         tx = _TwoPCTx(

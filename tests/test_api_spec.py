@@ -39,10 +39,23 @@ def test_cluster_spec_golden_signature():
         ("partitions_per_table", 2),
         ("master_policy", None),
         ("seed", 1),
+        ("gamma", 100),
         ("gamma_policy", "static"),
         ("batch_ms", 0.0),
         ("demarcation", True),
         ("elastic", False),
+    ]
+
+
+def test_mdcc_config_golden_signature():
+    """The config holds only what a spec field or a protocol varies;
+    quorum sizes belong to the replica map, timeouts are constants."""
+    assert _signature(MDCCConfig) == [
+        ("variant", ProtocolVariant.MDCC),
+        ("gamma", 100),
+        ("gamma_policy", "static"),
+        ("demarcation_enabled", True),
+        ("visibility_batch_ms", 0.0),
     ]
 
 
@@ -101,6 +114,51 @@ def test_from_dict_rejects_unknown_fields():
         ClusterSpec.from_dict({"protocl": "mdcc"})
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        # each used to run, or die with a traceback naming something else
+        ({"cluster": {"demarcation": "false"}}, "ClusterSpec.demarcation"),
+        ({"cluster": {"elastic": 1}}, "ClusterSpec.elastic"),
+        ({"cluster": {"seed": "x"}}, "ClusterSpec.seed"),
+        ({"cluster": {"seed": True}}, "ClusterSpec.seed"),
+        ({"cluster": {"partitions_per_table": 1.5}}, "ClusterSpec.partitions_per_table"),
+        ({"cluster": {"gamma": 2.5}}, "ClusterSpec.gamma"),
+        ({"cluster": {"batch_ms": "5"}}, "ClusterSpec.batch_ms"),
+        ({"cluster": {"protocol": None}}, "ClusterSpec.protocol"),
+        ({"cluster": {"datacenters": "us-west"}}, "ClusterSpec.datacenters"),
+        ({"cluster": {"datacenters": ["us-west", 2]}}, "ClusterSpec.datacenters"),
+        ({"cluster": "mdcc"}, "ScenarioSpec.cluster"),
+        ({"items": 2.5}, "ScenarioSpec.items"),
+        ({"clients": "5"}, "ScenarioSpec.clients"),
+        ({"measure_s": None}, "ScenarioSpec.measure_s"),
+        ({"audit": "yes"}, "ScenarioSpec.audit"),
+        ({"hotspot": False}, "ScenarioSpec.hotspot"),
+    ],
+)
+def test_from_dict_refuses_wrong_json_types(data, field, tmp_path):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ScenarioSpec.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=f"bad scenario spec.*{field} must be "):
+        main(["run", "--spec", str(path)])
+
+
+def test_from_dict_takes_every_json_type_its_fields_allow():
+    spec = ScenarioSpec.from_dict(
+        {
+            "cluster": {"datacenters": ["us-west", "eu-west"], "batch_ms": 5, "gamma": 7},
+            "hotspot": None,
+            "measure_s": 3,
+            "audit": False,
+        }
+    )
+    assert spec.cluster.datacenters == ("us-west", "eu-west")
+    assert (spec.cluster.batch_ms, spec.cluster.gamma, spec.measure_s) == (5, 7, 3)
+    assert spec.hotspot is None and spec.audit is False
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="micro workload"):
         ScenarioSpec(workload="tpcw", hotspot=0.1)
@@ -127,6 +185,34 @@ def test_spec_validation():
         ClusterSpec(master_policy="table")
     with pytest.raises(ValueError, match="atlantis"):
         ClusterSpec(datacenters=("us-west", "atlantis"))
+    with pytest.raises(ValueError, match="gamma must be at least 1"):
+        ClusterSpec(gamma=0)
+
+
+@pytest.mark.parametrize(
+    "outage, message",
+    [
+        # ran clean and outage-free, exit 0
+        (dict(fail_dc="mars"), "fail_dc 'mars' is not a data center"),
+        # a region, but not a member of this cluster
+        (dict(fail_dc="eu-west", cluster=ClusterSpec(datacenters=("us-west", "us-east"))),
+         "fail_dc 'eu-west' is not a data center"),
+        # scheduled after the run had ended
+        (dict(fail_dc="us-east", fail_at_s=6.0), r"outside the measurement window \[0, 6.0\)"),
+        # died mid-run with "TransportError: negative delay"
+        (dict(fail_dc="us-east", fail_at_s=-3.0), "outside the measurement window"),
+    ],
+)
+def test_the_single_outage_must_happen(outage, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(**{**SMALL, **outage})
+
+
+def test_the_single_outage_window_edges():
+    ScenarioSpec(**SMALL, fail_dc="us-east", fail_at_s=0.0)
+    ScenarioSpec(**SMALL, fail_dc="us-east", fail_at_s=5.9)
+    with pytest.raises(SystemExit, match="fail_dc 'mars'"):
+        main(["run", "--fail-dc", "mars", "--clients", "2", "--measure-s", "2"])
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +356,7 @@ def test_no_spec_field_is_a_builder_parameter():
     spec_fields = {f.name for f in dataclasses.fields(ClusterSpec)}
     parameters = set(inspect.signature(build_cluster).parameters)
     assert parameters == {
-        "spec", "config", "jitter_sigma", "migration_policy",
+        "spec", "jitter_sigma", "migration_policy",
         "placement_scan_ms", "tracker_halflife_ms",
     }
     assert not spec_fields & parameters
@@ -285,7 +371,13 @@ def test_the_three_builder_names_are_one_function():
 
 
 @pytest.mark.parametrize(
-    "name", ["_deploy", "_pieces", "table_master_dc", "default_master_dc"]
+    "name",
+    [
+        "_deploy", "_pieces", "table_master_dc", "default_master_dc",
+        "commutative_gamma", "adaptive_gamma_min", "adaptive_gamma_max",
+        "adaptive_window_ms", "effective_commutative_gamma", "with_variant",
+        "supports_commutative",
+    ],
 )
 def test_deleted_deployment_surfaces_stay_deleted(name):
     src = pathlib.Path(repro.__file__).parent
@@ -299,29 +391,11 @@ def test_deleted_deployment_surfaces_stay_deleted(name):
 
 def test_a_config_must_run_the_protocols_variant():
     """A hand-built config used to override the protocol silently: a
-    "multi" cluster ran fast ballots under the config's default variant."""
-    with pytest.raises(ValueError, match="contradicts protocol 'multi'"):
-        build_cluster(ClusterSpec(protocol="multi"), config=MDCCConfig())
-    cluster = build_cluster(
-        ClusterSpec(protocol="fast"), config=MDCCConfig(variant=ProtocolVariant.FAST, gamma=7)
-    )
+    "multi" cluster ran fast ballots under the config's default variant.
+    The spec is now the config's only source."""
+    assert build_cluster(ClusterSpec(protocol="multi")).config.variant is ProtocolVariant.MULTI
+    cluster = build_cluster(ClusterSpec(protocol="fast", gamma=7))
     assert cluster.config.gamma == 7
     assert not cluster.config.commutative_enabled
-
-
-@pytest.mark.parametrize(
-    "tuned", [dict(gamma_policy="adaptive"), dict(batch_ms=5.0), dict(demarcation=False)]
-)
-def test_a_config_refuses_to_replace_spec_tunables(tuned):
-    """A config replaces the spec's tunables wholesale; set beside one it
-    would have dropped it without a word."""
-    with pytest.raises(ValueError, match=f"replaces the spec's {next(iter(tuned))}"):
-        build_cluster(ClusterSpec(**tuned), config=MDCCConfig())
-
-
-def test_a_config_must_match_the_membership_size():
-    with pytest.raises(ValueError, match="does not match 3 data centers"):
-        build_cluster(
-            ClusterSpec(datacenters=("us-west", "us-east", "eu-west")),
-            config=MDCCConfig(),
-        )
+    with pytest.raises(TypeError):
+        build_cluster(ClusterSpec(protocol="fast"), config=MDCCConfig())

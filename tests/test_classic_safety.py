@@ -22,7 +22,7 @@ replica value above the expected one:
 
 import pytest
 
-from repro.core.config import MDCCConfig, ProtocolVariant
+from repro.core.config import MDCCConfig
 from repro.core.master import MasterRole
 from repro.core.messages import (
     MPhase1a,
@@ -237,9 +237,8 @@ def test_a_master_refused_for_a_rivals_ballot_pauses_before_leapfrogging():
 def test_gamma_one_under_contention_loses_no_update(seed):
     """γ = 1 flips hot records between fast and classic every instance —
     the schedule that exposed the first three holes above."""
-    config = MDCCConfig(variant=ProtocolVariant.FAST, gamma=1)
     result = run(
-        build_cluster(ClusterSpec(protocol="fast", seed=seed), config=config),
+        build_cluster(ClusterSpec(protocol="fast", seed=seed, gamma=1)),
         MicroBenchmark(num_items=200, min_stock=2_000, max_stock=4_000),
         num_clients=30,
         warmup_ms=5_000,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import MDCCConfig, ProtocolVariant
+from repro.core.fastpolicy import make_policy
 from repro.core.options import RecordId
 from repro.core.topology import ReplicaMap
 from repro.db.checkers import (
@@ -12,6 +13,7 @@ from repro.db.checkers import (
 )
 from repro.db.cluster import ClusterSpec, build_cluster
 from repro.db.reads import local_read, pseudo_master_read, quorum_read
+from repro.sim.network import EC2_REGIONS
 from repro.storage.schema import Constraint, TableSchema
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
@@ -81,26 +83,22 @@ class TestConfig:
         assert not ProtocolVariant.MULTI.fast_ballots
 
     def test_quorum_derivation(self):
-        config = MDCCConfig(replication=5)
-        assert config.quorums.classic_size == 3
-        assert config.quorums.fast_size == 4
+        """Quorum sizes come from the replica map, their one owner."""
+        quorums = ReplicaMap(EC2_REGIONS).quorums()
+        assert quorums.classic_size == 3
+        assert quorums.fast_size == 4
 
     def test_commutative_gamma_defaults_to_gamma(self):
-        config = MDCCConfig(gamma=42)
-        assert config.effective_commutative_gamma == 42
-        assert MDCCConfig(gamma=42, commutative_gamma=7).effective_commutative_gamma == 7
+        """A demarcation-limit hit takes γ classic instances like any
+        collision (§3.4.2)."""
+        policy = make_policy(MDCCConfig(gamma=42))
+        record = RecordId("items", "k")
+        assert policy.classic_horizon(record, "commutative-limit", 0.0) == 42
+        assert policy.classic_horizon(record, "collision", 0.0) == 42
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MDCCConfig(replication=0)
-        with pytest.raises(ValueError):
             MDCCConfig(gamma=0)
-        with pytest.raises(ValueError):
-            MDCCConfig(learn_timeout_ms=0)
-
-    def test_with_variant(self):
-        config = MDCCConfig().with_variant(ProtocolVariant.FAST)
-        assert config.variant is ProtocolVariant.FAST
 
 
 class TestReadStrategies:

@@ -16,14 +16,9 @@ R2 = RecordId("items", "b")
 
 class TestStaticPolicy:
     def test_fixed_horizon(self):
-        policy = StaticGammaPolicy(gamma=100, commutative_gamma=100)
+        policy = StaticGammaPolicy(gamma=100)
         assert policy.classic_horizon(R1, "collision", now=0.0) == 100
         assert policy.classic_horizon(R1, "collision", now=1e6) == 100
-
-    def test_commutative_limit_uses_commutative_gamma(self):
-        policy = StaticGammaPolicy(gamma=100, commutative_gamma=0)
-        assert policy.classic_horizon(R1, "commutative-limit", now=0.0) == 0
-        assert policy.classic_horizon(R1, "collision", now=0.0) == 100
 
 
 class TestAdaptivePolicy:
@@ -74,32 +69,15 @@ class TestConfigIntegration:
         assert policy.gamma == 100
 
     def test_make_policy_adaptive(self):
-        config = MDCCConfig(
-            gamma_policy="adaptive",
-            adaptive_gamma_min=4,
-            adaptive_gamma_max=256,
-            adaptive_window_ms=2_000,
-        )
-        policy = make_policy(config)
+        policy = make_policy(MDCCConfig(gamma_policy="adaptive"))
         assert isinstance(policy, AdaptiveGammaPolicy)
-        assert policy.gamma_min == 4
-        assert policy.gamma_max == 256
+        assert policy.gamma_min == 8
+        assert policy.gamma_max == 1_024
+        assert policy.window_ms == 5_000.0
 
     def test_config_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             MDCCConfig(gamma_policy="oracle")
-
-    def test_config_rejects_bad_adaptive_params(self):
-        with pytest.raises(ValueError):
-            MDCCConfig(gamma_policy="adaptive", adaptive_gamma_min=0)
-        with pytest.raises(ValueError):
-            MDCCConfig(
-                gamma_policy="adaptive",
-                adaptive_gamma_min=16,
-                adaptive_gamma_max=8,
-            )
-        with pytest.raises(ValueError):
-            MDCCConfig(gamma_policy="adaptive", adaptive_window_ms=-1)
 
 
 class TestAdaptiveEndToEnd:

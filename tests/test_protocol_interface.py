@@ -132,27 +132,27 @@ class TestConfigDerivation:
             ("fast", ProtocolVariant.FAST),
             ("multi", ProtocolVariant.MULTI),
         ):
-            config = get_protocol(name).make_config(5)
+            config = get_protocol(name).make_config(gamma=7)
             assert isinstance(config, MDCCConfig)
             assert config.variant is variant
-            assert config.replication == 5
+            assert config.gamma == 7
 
     def test_non_engine_protocols_make_no_config(self):
         """The engine tunables configure nothing outside the engine: those
         protocols get the neutral config whatever the tunables say."""
         for name in ("repcommit", "2pc", "qw3", "qw4", "megastore"):
             config = get_protocol(name).make_config(
-                5, gamma_policy="adaptive", visibility_batch_ms=5.0
+                gamma=7, gamma_policy="adaptive", visibility_batch_ms=5.0
             )
-            assert config == MDCCConfig(replication=5)
+            assert config == MDCCConfig()
 
     def test_default_config_always_exists(self):
-        """Every protocol shares the engine's timeout/quorum parameters."""
+        """Every protocol's roles take a config; quorum sizes come from
+        the replica map, not from it."""
         for name in PROTOCOLS:
-            config = get_protocol(name).make_config(5)
-            assert isinstance(config, MDCCConfig)
-            assert config.replication == 5
-            assert config.quorums.classic_size == 3
+            cluster = build_cluster(ClusterSpec(protocol=name, seed=1))
+            assert isinstance(cluster.config, MDCCConfig)
+            assert cluster.placement.quorums().classic_size == 3
 
 
 class TestRoleConstruction:

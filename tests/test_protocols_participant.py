@@ -50,7 +50,7 @@ def make_participant():
         "store-us-west-p0",
         "us-west",
         ReplicaMap(["us-west"]),
-        MDCCConfig(replication=1),
+        MDCCConfig(),
     )
     node.store.register_table(ITEMS)
     node.store.record("items", "i").commit_value({"stock": 10})
