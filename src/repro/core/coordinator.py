@@ -2,10 +2,13 @@
 
 The DB library is stateless; its commit logic lives here.  A coordinator
 
-1. sends proposals for every update in the transaction's write-set —
-   directly to the storage nodes in fast ballots, one message per replica
-   set carrying every option whose record it replicates, or to the
-   record's master in classic ballots (``SendProposal``, lines 9-13);
+1. sends proposals for every update in the transaction's write-set
+   (``SendProposal``, lines 9-13).  Under ``mdcc`` / ``fast`` they go
+   straight to the storage nodes, one message per replica set carrying
+   every option whose record it replicates; a replica whose record is in
+   a classic era relays its option to the record's master.  Only under
+   ``multi`` (classic ballots only) does the coordinator itself send one
+   ``ProposeClassic`` per option to the record's master;
 2. learns each option: a fast quorum of matching acceptor decisions, or an
    ``OptionOutcome`` from the master after a collision (``Learn``, lines
    14-26);
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import LEARN_TIMEOUT_MS, RECOVERY_TIMEOUT_MS, MDCCConfig
 from repro.core.messages import (
@@ -50,7 +53,7 @@ from repro.core.options import (
     RecordId,
     Update,
 )
-from repro.core.topology import ReplicaMap
+from repro.core.topology import ReplicaMap, by_replica_set
 from repro.metrics import CounterSet
 from repro.trace import runtime as trace_runtime
 from repro.transport.base import Future, Node, Transport
@@ -159,17 +162,6 @@ class _TxState:
     recovery_round: int = 0
     recovery_sent: Dict[str, int] = field(default_factory=dict)
     finished: bool = False
-
-
-def _by_replica_set(
-    options: Iterable[Option], replicas_of: Callable[[RecordId], Sequence[str]]
-) -> Dict[Tuple[str, ...], List[Option]]:
-    """A transaction's options grouped by the replica set of their record,
-    in first-seen order: the unit one fast-path message goes to."""
-    groups: Dict[Tuple[str, ...], List[Option]] = {}
-    for option in options:
-        groups.setdefault(tuple(replicas_of(option.record)), []).append(option)
-    return groups
 
 
 class MDCCCoordinator(Node):
@@ -320,8 +312,9 @@ class MDCCCoordinator(Node):
         """One message per replica set: the set's options batched, a lone
         option bare."""
         epoch = self.placement.epoch
-        for replicas, options in _by_replica_set(
-            tx.options.values(), self.placement.replicas
+        replicas_of = self.placement.replicas
+        for replicas, options in by_replica_set(
+            tx.options.values(), lambda option: replicas_of(option.record)
         ).items():
             if len(options) == 1:
                 message = ProposeFast(option=options[0], reply_to=self.node_id, epoch=epoch)
@@ -500,8 +493,9 @@ class MDCCCoordinator(Node):
             # Repair scope, not quorum scope: joining replicas receive
             # visibilities too, so a bootstrapping DC tracks live commits
             # instead of deferring everything to the catch-up sweeps.
-            for replicas, options in _by_replica_set(
-                tx.options.values(), self.placement.replicas_for_repair
+            repair_scope = self.placement.replicas_for_repair
+            for replicas, options in by_replica_set(
+                tx.options.values(), lambda option: repair_scope(option.record)
             ).items():
                 self._send_visibilities(
                     replicas,

@@ -2,8 +2,10 @@
 
 Naming follows the paper's pseudocode: Propose, Phase1a/1b, Phase2a/2b,
 Visibility, StartRecovery (Algorithms 1-3).  Fast-path proposals go
-straight to the acceptors (ProposeFast); classic-path proposals go to the
-record's master (ProposeClassic).  All messages are immutable dataclasses.
+straight to the acceptors (ProposeFast); an acceptor whose record is in a
+classic era relays the option to the record's master (ProposeClassic),
+and only the ``multi`` configuration's coordinator sends ProposeClassic
+itself.  All messages are immutable dataclasses.
 
 The fast path travels one message per (transaction, replica set): a
 transaction's options whose records share a replica set go out as one
@@ -420,24 +422,25 @@ class RcCommitRequest:
 
 @dataclass(frozen=True, slots=True)
 class RcPrepare:
-    """DC coordinator → local participant: lock + validate one update."""
+    """DC coordinator → local participant: lock + validate the
+    participant's slice of the write-set, each record on its own."""
 
     txid: str
-    record: RecordId
-    update: Update
+    updates: Tuple[Tuple[RecordId, Update], ...]
     reply_to: str  # the DC coordinator collecting local votes
 
 
 @dataclass(frozen=True, slots=True)
 class RcPrepareReply:
-    """Participant → DC coordinator: the local 2PC vote for one record.
+    """Participant → DC coordinator: the local 2PC vote on ``records``.
 
-    ``reason`` names the refusal from the protocol's abort vocabulary
-    (``"prepared"`` on success) — surfaced in traces and the DC vote.
+    ``vote`` holds iff every record prepared; ``reason`` names the first
+    refusal from the protocol's abort vocabulary (``"prepared"`` on
+    success) — surfaced in traces and the DC vote.
     """
 
     txid: str
-    record: RecordId
+    records: Tuple[RecordId, ...]
     vote: bool
     reason: str
 
@@ -471,15 +474,16 @@ class RcDecision:
 
 @dataclass(frozen=True, slots=True)
 class RcApply:
-    """DC coordinator → local participant: apply (or release) locally.
+    """DC coordinator → local participant: apply (or release) its slice
+    of the write-set locally.
 
-    Commit applies are version-guarded and idempotent, so relaying them
-    is safe at any time — including re-deliveries after a heal.
+    Commit applies are version-guarded and idempotent per record, so
+    relaying them is safe at any time — including re-deliveries after a
+    heal.
     """
 
     txid: str
-    record: RecordId
-    update: Update
+    updates: Tuple[Tuple[RecordId, Update], ...]
     commit: bool
 
 

@@ -37,16 +37,33 @@ ones from an elastic map; no role keeps a flag or a copy of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro.core.options import RecordId
 from repro.paxos.quorum import QuorumSpec
 from repro.storage.partition import stable_hash
 
-__all__ = ["ReplicaMap", "MASTER_POLICIES"]
+__all__ = ["ReplicaMap", "MASTER_POLICIES", "by_replica_set"]
 
 #: The named master policies (``fixed:<dc>`` is the parameterized one).
 MASTER_POLICIES = ("hash", "adaptive")
+
+T = TypeVar("T")
+
+
+def by_replica_set(
+    items: Iterable[T], replicas_of: Callable[[T], Sequence[str]]
+) -> Dict[Tuple[str, ...], List[T]]:
+    """One transaction's items grouped by the nodes ``replicas_of`` sends
+    each to, groups and members in first-seen order: the unit one message
+    goes to.  MDCC's fast path groups options by their record's replica
+    set, 2PC and quorum writes group write-set entries the same way, and
+    a Replicated Commit DC coordinator by the entry's one local
+    participant."""
+    groups: Dict[Tuple[str, ...], List[T]] = {}
+    for item in items:
+        groups.setdefault(tuple(replicas_of(item)), []).append(item)
+    return groups
 
 
 class ReplicaMap:

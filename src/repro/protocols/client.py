@@ -5,7 +5,9 @@ one replica, hands a write-set to ``commit`` and learns a
 :class:`~repro.core.coordinator.TransactionOutcome`.  :class:`ClientRole`
 is that surface; a protocol supplies :meth:`ClientRole._begin` (whom it
 asks) and its reply handlers (how it tallies), and calls
-:meth:`ClientRole.finish` once it knows the answer.
+:meth:`ClientRole.finish` once it knows the answer.  A protocol that asks
+the record replicas sends each replica set its slice of the write-set
+(:meth:`ClientRole.slices`), one message per (transaction, storage node).
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ from repro.core.config import MDCCConfig
 from repro.core.coordinator import TransactionOutcome, WriteSet
 from repro.core.messages import ReadReply, ReadRequest
 from repro.core.options import OptionStatus, RecordId
-from repro.core.topology import ReplicaMap
+from repro.core.topology import ReplicaMap, by_replica_set
 from repro.metrics import CounterSet
+from repro.protocols.participant import Slice
 from repro.transport.base import Future, Node, Transport
 
-__all__ = ["ClientRole", "Tx"]
+__all__ = ["ClientRole", "Slices", "Tx"]
+
+#: a write-set as the baselines send it: per replica set (the storage
+#: nodes one message goes to), the slice those nodes hold.
+Slices = Tuple[Tuple[Tuple[str, ...], Slice], ...]
 
 
 @dataclass
@@ -97,6 +104,16 @@ class ClientRole(Node, Generic[TxT]):
         """Register the transaction in ``_transactions`` and send its
         first round."""
         raise NotImplementedError
+
+    def slices(self, writeset: WriteSet) -> Slices:
+        """``writeset`` grouped by replica set, in write-set order."""
+        replicas_of = self.placement.replicas
+        return tuple(
+            (replicas, tuple(updates))
+            for replicas, updates in by_replica_set(
+                writeset.updates.items(), lambda item: replicas_of(item[0])
+            ).items()
+        )
 
     def outcome(self, tx: Tx, committed: bool) -> TransactionOutcome:
         status = OptionStatus.ACCEPTED if committed else OptionStatus.REJECTED

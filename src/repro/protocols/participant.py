@@ -8,6 +8,9 @@ there is one participant, stated once:
   state?  (read version still current, schema, escrow against the value
   constraints);
 * :func:`apply` — execute a committed update;
+* :data:`Slice` / :func:`records_of` — one message's share of a
+  write-set (the records one storage node holds) and the records a reply
+  to it names;
 * :class:`StorageRole` — a replica: the record store and the shared
   ``ReadRequest``/``ReadReply`` vocabulary;
 * :class:`LockingStorageRole` — a replica that prepares before it
@@ -41,15 +44,21 @@ from repro.transport.base import Node, Transport
 __all__ = [
     "PREPARED",
     "REASONS",
+    "Slice",
     "LockingStorageRole",
     "StorageRole",
     "apply",
+    "records_of",
     "validate",
     "write_base",
 ]
 
 #: The verdict of a successful prepare.
 PREPARED = "prepared"
+
+#: What one message carries to one storage node: the (record, update)
+#: pairs of the write-set that node holds, in write-set order.
+Slice = Tuple[Tuple[RecordId, Update], ...]
 
 #: Every reason a participant refuses to prepare (the store-side half of
 #: the ``2pc`` / ``repcommit`` abort vocabulary).
@@ -106,6 +115,11 @@ def apply(stored: Record, update: Update) -> str:
             stored.commit_delta(attribute, delta)
         return "delta"
     return "noop"  # a ReadValidation asserted state; nothing to apply
+
+
+def records_of(updates: Slice) -> Tuple[RecordId, ...]:
+    """The records a slice covers, in its order (what a reply names)."""
+    return tuple(record for record, _update in updates)
 
 
 def write_base(update: Update) -> Optional[int]:

@@ -10,6 +10,11 @@ Writes are timestamped and resolved last-writer-wins; deltas apply
 unconditionally (no constraints — violating the stock invariant is
 *expected* for this baseline, and the consistency checkers demonstrate
 it).  Reads use a read-quorum of 1: the local replica.
+
+A write goes out as one ``QWWrite`` per (transaction, storage node),
+carrying the node's slice of the write-set, and is answered with one
+``QWAck`` naming the slice's records.  Each record is still applied,
+deduplicated and counted toward its write quorum on its own.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.core.options import (
     Update,
 )
 from repro.protocols.client import ClientRole, Tx
-from repro.protocols.participant import StorageRole
+from repro.protocols.participant import StorageRole, records_of
 from repro.transport.base import Future
 
 __all__ = ["QuorumWriteClient", "QuorumWriteStorageNode"]
@@ -34,8 +39,7 @@ __all__ = ["QuorumWriteClient", "QuorumWriteStorageNode"]
 @dataclass(frozen=True, slots=True)
 class QWWrite:
     txid: str
-    record: RecordId
-    update: Update
+    updates: Tuple[Tuple[RecordId, Update], ...]
     timestamp: float
     writer: str
 
@@ -43,7 +47,7 @@ class QWWrite:
 @dataclass(frozen=True, slots=True)
 class QWAck:
     txid: str
-    record: RecordId
+    records: Tuple[RecordId, ...]
 
 
 class QuorumWriteStorageNode(StorageRole):
@@ -59,22 +63,25 @@ class QuorumWriteStorageNode(StorageRole):
         self._applied: Set[str] = set()
 
     def handle_qw_write(self, message: QWWrite, src_id: str) -> None:
-        apply_key = f"{message.txid}:{message.record}"
-        if apply_key not in self._applied:
-            self._applied.add(apply_key)
-            self._apply(message)
-        self.counters.increment("qw.writes")
-        self.send(src_id, QWAck(txid=message.txid, record=message.record))
+        for record, update in message.updates:
+            apply_key = f"{message.txid}:{record}"
+            if apply_key not in self._applied:
+                self._applied.add(apply_key)
+                self._apply(record, update, (message.timestamp, message.writer))
+            self.counters.increment("qw.writes")
+        self.send(
+            src_id, QWAck(txid=message.txid, records=records_of(message.updates))
+        )
 
-    def _apply(self, message: QWWrite) -> None:
-        record = self.store.record(message.record.table, message.record.key)
-        update = message.update
+    def _apply(
+        self, record_id: RecordId, update: Update, stamp: Tuple[float, str]
+    ) -> None:
+        record = self.store.record(record_id.table, record_id.key)
         if isinstance(update, PhysicalUpdate):
-            stamp = (message.timestamp, message.writer)
-            current = self._lww.get(message.record)
+            current = self._lww.get(record_id)
             if current is not None and current >= stamp:
                 return  # an older write loses (last-writer-wins)
-            self._lww[message.record] = stamp
+            self._lww[record_id] = stamp
             if update.is_delete:
                 record.commit_delete()
             else:
@@ -108,21 +115,19 @@ class QuorumWriteClient(ClientRole[_QWTx]):
     def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
         tx = _QWTx(txid, future, self.now, writeset.records())
         self._transactions[txid] = tx
-        for record, update in writeset.updates.items():
+        for record in tx.records:
             tx.acks[record] = set()
+        for replicas, updates in self.slices(writeset):
             message = QWWrite(
-                txid=txid,
-                record=record,
-                update=update,
-                timestamp=self.now,
-                writer=self.node_id,
+                txid=txid, updates=updates, timestamp=self.now, writer=self.node_id
             )
-            self.broadcast(self.placement.replicas(record), message)
+            self.broadcast(replicas, message)
 
     def handle_qw_ack(self, message: QWAck, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
         if tx is None:
             return
-        tx.acks[message.record].add(src_id)
+        for record in message.records:
+            tx.acks[record].add(src_id)
         if all(len(acks) >= self.write_quorum for acks in tx.acks.values()):
             self.finish(tx, True)  # QW never aborts: no guarantees to violate

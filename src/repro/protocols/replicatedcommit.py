@@ -30,7 +30,10 @@ Role mapping onto the shared cluster topology:
   coordinator** (any node could; partition 0 is the deterministic pick);
 * every storage node is a 2PC **participant** for the records of its
   partition — the same :class:`~repro.protocols.participant.LockingStorageRole`
-  2PC uses;
+  2PC uses.  The DC coordinator sends each local participant its slice
+  of the write-set in one ``RcPrepare`` (later one ``RcApply``), and the
+  participant answers for the slice's records in one ``RcPrepareReply``;
+  locks, validation, applies and spans stay per record;
 * the app-server client is the cross-DC **proposer**: it fans the
   commit request to all DC coordinators, tallies DC votes to a classic
   majority, and broadcasts the decision.
@@ -53,7 +56,7 @@ catch-up releases any lock the lost decision stranded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import LEARN_TIMEOUT_MS
 from repro.core.coordinator import WriteSet
@@ -71,11 +74,14 @@ from repro.core.messages import (
     RepairReply,
 )
 from repro.core.options import RecordId, Update
+from repro.core.topology import by_replica_set
 from repro.protocols.client import ClientRole, Tx
 from repro.protocols.participant import (
     PREPARED,
     LockingStorageRole,
+    Slice,
     apply,
+    records_of,
     write_base,
 )
 from repro.trace import runtime as trace_runtime
@@ -132,23 +138,26 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                 records=len(message.updates),
             )
         with trace_runtime.under(round.span):
-            for record, update in round.updates:
-                participant = self.placement.replica_in(record, self.dc)
+            for participant, updates in self._local_slices(round.updates):
                 self.send(
                     participant,
-                    RcPrepare(
-                        txid=round.txid,
-                        record=record,
-                        update=update,
-                        reply_to=self.node_id,
-                    ),
+                    RcPrepare(txid=round.txid, updates=updates, reply_to=self.node_id),
                 )
+
+    def _local_slices(self, updates: Slice) -> List[Tuple[str, Slice]]:
+        """``updates`` grouped by the participant in this DC that holds
+        each record, in write-set order."""
+        groups = by_replica_set(
+            updates, lambda item: (self.placement.replica_in(item[0], self.dc),)
+        )
+        return [(node, tuple(slice_)) for (node,), slice_ in groups.items()]
 
     def handle_rc_prepare_reply(self, message: RcPrepareReply, src_id: str) -> None:
         round = self._rounds.get(message.txid)
         if round is None:
             return  # decision (or abort) already superseded this round
-        round.votes[message.record] = message.vote
+        for record in message.records:
+            round.votes[record] = message.vote
         if len(round.votes) < len(round.updates):
             return
         accept = all(round.votes.values())
@@ -171,65 +180,66 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
             # The global decision overtook this DC's own vote (it was not
             # needed for the majority, or the client timed out on us).
             round.span.finish(self.now, "superseded")
-        for record, update in message.updates:
-            participant = self.placement.replica_in(record, self.dc)
+        for participant, updates in self._local_slices(message.updates):
             self.send(
                 participant,
-                RcApply(
-                    txid=message.txid,
-                    record=record,
-                    update=update,
-                    commit=message.commit,
-                ),
+                RcApply(txid=message.txid, updates=updates, commit=message.commit),
             )
 
     # ------------------------------------------------------------------
     # Participant: prepare (lock + validate), apply the decision
     # ------------------------------------------------------------------
     def handle_rc_prepare(self, message: RcPrepare, src_id: str) -> None:
-        reason = self.prepare(message.txid, message.record, message.update)
-        ok = reason == PREPARED
-        if self.tracer.enabled:
-            span = self.tracer.start_span(
-                "rc-local-prepare",
-                self.node_id,
-                self.now,
-                parent=trace_runtime.current_context(),
-                txid=message.txid,
-                record=f"{message.record.table}/{message.record.key}",
-            )
-            span.finish(self.now, reason)
-        self.wal.append("rc-prepare", txid=message.txid, ok=ok)
-        self.counters.increment("repcommit.prepares")
+        verdict = PREPARED  # the slice's first refusal, if any
+        for record, update in message.updates:
+            reason = self.prepare(message.txid, record, update)
+            if self.tracer.enabled:
+                span = self.tracer.start_span(
+                    "rc-local-prepare",
+                    self.node_id,
+                    self.now,
+                    parent=trace_runtime.current_context(),
+                    txid=message.txid,
+                    record=f"{record.table}/{record.key}",
+                )
+                span.finish(self.now, reason)
+            self.wal.append("rc-prepare", txid=message.txid, ok=reason == PREPARED)
+            self.counters.increment("repcommit.prepares")
+            if verdict == PREPARED:
+                verdict = reason
         self.send(
             message.reply_to,
             RcPrepareReply(
-                txid=message.txid, record=message.record, vote=ok, reason=reason
+                txid=message.txid,
+                records=records_of(message.updates),
+                vote=verdict == PREPARED,
+                reason=verdict,
             ),
         )
 
     def handle_rc_apply(self, message: RcApply, src_id: str) -> None:
-        if not self.release(message.txid, message.record):
-            return
-        self.wal.append("rc-apply", txid=message.txid, commit=message.commit)
-        self.counters.increment(
-            "repcommit.applies" if message.commit else "repcommit.releases"
-        )
-        if not message.commit:
-            return
-        span = None
-        if self.tracer.enabled:
-            span = self.tracer.start_span(
-                "rc-commit-apply",
-                self.node_id,
-                self.now,
-                parent=trace_runtime.current_context(),
-                txid=message.txid,
-                record=f"{message.record.table}/{message.record.key}",
+        for record, update in message.updates:
+            if not self.release(message.txid, record):
+                continue  # a duplicate delivery
+            self.wal.append("rc-apply", txid=message.txid, commit=message.commit)
+            self.counters.increment(
+                "repcommit.applies" if message.commit else "repcommit.releases"
             )
-        outcome = self._apply(message.record, message.update)
-        if span is not None:
-            span.finish(self.now, outcome)
+            if not message.commit:
+                continue
+            span = None
+            if self.tracer.enabled:
+                span = self.tracer.start_span(
+                    "rc-commit-apply",
+                    self.node_id,
+                    self.now,
+                    parent=trace_runtime.current_context(),
+                    txid=message.txid,
+                    record=f"{record.table}/{record.key}",
+                )
+            outcome = self._apply(record, update)
+            if span is not None:
+                span.finish(self.now, outcome)
 
     def _apply(self, record: RecordId, update: Update) -> str:
         stored = self.store.record(record.table, record.key)

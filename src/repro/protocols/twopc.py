@@ -12,6 +12,13 @@ version at **every** replica; the decision round releases locks and applies
 the update.  The coordinator waits for *all* replicas in both rounds — two
 full wide-area round trips to the farthest data center, which is exactly
 the latency disadvantage Figure 3/5 shows.
+
+Each round sends one message per (transaction, storage node): the
+write-set is grouped by replica set, so a node receives its slice of the
+write-set in one ``PrepareRequest`` / ``DecisionMessage`` and answers for
+the slice's records in one ``PrepareReply`` / ``DecisionAck``.  Locks,
+validation, the WAL and the coordinator's per-(record, replica) tally stay
+per record.
 """
 
 from __future__ import annotations
@@ -22,42 +29,48 @@ from typing import Dict, Optional, Set, Tuple
 from repro.core.config import LEARN_TIMEOUT_MS
 from repro.core.coordinator import WriteSet
 from repro.core.options import RecordId, Update
-from repro.protocols.client import ClientRole, Tx
-from repro.protocols.participant import PREPARED, LockingStorageRole, apply
+from repro.protocols.client import ClientRole, Slices, Tx
+from repro.protocols.participant import (
+    PREPARED,
+    LockingStorageRole,
+    apply,
+    records_of,
+)
 from repro.transport.base import Future
 
 __all__ = ["TwoPCCoordinator", "TwoPCStorageNode"]
 
 
 # ----------------------------------------------------------------------
-# Messages
+# Messages: one per (transaction, storage node), carrying the node's
+# slice of the write-set
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class PrepareRequest:
     txid: str
-    record: RecordId
-    update: Update
+    updates: Tuple[Tuple[RecordId, Update], ...]
 
 
 @dataclass(frozen=True, slots=True)
 class PrepareReply:
+    """``ok`` holds iff every record of the slice prepared."""
+
     txid: str
-    record: RecordId
+    records: Tuple[RecordId, ...]
     ok: bool
 
 
 @dataclass(frozen=True, slots=True)
 class DecisionMessage:
     txid: str
-    record: RecordId
-    update: Update
+    updates: Tuple[Tuple[RecordId, Update], ...]
     commit: bool
 
 
 @dataclass(frozen=True, slots=True)
 class DecisionAck:
     txid: str
-    record: RecordId
+    records: Tuple[RecordId, ...]
 
 
 class TwoPCStorageNode(LockingStorageRole):
@@ -66,36 +79,47 @@ class TwoPCStorageNode(LockingStorageRole):
     reads_counter = "twopc.reads"
 
     # ------------------------------------------------------------------
-    # Phase 1: prepare (lock + validate)
+    # Phase 1: prepare (lock + validate), record by record
     # ------------------------------------------------------------------
     def handle_prepare_request(self, message: PrepareRequest, src_id: str) -> None:
-        ok = self.prepare(message.txid, message.record, message.update) == PREPARED
-        self.wal.append("2pc-prepare", txid=message.txid, ok=ok)
-        self.counters.increment("twopc.prepares")
-        self.send(src_id, PrepareReply(txid=message.txid, record=message.record, ok=ok))
+        all_ok = True
+        for record, update in message.updates:
+            ok = self.prepare(message.txid, record, update) == PREPARED
+            self.wal.append("2pc-prepare", txid=message.txid, ok=ok)
+            self.counters.increment("twopc.prepares")
+            all_ok = all_ok and ok
+        self.send(
+            src_id,
+            PrepareReply(
+                txid=message.txid, records=records_of(message.updates), ok=all_ok
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Phase 2: decision
     # ------------------------------------------------------------------
     def handle_decision_message(self, message: DecisionMessage, src_id: str) -> None:
-        if self.release(message.txid, message.record):
+        for record, update in message.updates:
+            if not self.release(message.txid, record):
+                continue  # a duplicate delivery
             if message.commit:
                 # Every replica prepared, so the lock just released kept the
                 # record at the version the update read.
-                record = message.record
-                apply(self.store.record(record.table, record.key), message.update)
+                apply(self.store.record(record.table, record.key), update)
             self.wal.append(
                 "2pc-decision", txid=message.txid, commit=message.commit
             )
             self.counters.increment(
                 "twopc.commits" if message.commit else "twopc.aborts"
             )
-        self.send(src_id, DecisionAck(txid=message.txid, record=message.record))
+        self.send(
+            src_id, DecisionAck(txid=message.txid, records=records_of(message.updates))
+        )
 
 
 @dataclass
 class _TwoPCTx(Tx):
-    updates: Dict[RecordId, Update]
+    slices: Slices
     prepare_replies: Dict[Tuple[RecordId, str], bool] = field(default_factory=dict)
     decision: Optional[bool] = None
     acks: Set[Tuple[RecordId, str]] = field(default_factory=set)
@@ -110,23 +134,23 @@ class TwoPCCoordinator(ClientRole[_TwoPCTx]):
 
     def _begin(self, txid: str, writeset: WriteSet, future: Future) -> None:
         tx = _TwoPCTx(
-            txid, future, self.now, writeset.records(), updates=writeset.updates
+            txid, future, self.now, writeset.records(), slices=self.slices(writeset)
         )
         self._transactions[txid] = tx
-        for record, update in tx.updates.items():
-            request = PrepareRequest(txid=txid, record=record, update=update)
-            self.broadcast(self.placement.replicas(record), request)
+        for replicas, updates in tx.slices:
+            self.broadcast(replicas, PrepareRequest(txid=txid, updates=updates))
         self.set_timer(self.prepare_timeout_ms, self._prepare_timeout, txid)
 
     def handle_prepare_reply(self, message: PrepareReply, src_id: str) -> None:
         tx = self._transactions.get(message.txid)
         if tx is None or tx.decision is not None:
             return
-        tx.prepare_replies[(message.record, src_id)] = message.ok
+        for record in message.records:
+            tx.prepare_replies[(record, src_id)] = message.ok
         if not message.ok:
             self._decide(tx, commit=False)
             return
-        expected = len(tx.updates) * self.placement.replication
+        expected = len(tx.records) * self.placement.replication
         if len(tx.prepare_replies) == expected and all(tx.prepare_replies.values()):
             self._decide(tx, commit=True)
 
@@ -141,11 +165,9 @@ class TwoPCCoordinator(ClientRole[_TwoPCTx]):
 
     def _decide(self, tx: _TwoPCTx, commit: bool) -> None:
         tx.decision = commit
-        for record, update in tx.updates.items():
-            message = DecisionMessage(
-                txid=tx.txid, record=record, update=update, commit=commit
-            )
-            self.broadcast(self.placement.replicas(record), message)
+        for replicas, updates in tx.slices:
+            message = DecisionMessage(txid=tx.txid, updates=updates, commit=commit)
+            self.broadcast(replicas, message)
         if not commit:
             # Aborts resolve immediately: the client's answer is final and
             # lock release needs no acknowledgment round.
@@ -155,7 +177,8 @@ class TwoPCCoordinator(ClientRole[_TwoPCTx]):
         tx = self._transactions.get(message.txid)
         if tx is None:
             return
-        tx.acks.add((message.record, src_id))
-        expected = len(tx.updates) * self.placement.replication
+        for record in message.records:
+            tx.acks.add((record, src_id))
+        expected = len(tx.records) * self.placement.replication
         if len(tx.acks) == expected:
             self.finish(tx, True)

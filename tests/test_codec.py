@@ -166,8 +166,14 @@ SAMPLES = {
     # tuple-ness preservation.
     "RcApply": messages.RcApply(
         txid="tx-20",
-        record=RECORD,
-        update=PhysicalUpdate(vread=3, new_value=None, is_delete=True),
+        updates=(
+            (RECORD, PhysicalUpdate(vread=3, new_value=None, is_delete=True)),
+            (
+                RecordId("items", "item:000007"),
+                CommutativeUpdate(deltas=(("stock", -3.0), ("reserved", 1.5))),
+            ),
+            (RecordId("orders", "o-77"), ReadValidation(vread=4)),
+        ),
         commit=False,
     ),
     "RcCommitRequest": messages.RcCommitRequest(
@@ -189,12 +195,21 @@ SAMPLES = {
     ),
     "RcPrepare": messages.RcPrepare(
         txid="tx-20",
-        record=RECORD,
-        update=CommutativeUpdate(deltas=(("stock", -3.0), ("reserved", 1.5))),
+        updates=(
+            (RECORD, CommutativeUpdate(deltas=(("stock", -3.0), ("reserved", 1.5)))),
+            (
+                RecordId("items", "item:000007"),
+                PhysicalUpdate(vread=9, new_value={"stock": 11, "tags": ["a", "b"]}),
+            ),
+            (RecordId("orders", "o-77"), ReadValidation(vread=0)),
+        ),
         reply_to="store-us-west-p0",
     ),
     "RcPrepareReply": messages.RcPrepareReply(
-        txid="tx-20", record=RECORD, vote=False, reason="lock-conflict"
+        txid="tx-20",
+        records=(RECORD, RecordId("items", "item:000007"), RecordId("orders", "o-77")),
+        vote=False,
+        reason="lock-conflict",
     ),
     "RcVote": messages.RcVote(
         txid="tx-20", dc="eu-west", accept=True, voter="store-eu-west-p0"
@@ -259,27 +274,45 @@ SAMPLES = {
         )
     ),
     # Protocol-local messages (the §5.2 baseline protocols).
+    # The baselines send one message per (transaction, storage node): a
+    # slice of every Update kind, replies naming every record it covers.
     "PrepareRequest": twopc.PrepareRequest(
         txid="tx-30",
-        record=RECORD,
-        update=PhysicalUpdate(vread=2, new_value={"stock": 7}, is_delete=False),
+        updates=(
+            (RECORD, PhysicalUpdate(vread=2, new_value={"stock": 7}, is_delete=False)),
+            (RecordId("items", "item:000007"), CommutativeUpdate(deltas=(("stock", -1.0),))),
+            (RecordId("orders", "o-77"), ReadValidation(vread=4)),
+            (RecordId("orders", "o-78"), PhysicalUpdate(vread=5, new_value=None, is_delete=True)),
+        ),
     ),
-    "PrepareReply": twopc.PrepareReply(txid="tx-30", record=RECORD, ok=True),
+    "PrepareReply": twopc.PrepareReply(
+        txid="tx-30", records=(RECORD, RecordId("items", "item:000007")), ok=True
+    ),
     "DecisionMessage": twopc.DecisionMessage(
         txid="tx-30",
-        record=RECORD,
-        update=CommutativeUpdate(deltas=(("stock", -1.0),)),
+        updates=(
+            (RECORD, CommutativeUpdate(deltas=(("stock", -1.0),))),
+            (RecordId("orders", "o-77"), PhysicalUpdate(vread=0, new_value={"qty": 2})),
+        ),
         commit=True,
     ),
-    "DecisionAck": twopc.DecisionAck(txid="tx-30", record=RECORD),
+    "DecisionAck": twopc.DecisionAck(
+        txid="tx-30", records=(RECORD, RecordId("orders", "o-77"))
+    ),
     "QWWrite": quorumwrites.QWWrite(
         txid="tx-31",
-        record=RECORD,
-        update=PhysicalUpdate(vread=0, new_value={"stock": 1}),
+        updates=(
+            (RECORD, PhysicalUpdate(vread=0, new_value={"stock": 1})),
+            (RecordId("items", "item:000007"), CommutativeUpdate(deltas=(("stock", 2.5),))),
+            (RecordId("orders", "o-78"), PhysicalUpdate(vread=3, new_value=None, is_delete=True)),
+        ),
         timestamp=12.5,
         writer="app-us-west-1",
     ),
-    "QWAck": quorumwrites.QWAck(txid="tx-31", record=RECORD),
+    "QWAck": quorumwrites.QWAck(
+        txid="tx-31",
+        records=(RECORD, RecordId("items", "item:000007"), RecordId("orders", "o-78")),
+    ),
     "MsCommitRequest": megastore.MsCommitRequest(
         txid="tx-32",
         updates=(

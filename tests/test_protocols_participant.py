@@ -171,16 +171,18 @@ class TestLocking:
 # The same participant behind both protocols' own messages
 # ----------------------------------------------------------------------
 def _two_pc_messages(txid, record, update, reply_to):
+    updates = ((record, update),)
     return (
-        DecisionMessage(txid=txid, record=record, update=update, commit=False),
-        PrepareRequest(txid=txid, record=record, update=update),
+        DecisionMessage(txid=txid, updates=updates, commit=False),
+        PrepareRequest(txid=txid, updates=updates),
     )
 
 
 def _rep_commit_messages(txid, record, update, reply_to):
+    updates = ((record, update),)
     return (
-        RcApply(txid=txid, record=record, update=update, commit=False),
-        RcPrepare(txid=txid, record=record, update=update, reply_to=reply_to),
+        RcApply(txid=txid, updates=updates, commit=False),
+        RcPrepare(txid=txid, updates=updates, reply_to=reply_to),
     )
 
 

@@ -221,12 +221,12 @@ class TestParticipantStateMachine:
         later = PhysicalUpdate(vread=2, new_value={"stock": 5})
         earlier = PhysicalUpdate(vread=1, new_value={"stock": 7})
         node.handle_rc_apply(
-            RcApply(txid="t2", record=record, update=later, commit=True), "x"
+            RcApply(txid="t2", updates=((record, later),), commit=True), "x"
         )
         # Parked: version 1 state is untouched until t1's apply lands.
         assert node.store.read("items", "i").value == {"stock": 10}
         node.handle_rc_apply(
-            RcApply(txid="t1", record=record, update=earlier, commit=True), "x"
+            RcApply(txid="t1", updates=((record, earlier),), commit=True), "x"
         )
         snap = node.store.read("items", "i")
         assert snap.version == 3
@@ -238,7 +238,7 @@ class TestParticipantStateMachine:
         cluster.load_record("items", "i", {"stock": 10})
         node, record = self._node_and_record(cluster)
         update = PhysicalUpdate(vread=1, new_value={"stock": 9})
-        message = RcApply(txid="t1", record=record, update=update, commit=True)
+        message = RcApply(txid="t1", updates=((record, update),), commit=True)
         node.handle_rc_apply(message, "x")
         node.handle_rc_apply(message, "x")
         assert node.store.read("items", "i").version == 2
@@ -251,7 +251,7 @@ class TestParticipantStateMachine:
         node, record = self._node_and_record(cluster)
         update = PhysicalUpdate(vread=1, new_value={"stock": 9})
         node.handle_rc_prepare(
-            RcPrepare(txid="t-lost", record=record, update=update, reply_to="x"), "x"
+            RcPrepare(txid="t-lost", updates=((record, update),), reply_to="x"), "x"
         )
         assert record in node._locks  # prepared, decision never arrives
         node.handle_catch_up(

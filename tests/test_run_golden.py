@@ -26,12 +26,15 @@ two runs of the same tree.  The artifact must not depend on
 nine runs check the descriptors' span vocabularies against what the
 roles actually emit.
 
-One fixed 25-simulated-second micro run per first-class variant is
-pinned a third way, by its exact counts (:data:`SIM_CORE_COUNTS`):
-commits, events, and messages sent per type.  Those are the paper's cost
-model — one wide-area round per commit (§3) — in hardware-independent
-form, so a change to the messages a commit costs reads here as a diff
-of counts.  Speed is not measured here; ``perf/run.py`` measures it.
+One fixed 25-simulated-second micro run per protocol whose message
+count is a claim — the three MDCC variants, 2PC, QW-3 and Replicated
+Commit — is pinned a third way, by its exact counts
+(:data:`SIM_CORE_COUNTS`): commits, events, and messages sent per type.
+Those are the paper's cost model — one wide-area round per commit (§3),
+against baselines that message "all involved storage nodes" (§5.2) — in
+hardware-independent form, so a change to the messages a commit costs
+reads here as a diff of counts.  Speed is not measured here;
+``perf/run.py`` measures it.
 """
 
 import functools
@@ -121,18 +124,18 @@ DIGESTS = {
     "micro-fast-hotspot": "f4d805b73afe9b526e175a3dffdd207d80460a200b0e87bbacd50f48a695bab8",
     "micro-multi-locality-fixed-master": "cf6dceeec69014184194e3eba3efb23e6f34675193bf5e4500e8a53894676780",
     "tpcw-megastore": "9f4da5b9161113bb9a39fb42dc307ce322357fa4f50d916c2ba38713d97d246d",
-    "tpcw-2pc": "a16df27babaad0ce29a7153e52b14ab7759feeff386966980207d684c6de30b1",
-    "micro-qw3-no-audit": "82c1ffca5cf0405ff2ad18d186c7f8dae5fb1a2324f50bceb4af1388189a559e",
+    "tpcw-2pc": "adfb2faf1cbb7c496c9f2221dfef354fc8c04c7e7a02d34836a182ff982c745a",
+    "micro-qw3-no-audit": "8b786b831d207bfab1120012ae975a88239d7bd76ae0ebf336e3b7168a8ef096",
     "geoshift-multi-adaptive": "b7bce96a77b23c91801baea36d1ba6f60ad87c7ae54a92ca1afe0ea2d6f640b7",
     "micro-mdcc-fail-dc": "5d3c7e2b21f04b518743b1cfc6d1fabdeb441054d477792a7f9b26905cd4340a",
     "dc-outage-mdcc": "cc4d757c7543dcfcb2a40668b5644ac00299fbd7f7e6cdb3afc1f6d7ad78c8c6",
     "follow-the-sun-outage-multi": "272eb06ad3680f0a6e8c1fbe96cce6e0654b9c31db835d360b79486448ac18bb",
-    "flaky-wan-repcommit": "272a5641267b8a2c61613a8d14635559cbc8b1017bdf7575bdf8727a65f83232",
+    "flaky-wan-repcommit": "39a6af8ecb3d2bc68d2fc52e9cc277071acd62e0bd99a8584d0f304a9e0d1477",
     "dc-replace-3dc": "7b176c0cfbcfae9c260b09220d15e12292940b3062867b6066f9ff9c339cdd8b",
-    "micro-2pc-hotspot": "9024b8a9a9c33e054bda2499a0b566edf243c4096deb1311df8e23c294585fb7",
-    "micro-repcommit": "0a23983f9eaf30858925f435b47cc90ece4efe736306d108398c05ad7b9a07af",
+    "micro-2pc-hotspot": "14c19a761d247c862ee275a8607ba90351390dbdf9d96187278fc7b69a55351e",
+    "micro-repcommit": "c947855b2d8281edaccc43ab37c9d43e9d851c9208799c3a7acc2198a03133e6",
     "micro-megastore": "585c9b9c8218624c901762bf9dc1f2b16dee7098f37ec1049e55379546856d30",
-    "micro-qw4": "0277e671022e0d0ac7ff30196c6306dcfdd8f374bfd985a15918528642928ebf",
+    "micro-qw4": "6df7ebc87cd187a7bddcbb8b60572f262fb28bdec53e9238304bbbeefc3fa70c",
 }
 
 
@@ -179,7 +182,7 @@ TRACE_DIGESTS = {
     "dc-outage-mdcc": "10d3acb3cc9d3cbc27bf606c7ee42cb9a46d3b4f6a9be3a9f7673235690123b8",
     "dc-replace-3dc": "88d0e596650b2754c76d06b0178c07f7cf7a69d78a62b5e784b7ac8865505027",
     "geoshift-multi-adaptive": "a2ac5b4423706960d9ba7fae70bb1a07518b805d733a19de77a835d12ccac4d3",
-    "micro-repcommit": "d7d51fbf194677bcc77f590c234ffe5878710dd82ea65cf9617877243454874c",
+    "micro-repcommit": "b0269ca24d9fdccefd7314c5534e8cd3bae41dc21bdf5c98663ce63d5f7003f0",
     "coordinator-crash-mdcc": "134c6de7c651e8b84e38e160e321c291a60bae5368da93472b81ef58f71df62b",
     "micro-mdcc-scarce-stock": "aa57813a0576b412d8fb28ea49f9e77a3408dd62a0d1e58ba33997bf48765a29",
 }
@@ -237,8 +240,11 @@ def traced(name):
 
 
 #: micro buys as ``perf/run.py``'s ``sim_micro_fast`` shapes them (20
-#: clients, 500 items, stock 500-1000), 5 s warm-up + 20 s measured at
-#: seed 7, on each first-class variant.
+#: clients, 500 items, stock 500-1000, 2 partitions per table), 5 s
+#: warm-up + 20 s measured at seed 7, in six cells: ``mdcc``, ``fast``,
+#: ``multi``, ``2pc``, ``qw3`` and ``repcommit``.  MDCC's fast path and
+#: the baselines both send one message per (transaction, replica set or
+#: storage node) and type.
 SIM_CORE_COUNTS = {
     "mdcc": {
         "commits": 1922,
@@ -306,23 +312,55 @@ SIM_CORE_COUNTS = {
             "VisibilityBatch": 6605,
         },
     },
-    "repcommit": {
-        "commits": 587,
-        "aborts": 142,
-        "events": 92728,
+    "2pc": {
+        "commits": 727,
+        "aborts": 233,
+        "events": 57082,
         "sim_ms": 35000.0,
-        "sent": 85140,
-        "delivered": 85140,
+        "sent": 50852,
+        "delivered": 50852,
         "dropped": 0,
         "per_type": {
-            "RcApply": 14190,
-            "RcCommitRequest": 4730,
-            "RcDecision": 4730,
-            "RcPrepare": 14190,
-            "RcPrepareReply": 14190,
-            "RcVote": 4730,
-            "ReadReply": 14190,
-            "ReadRequest": 14190,
+            "DecisionAck": 10850,
+            "DecisionMessage": 10850,
+            "PrepareReply": 10850,
+            "PrepareRequest": 10850,
+            "ReadReply": 3726,
+            "ReadRequest": 3726,
+        },
+    },
+    "qw3": {
+        "commits": 2827,
+        "aborts": 0,
+        "events": 98160,
+        "sim_ms": 35000.0,
+        "sent": 83856,
+        "delivered": 83856,
+        "dropped": 0,
+        "per_type": {
+            "QWAck": 31215,
+            "QWWrite": 31215,
+            "ReadReply": 10713,
+            "ReadRequest": 10713,
+        },
+    },
+    "repcommit": {
+        "commits": 582,
+        "aborts": 145,
+        "events": 74757,
+        "sim_ms": 35000.0,
+        "sent": 67185,
+        "delivered": 67185,
+        "dropped": 0,
+        "per_type": {
+            "RcApply": 8235,
+            "RcCommitRequest": 4720,
+            "RcDecision": 4720,
+            "RcPrepare": 8235,
+            "RcPrepareReply": 8235,
+            "RcVote": 4720,
+            "ReadReply": 14160,
+            "ReadRequest": 14160,
         },
     },
 }
