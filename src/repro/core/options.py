@@ -159,7 +159,7 @@ class ReadValidation:
 
     Acceptors accept a validation iff the record's committed version still
     equals ``vread`` and no state-changing option is pending; executing it
-    is a no-op (the committed version chain does not advance).  While a
+    is a no-op (the committed version does not advance).  While a
     validation is pending, writers to the record are rejected — the short
     read-lock window between propose and visibility that OCC validation
     needs.  Validations of the same record commute with each other, so

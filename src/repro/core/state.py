@@ -9,7 +9,7 @@ lives on each storage node for each record it replicates, and implements:
   physical updates (validRead ∧ validSingle) and commutative updates
   (escrow + quorum demarcation, §3.4.2);
 * ``ApplyVisibility`` (lines 100-103) — executing accepted options, which
-  advances the committed version chain;
+  advances the record's committed version;
 * replica catch-up — applying visibilities that arrive out of order or for
   proposals this replica never saw.
 """
@@ -320,7 +320,7 @@ class RecordState:
 
     def _execute_validation(self, option: Option) -> bool:
         """A committed read validation executes as a no-op: it asserted
-        state, it does not change it.  The committed version chain does not
+        state, it does not change it.  The committed version does not
         advance — concurrent validated readers all commit against the same
         version."""
         self.executed.add(option.option_id)

@@ -1,7 +1,7 @@
 """The MDCC storage node: acceptor role (Algorithm 3) + hosted masters.
 
 A storage node replicates a set of records (one partition of every table in
-its data center), stores their committed version chains, participates in
+its data center), stores their latest committed versions, participates in
 the per-record Paxos instances, and — when the placement policy says so —
 acts as the master for records whose master data center it lives in.
 

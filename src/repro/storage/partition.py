@@ -1,10 +1,12 @@
 """Key partitioning.
 
 "Within a data center, each table is range partitioned by key, and
-distributed across several storage nodes" (§5.1).  The cluster builder
-uses a :class:`RangePartitioner` so that contiguous key ranges co-locate,
-exactly as the evaluation describes; a :class:`HashPartitioner` is provided
-for workloads without meaningful key order.
+distributed across several storage nodes" (§5.1).  Runs here hash instead:
+:meth:`repro.core.topology.ReplicaMap.partition_of` places a record on
+partition ``stable_hash(f"{table}:{key}") % partitions_per_table``, so
+:func:`stable_hash` is the only part of this module on a run path.
+:class:`RangePartitioner` (contiguous key ranges, as the evaluation
+describes) and :class:`HashPartitioner` are used by no cluster.
 """
 
 from __future__ import annotations

@@ -2,52 +2,19 @@
 
 Every update in MDCC "creates a new version, and [is] represented in the
 form v_read -> v_write" (§3.2.1); write-write conflict detection compares
-the current committed version with the transaction's read version.  A
-:class:`Record` therefore keeps an explicit chain of committed
-:class:`RecordVersion` entries.  Deletes are tombstones: "Deletes work by
-marking the item as deleted and are handled as normal updates."
+the current committed version with the transaction's read version.  That
+comparison needs one number per record, so a :class:`Record` holds only
+its latest committed state: the version and the value.  Deletes are
+tombstones: "Deletes work by marking the item as deleted and are handled
+as normal updates" — a deleted record keeps its version with no value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["Record", "RecordVersion", "Snapshot", "TOMBSTONE"]
-
-
-class _Tombstone:
-    """Sentinel marking a deleted record version."""
-
-    _instance: Optional["_Tombstone"] = None
-
-    def __new__(cls) -> "_Tombstone":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<TOMBSTONE>"
-
-
-TOMBSTONE = _Tombstone()
-
-
-@dataclass(frozen=True, slots=True)
-class RecordVersion:
-    """One committed version of a record.
-
-    ``value`` is either an attribute dict or :data:`TOMBSTONE`.
-    Version numbers start at 1 for the first insert; 0 means "never
-    existed" and is the read-version carried by inserts.
-    """
-
-    version: int
-    value: object  # Dict[str, object] | _Tombstone
-
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value is TOMBSTONE
+__all__ = ["Record", "Snapshot"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,21 +37,26 @@ class Snapshot:
 
 
 class Record:
-    """A single record's committed version chain.
+    """A single record's latest committed state.
 
-    The chain only holds *committed* state; pending options are protocol
-    state kept by the MDCC acceptor (:mod:`repro.core.acceptor`).  The
-    chain is append-only — version N+1 may only be appended after version N
-    ("a new record version can only be chosen if the previous version was
-    successfully determined", §3.2.1).
+    Only *committed* state lives here; pending options are protocol state
+    kept by the record's acceptor (:class:`repro.core.state.RecordState`).
+    Versions only move forward — version N+1 follows version N ("a new
+    record version can only be chosen if the previous version was
+    successfully determined", §3.2.1), and a catch-up may skip ahead.
+
+    ``value`` is None while the record is absent: never written
+    (``current_version == 0``) or deleted (a tombstone at its version).
     """
 
-    __slots__ = ("table", "key", "_versions", "applied_ids")
+    __slots__ = ("table", "key", "current_version", "value", "applied_ids")
 
     def __init__(self, table: str, key: str) -> None:
         self.table = table
         self.key = key
-        self._versions: List[RecordVersion] = []
+        #: version number of the latest committed state (0 if none).
+        self.current_version = 0
+        self.value: Optional[Dict[str, object]] = None
         #: option ids whose effects are folded into the committed value.
         #: Carried by repair/catch-up payloads so a replica adopting this
         #: state wholesale knows which in-flight visibilities it must NOT
@@ -96,96 +68,65 @@ class Record:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def current_version(self) -> int:
-        """Version number of the latest committed state (0 if none)."""
-        versions = self._versions
-        return versions[-1].version if versions else 0
-
-    @property
     def exists(self) -> bool:
-        """True if the latest committed version is live (not a tombstone)."""
-        versions = self._versions
-        return bool(versions) and versions[-1].value is not TOMBSTONE
+        """True if the latest committed state is live (not a tombstone)."""
+        return self.value is not None
 
     def snapshot(self) -> Snapshot:
         """A copy-safe view of the committed state."""
-        versions = self._versions
-        if not versions:
-            return Snapshot(exists=False, value=None, version=0)
-        latest = versions[-1]
-        if latest.value is TOMBSTONE:
-            return Snapshot(exists=False, value=None, version=latest.version)
-        return Snapshot(exists=True, value=dict(latest.value), version=latest.version)
+        value = self.value
+        if value is None:
+            return Snapshot(exists=False, value=None, version=self.current_version)
+        return Snapshot(exists=True, value=dict(value), version=self.current_version)
 
     def peek(self, attribute: str, default: object = None) -> object:
         """Read one attribute of the committed value without the snapshot
         copy — for decision paths that never hand the value onward."""
-        versions = self._versions
-        if not versions:
+        value = self.value
+        if value is None:
             return default
-        latest = versions[-1]
-        if latest.value is TOMBSTONE:
-            return default
-        return latest.value.get(attribute, default)
-
-    def version_chain(self) -> List[RecordVersion]:
-        """The full committed history (copies of the dataclass entries)."""
-        return list(self._versions)
-
-    def value_at(self, version: int) -> Optional[RecordVersion]:
-        """The chain entry with exactly ``version``, or None."""
-        for entry in self._versions:
-            if entry.version == version:
-                return entry
-        return None
+        return value.get(attribute, default)
 
     # ------------------------------------------------------------------
     # Mutation (called by protocol executors only)
     # ------------------------------------------------------------------
-    def commit_value(self, value: Dict[str, object], option_id: Optional[str] = None) -> int:
-        """Append a new committed version holding a copy of ``value``."""
-        next_version = self.current_version + 1
-        self._versions.append(RecordVersion(next_version, dict(value)))
+    def _commit(self, value: Optional[Dict[str, object]], option_id: Optional[str]) -> int:
+        self.current_version += 1
+        self.value = value
         if option_id is not None:
             self.applied_ids.add(option_id)
-        return next_version
+        return self.current_version
+
+    def commit_value(self, value: Dict[str, object], option_id: Optional[str] = None) -> int:
+        """Commit the next version holding a copy of ``value``."""
+        return self._commit(dict(value), option_id)
 
     def commit_delete(self, option_id: Optional[str] = None) -> int:
-        """Append a tombstone version."""
-        next_version = self.current_version + 1
-        self._versions.append(RecordVersion(next_version, TOMBSTONE))
-        if option_id is not None:
-            self.applied_ids.add(option_id)
-        return next_version
+        """Commit the next version as a tombstone."""
+        return self._commit(None, option_id)
 
     def commit_delta(
         self, attribute: str, delta: float, option_id: Optional[str] = None
     ) -> int:
-        """Append a version with ``attribute`` adjusted by ``delta``.
+        """Commit the next version with ``attribute`` adjusted by ``delta``.
 
         Commutative updates apply to the latest committed value; the record
         must exist.
         """
-        versions = self._versions
-        if not versions or versions[-1].value is TOMBSTONE:
+        value = self.value
+        if value is None:
             raise ValueError(
                 f"commutative update on non-existent record {self.table}/{self.key}"
             )
-        last = versions[-1]
-        latest = dict(last.value)
-        current = latest.get(attribute, 0)
+        current = value.get(attribute, 0)
         if not isinstance(current, (int, float)):
             raise ValueError(
                 f"attribute {attribute!r} of {self.table}/{self.key} is not numeric"
             )
-        latest[attribute] = current + delta
-        # ``latest`` is already a private copy; append it without the
-        # second copy commit_value would make.
-        next_version = last.version + 1
-        versions.append(RecordVersion(next_version, latest))
-        if option_id is not None:
-            self.applied_ids.add(option_id)
-        return next_version
+        # No snapshot hands out this dict (snapshot copies), so it is
+        # updated in place.
+        value[attribute] = current + delta
+        return self._commit(value, option_id)
 
     def catch_up(
         self,
@@ -207,8 +148,8 @@ class Record:
         """
         if version <= self.current_version:
             return False
-        payload: object = TOMBSTONE if value is None else dict(value)
-        self._versions.append(RecordVersion(version, payload))
+        self.current_version = version
+        self.value = None if value is None else dict(value)
         self.applied_ids.update(applied_ids)
         return True
 

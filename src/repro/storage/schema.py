@@ -4,10 +4,6 @@ MDCC's commutative-update machinery needs declared integrity constraints —
 "e.g., that the stock of an item must be greater than zero" (§3.4.2).  A
 :class:`Constraint` bounds one numeric attribute; the quorum demarcation
 limits of :mod:`repro.core.demarcation` are derived from these bounds.
-
-Each table also carries a default master data center: "the default
-configuration assigns a single master per table to coordinate inserts of
-new records" (§3.1.2), and per-record masters default to it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Unit tests for the storage substrate: schemas, records, store, WAL."""
 
+import tracemalloc
+
 import pytest
 
 from repro.storage import (
@@ -8,6 +10,7 @@ from repro.storage import (
     RangePartitioner,
     Record,
     RecordStore,
+    Snapshot,
     StorageError,
     TableSchema,
     WriteAheadLog,
@@ -91,7 +94,7 @@ class TestRecord:
         assert record.commit_delete() == 2
         assert not record.exists
         assert record.current_version == 2
-        assert record.version_chain()[-1].is_tombstone
+        assert record.snapshot() == Snapshot(exists=False, value=None, version=2)
 
     def test_reinsert_after_delete(self):
         record = Record("items", "k1")
@@ -122,12 +125,38 @@ class TestRecord:
         with pytest.raises(ValueError):
             record.commit_delta("stock", 1)
 
-    def test_value_at_version(self):
+    def test_absent_and_deleted_share_one_representation(self):
         record = Record("items", "k1")
-        record.commit_value({"stock": 5})
-        record.commit_value({"stock": 4})
-        assert record.value_at(1).value == {"stock": 5}
-        assert record.value_at(99) is None
+        assert record.snapshot() == Snapshot(False, None, 0)
+        assert record.catch_up(5, None, ("opt-a",))
+        assert not record.exists
+        assert record.snapshot() == Snapshot(False, None, 5)
+        assert record.applied_ids == {"opt-a"}
+        with pytest.raises(ValueError):
+            record.commit_delta("stock", 1)
+        assert record.commit_value({"stock": 3}) == 6
+        assert record.snapshot() == Snapshot(True, {"stock": 3}, 6)
+        record.commit_delete()
+        with pytest.raises(ValueError):
+            record.commit_delta("stock", 1)
+        assert not record.catch_up(4, {"stock": 9}, ("opt-b",))
+        assert record.snapshot() == Snapshot(False, None, 7)
+        assert record.applied_ids == {"opt-a"}
+
+    def test_retained_memory_does_not_grow_with_commits(self):
+        record = Record("items", "k1")
+        record.commit_value({"stock": 0})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(5000):
+                record.commit_delta("stock", 1)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert record.snapshot() == Snapshot(True, {"stock": 5000}, 5001)
+        assert retained < 64 * 1024
 
     def test_snapshot_attribute_helper(self):
         record = Record("items", "k1")
