@@ -16,7 +16,7 @@ lives on each storage node for each record it replicates, and implements:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.demarcation import demarcation_limits, escrow_accepts
 from repro.core.options import (
@@ -40,6 +40,10 @@ __all__ = ["RecordState"]
 _EMPTY_CSTRUCT = CStruct()
 
 
+def _ignore(option_id: str) -> None:
+    """The default :attr:`RecordState.on_settled`: nobody is listening."""
+
+
 class RecordState:
     """Everything one storage node knows about one record's protocol state."""
 
@@ -49,6 +53,7 @@ class RecordState:
         schema: TableSchema,
         spec: QuorumSpec,
         demarcation: bool = True,
+        on_settled: Callable[[str], object] = _ignore,
     ) -> None:
         self.record = record
         self.schema = schema
@@ -65,6 +70,10 @@ class RecordState:
         #: (Tentative local ✗ decisions live only in the cstruct statuses;
         #: a master's classic round may overrule those, but never these.)
         self.rejected: set = set()
+        #: called with an option id once it joins ``executed`` or
+        #: ``rejected`` — its outcome is then in the store (the storage
+        #: node passes its WAL's ``resolve``).
+        self.on_settled = on_settled
         #: demarcation base value X per attribute (§3.4.2), set lazily at
         #: first commutative accept and refreshed by master classic rounds.
         self.base_values: Dict[str, float] = {}
@@ -126,6 +135,11 @@ class RecordState:
             and option.option_id not in executed
             and option.option_id not in rejected
         ]
+
+    def settled(self, option_id: str) -> bool:
+        """True once the option's outcome is in the store: executed, or
+        finally rejected by its abort-visibility."""
+        return option_id in self.executed or option_id in self.rejected
 
     def has_pending(self) -> bool:
         return bool(self.pending_options())
@@ -324,12 +338,14 @@ class RecordState:
         advance — concurrent validated readers all commit against the same
         version."""
         self.executed.add(option.option_id)
+        self.on_settled(option.option_id)
         self.rejected.discard(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
 
     def _mark_rejected(self, option: Option) -> bool:
         self.rejected.add(option.option_id)
+        self.on_settled(option.option_id)
         if self.cstruct.contains_id(option.option_id):
             self.cstruct = self.cstruct.replace(
                 option.with_status(OptionStatus.REJECTED)
@@ -341,6 +357,7 @@ class RecordState:
             # Already folded into this replica's value via catch-up; the
             # late visibility must not re-apply the delta.
             self.executed.add(option.option_id)
+            self.on_settled(option.option_id)
             self.rejected.discard(option.option_id)
             self._drop_from_cstruct(option.option_id)
             return False
@@ -356,6 +373,7 @@ class RecordState:
             )
             first = False
         self.executed.add(option.option_id)
+        self.on_settled(option.option_id)
         self.rejected.discard(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
@@ -366,6 +384,7 @@ class RecordState:
         if current > update.vread:
             # Already superseded here (applied earlier or caught up).
             self.executed.add(option.option_id)
+            self.on_settled(option.option_id)
             self._drop_from_cstruct(option.option_id)
             return False
         if current < update.vread:
@@ -377,6 +396,7 @@ class RecordState:
         else:
             self.record.commit_value(update.new_value, option_id=option.option_id)
         self.executed.add(option.option_id)
+        self.on_settled(option.option_id)
         self._close_era()
         self._drain_deferred()
         return True
@@ -395,6 +415,7 @@ class RecordState:
         if changed:
             for option_id in applied_ids:
                 self.executed.add(option_id)
+                self.on_settled(option_id)
                 self.rejected.discard(option_id)
                 self._drop_from_cstruct(option_id)
             self._close_era()

@@ -129,6 +129,7 @@ class MDCCStorageNode(Node):
                 schema=self.store.schema(record.table),
                 spec=self.placement.quorums(),
                 demarcation=self.config.demarcation_enabled,
+                on_settled=self.wal.resolve,
             )
             if self.tracer.enabled:
                 state.trace_hook = self._demarcation_hook(record)
@@ -223,13 +224,13 @@ class MDCCStorageNode(Node):
         # Inside the span, so a demarcation rejection stitches beneath it.
         with trace_runtime.under(span):
             decided = state.accept_fast(option)
-        self._option_log[option.option_id] = decided
+        option_id = decided.option_id
+        self._option_log[option_id] = decided
+        # Logged until its visibility lands — unless that already happened
+        # (a late duplicate).  ``state.settled`` inlined: once per vote.
+        settled = option_id in state.executed or option_id in state.rejected
         self.wal.append(
-            "option-learned",
-            option_id=decided.option_id,
-            txid=decided.txid,
-            status=decided.status.value,
-            writeset=[r._str for r in decided.writeset],
+            "option-learned", decided, waits_on=() if settled else (option_id,)
         )
         self.counters.increment("acceptor.fast_proposals")
         if span is not None:
@@ -320,11 +321,13 @@ class MDCCStorageNode(Node):
             state.refresh_base(message.new_base)
         if message.post_grant is not None:
             state.mastership.grant(message.post_grant)
+        options = [o.option_id for o in adopted]
         self.wal.append(
             "classic-adopt",
+            waits_on=tuple([o for o in options if not state.settled(o)]),
             record=str(message.record),
             ballot=repr(message.ballot),
-            options=[o.option_id for o in adopted],
+            options=options,
         )
         self.counters.increment("acceptor.phase2b_classic")
         self.send(
@@ -344,15 +347,16 @@ class MDCCStorageNode(Node):
     # ------------------------------------------------------------------
     def handle_visibility(self, message: Visibility, src_id: str) -> None:
         option = message.option
+        option_id = option.option_id
         committed = message.committed
         state = self.record_state(option.record)
-        self._option_log.setdefault(option.option_id, option)
-        changed = state.apply_visibility(option, committed)
+        self._option_log.setdefault(option_id, option)
+        state.apply_visibility(option, committed)
+        # Unsettled only while deferred behind an earlier write or the
+        # insert (``state.settled`` inlined: once per visibility).
+        settled = option_id in state.executed or option_id in state.rejected
         self.wal.append(
-            "visibility",
-            option_id=option.option_id,
-            committed=committed,
-            applied=changed,
+            "visibility", message, waits_on=() if settled else (option_id,)
         )
         self.counters.increment(
             "acceptor.visibility_commit" if committed else "acceptor.visibility_abort"

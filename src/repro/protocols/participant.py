@@ -15,7 +15,8 @@ there is one participant, stated once:
   ``ReadRequest``/``ReadReply`` vocabulary;
 * :class:`LockingStorageRole` — a replica that prepares before it
   applies: per-record locks, the decided set that keeps a reordered
-  prepare from stranding a lock, and a write-ahead log.
+  prepare from stranding a lock, and a write-ahead log whose prepare
+  entries wait on their txid until its decision is applied here.
 
 What a protocol does *around* these — who it asks, how it tallies, in
 which order it applies — lives in its own module.
@@ -200,6 +201,18 @@ class LockingStorageRole(StorageRole):
         if reason == PREPARED:
             self._locks[record] = txid
         return reason
+
+    def log_prepare(self, kind: str, txid: str, reason: str) -> None:
+        """Log one record's prepare verdict.  The entry waits on ``txid``
+        until the decision is applied here (the protocol then resolves
+        it) — unless that decision already was, and overtook this
+        prepare."""
+        self.wal.append(
+            kind,
+            waits_on=() if reason == "decided" else (txid,),
+            txid=txid,
+            ok=reason == PREPARED,
+        )
 
     def release(self, txid: str, record: RecordId) -> bool:
         """Note ``txid``'s decision on ``record`` and drop its lock; False

@@ -112,9 +112,12 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
         self.counters = trace_runtime.scoped_counters(self.node_id, self.counters)
         self.tracer = trace_runtime.current_tracer()
         #: committed full-record writes that arrived ahead of the version
-        #: they build on: record -> {vread: update}, drained as applies
-        #: (or catch-ups) advance the record version.
-        self._apply_buffer: Dict[RecordId, Dict[int, Update]] = {}
+        #: they build on: record -> {vread: (txid, update)}, drained as
+        #: applies (or catch-ups) advance the record version.
+        self._apply_buffer: Dict[RecordId, Dict[int, Tuple[str, Update]]] = {}
+        #: txid -> its writes parked in ``_apply_buffer``: its decision is
+        #: not in the store (and its WAL entries stay) until they land.
+        self._buffered: Dict[str, int] = {}
         #: 2PC rounds this node is coordinating for its DC, by txid.
         self._rounds: Dict[str, _DcRound] = {}
 
@@ -164,7 +167,9 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
         del self._rounds[message.txid]
         if round.span is not None:
             round.span.finish(self.now, "yes" if accept else "no")
-        self.wal.append("rc-vote", txid=round.txid, dc=self.dc, accept=accept)
+        self.wal.append(
+            "rc-vote", waits_on=(round.txid,), txid=round.txid, dc=self.dc, accept=accept
+        )
         self.counters.increment(
             "repcommit.dc_votes_yes" if accept else "repcommit.dc_votes_no"
         )
@@ -180,11 +185,17 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
             # The global decision overtook this DC's own vote (it was not
             # needed for the majority, or the client timed out on us).
             round.span.finish(self.now, "superseded")
+        holds_records = False
         for participant, updates in self._local_slices(message.updates):
+            holds_records = holds_records or participant == self.node_id
             self.send(
                 participant,
                 RcApply(txid=message.txid, updates=updates, commit=message.commit),
             )
+        if not holds_records:
+            # Relaying is all the decision does on this node, so its vote
+            # is settled (otherwise the RcApply to itself settles it).
+            self.wal.resolve(message.txid)
 
     # ------------------------------------------------------------------
     # Participant: prepare (lock + validate), apply the decision
@@ -203,7 +214,7 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                     record=f"{record.table}/{record.key}",
                 )
                 span.finish(self.now, reason)
-            self.wal.append("rc-prepare", txid=message.txid, ok=reason == PREPARED)
+            self.log_prepare("rc-prepare", message.txid, reason)
             self.counters.increment("repcommit.prepares")
             if verdict == PREPARED:
                 verdict = reason
@@ -221,7 +232,12 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
         for record, update in message.updates:
             if not self.release(message.txid, record):
                 continue  # a duplicate delivery
-            self.wal.append("rc-apply", txid=message.txid, commit=message.commit)
+            self.wal.append(
+                "rc-apply",
+                waits_on=(message.txid,),
+                txid=message.txid,
+                commit=message.commit,
+            )
             self.counters.increment(
                 "repcommit.applies" if message.commit else "repcommit.releases"
             )
@@ -237,11 +253,13 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                     txid=message.txid,
                     record=f"{record.table}/{record.key}",
                 )
-            outcome = self._apply(record, update)
+            outcome = self._apply(message.txid, record, update)
             if span is not None:
                 span.finish(self.now, outcome)
+        if message.txid not in self._buffered:
+            self.wal.resolve(message.txid)
 
-    def _apply(self, record: RecordId, update: Update) -> str:
+    def _apply(self, txid: str, record: RecordId, update: Update) -> str:
         stored = self.store.record(record.table, record.key)
         base = write_base(update)
         if base is None:
@@ -254,7 +272,8 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
             # Committed, but builds on a version this replica has not
             # applied yet (decisions from different clients race on the
             # WAN): park it until the predecessor lands.
-            self._apply_buffer.setdefault(record, {})[base] = update
+            self._apply_buffer.setdefault(record, {})[base] = (txid, update)
+            self._buffered[txid] = self._buffered.get(txid, 0) + 1
             self.counters.increment("repcommit.buffered")
             return "buffered"
         return "stale"  # already superseded here (e.g. via catch-up)
@@ -265,15 +284,26 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
             return
         stored = self.store.record(record.table, record.key)
         while True:
-            update = buffered.pop(stored.current_version, None)
-            if update is None:
+            parked = buffered.pop(stored.current_version, None)
+            if parked is None:
                 break
-            apply(stored, update)
+            apply(stored, parked[1])
             self.counters.increment("repcommit.drained")
+            self._unbuffer(parked[0])
         for vread in [v for v in buffered if v < stored.current_version]:
-            del buffered[vread]  # superseded; can never apply
+            # Superseded; can never apply.
+            self._unbuffer(buffered.pop(vread)[0])
         if not buffered:
             del self._apply_buffer[record]
+
+    def _unbuffer(self, txid: str) -> None:
+        """One of ``txid``'s parked writes landed or was superseded; with
+        the last, its decision is in the store."""
+        left = self._buffered.pop(txid) - 1
+        if left:
+            self._buffered[txid] = left
+        else:
+            self.wal.resolve(txid)
 
     # ------------------------------------------------------------------
     # Anti-entropy (shared RepairProbe/CatchUp vocabulary)

@@ -84,10 +84,10 @@ class TwoPCStorageNode(LockingStorageRole):
     def handle_prepare_request(self, message: PrepareRequest, src_id: str) -> None:
         all_ok = True
         for record, update in message.updates:
-            ok = self.prepare(message.txid, record, update) == PREPARED
-            self.wal.append("2pc-prepare", txid=message.txid, ok=ok)
+            reason = self.prepare(message.txid, record, update)
+            self.log_prepare("2pc-prepare", message.txid, reason)
             self.counters.increment("twopc.prepares")
-            all_ok = all_ok and ok
+            all_ok = all_ok and reason == PREPARED
         self.send(
             src_id,
             PrepareReply(
@@ -107,11 +107,14 @@ class TwoPCStorageNode(LockingStorageRole):
                 # record at the version the update read.
                 apply(self.store.record(record.table, record.key), update)
             self.wal.append(
-                "2pc-decision", txid=message.txid, commit=message.commit
+                "2pc-decision", waits_on=(), txid=message.txid, commit=message.commit
             )
             self.counters.increment(
                 "twopc.commits" if message.commit else "twopc.aborts"
             )
+        # Applied: the decision's outcome is in the store, so the
+        # prepares logged for it are done.
+        self.wal.resolve(message.txid)
         self.send(
             src_id, DecisionAck(txid=message.txid, records=records_of(message.updates))
         )

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import (
     Constraint,
@@ -371,6 +372,163 @@ class TestWalCheckpoint:
         count = wal.replay(lambda entry: seen.append(entry.payload["index"]), from_lsn=cut)
         assert count == 2
         assert seen == [1, 2]
+
+
+class TestWalRetention:
+    """An entry is kept while an id it waits on is unresolved."""
+
+    def test_entry_dropped_once_its_id_resolves(self):
+        wal = WriteAheadLog()
+        learned = wal.append("option-learned", waits_on=("o1",), txid="t1")
+        wal.append("option-learned", waits_on=("o2",), txid="t2")
+        assert wal.resolve("o1") == 1
+        assert [entry.lsn for entry in wal] == [2]
+        assert learned.waits_on == ("o1",)
+        assert (len(wal), wal.retained) == (2, 1)
+
+    def test_entry_waiting_on_several_ids_needs_them_all(self):
+        wal = WriteAheadLog()
+        wal.append("classic-adopt", waits_on=("o1", "o2", "o1"))
+        assert wal.resolve("o1") == 0
+        assert wal.retained == 1
+        assert wal.resolve("o2") == 1
+        assert wal.retained == 0
+
+    def test_empty_wait_list_is_written_but_not_kept(self):
+        wal = WriteAheadLog()
+        entry = wal.append("visibility", waits_on=(), option_id="o1")
+        assert entry.lsn == 1 and wal.last_lsn == 1
+        assert (len(wal), wal.retained) == (1, 0)
+
+    def test_entry_naming_no_ids_waits_for_truncation(self):
+        wal = WriteAheadLog()
+        wal.append("snapshot-bootstrap", records=3)
+        wal.append("option-learned", waits_on=("o1",))
+        assert wal.resolve("o1") == 1
+        assert wal.resolve("o1") == 0  # resolving twice is a no-op
+        assert [entry.kind for entry in wal] == ["snapshot-bootstrap"]
+        assert wal.truncate_through(wal.last_lsn) == 1
+        assert wal.retained == 0
+
+    def test_resolve_reaches_only_entries_written_before_it(self):
+        wal = WriteAheadLog()
+        wal.append("a", waits_on=("t1",))
+        wal.resolve("t1")
+        late = wal.append("b", waits_on=("t1",))
+        assert list(wal) == [late]
+        wal.resolve("t1")
+        assert wal.retained == 0
+
+    def test_truncated_entry_leaves_no_index_behind(self):
+        wal = WriteAheadLog()
+        wal.append("a", waits_on=("t1", "t2"))
+        wal.append("b", waits_on=("t2",))
+        assert wal.truncate_through(1) == 1
+        assert wal.resolve("t1") == 0
+        assert wal.resolve("t2") == 1
+        assert wal.retained == 0
+
+    def test_payload_object_kept_as_is(self):
+        wal = WriteAheadLog()
+        payload = ("any", "object")
+        assert wal.append("option-learned", payload, waits_on=("o1",)).payload is payload
+
+    def test_checkpoint_after_full_truncate_does_not_go_backwards(self):
+        wal = WriteAheadLog()
+        for i in range(10):
+            wal.append("e", index=i)
+        first = wal.checkpoint()
+        assert wal.truncate_through(10) == 10
+        assert wal.retained == 0
+        assert wal.last_lsn == 10
+        assert wal.checkpoint() == first == 10
+        assert wal.append("later").lsn == 11
+
+    def test_checkpoint_after_every_entry_resolved(self):
+        wal = WriteAheadLog()
+        wal.append("option-learned", waits_on=("o1",))
+        wal.resolve("o1")
+        assert wal.retained == 0
+        assert wal.checkpoint() == 1
+
+    def test_retained_memory_does_not_grow_with_resolved_options(self):
+        wal = WriteAheadLog()
+        ids = [f"t{i}:items/k" for i in range(5000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for option_id in ids:
+                wal.append("option-learned", option_id, waits_on=(option_id,))
+                wal.resolve(option_id)
+                wal.append("visibility", waits_on=(), option_id=option_id)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert (len(wal), wal.retained) == (10_000, 0)
+        assert retained < 64 * 1024
+
+
+# One WAL operation: ("append", kind, waits_on or None) | ("resolve", id)
+# | ("truncate", lsn) | ("checkpoint",).
+_WAL_IDS = st.sampled_from(["a", "b", "c", "d"])
+_WAL_OPS = st.one_of(
+    st.tuples(
+        st.just("append"),
+        st.sampled_from(["x", "y"]),
+        st.one_of(st.none(), st.lists(_WAL_IDS, max_size=3).map(tuple)),
+    ),
+    st.tuples(st.just("resolve"), _WAL_IDS),
+    st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("checkpoint")),
+)
+
+
+class TestWalAgainstListModel:
+    """Random operation sequences against a plain-list reference: a list
+    of [lsn, kind, ids still open (None: no ids)], scanned on every
+    operation."""
+
+    @given(st.lists(_WAL_OPS, max_size=40))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_reference_model(self, ops):
+        wal = WriteAheadLog()
+        model = []
+        appends = 0
+        issued = set()
+        cuts = []
+        for op in ops:
+            if op[0] == "append":
+                _, kind, waits_on = op
+                entry = wal.append(kind, waits_on=waits_on, n=appends)
+                appends += 1
+                assert entry.lsn == appends and entry.lsn not in issued
+                issued.add(entry.lsn)
+                if waits_on is None:
+                    model.append([entry.lsn, kind, None])
+                elif waits_on:
+                    model.append([entry.lsn, kind, set(waits_on)])
+            elif op[0] == "resolve":
+                for kept in model:
+                    if kept[2] is not None:
+                        kept[2].discard(op[1])
+                expected = sum(1 for kept in model if kept[2] == set())
+                model = [kept for kept in model if kept[2] != set()]
+                assert wal.resolve(op[1]) == expected
+            elif op[0] == "truncate":
+                expected = sum(1 for kept in model if kept[0] <= op[1])
+                model = [kept for kept in model if kept[0] > op[1]]
+                assert wal.truncate_through(op[1]) == expected
+            else:
+                cut = wal.checkpoint()
+                assert cut == appends
+                assert not cuts or cut >= cuts[-1]
+                cuts.append(cut)
+            assert [(e.lsn, e.kind) for e in wal] == [(k[0], k[1]) for k in model]
+            assert [e.payload["n"] + 1 for e in wal] == [k[0] for k in model]
+            assert len(wal) == appends == wal.last_lsn
+            assert wal.retained == len(model)
+        assert wal.checkpoints == cuts
 
 
 class TestStoreSnapshot:
