@@ -127,15 +127,30 @@ def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
     )
 
 
+def _module_set_constants(file: SourceFile) -> Set[str]:
+    """Module-level names bound to a set, e.g. a shared empty
+    ``_NO_IDS = frozenset()`` that attributes start out as."""
+    names: Set[str] = set()
+    for node in file.tree.body:
+        targets, value, annotation = _assignment_targets(node)
+        if _is_set_annotation(annotation) or (
+            value is not None and is_set_expr(value, set(), set())
+        ):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def set_typed_attrs(project: Project, files: Iterable[SourceFile]) -> Set[str]:
     """Attribute names assigned a set anywhere in ``files`` (cross-module:
     ``state.record.applied_ids`` in core/ is set-typed because
-    storage/record.py assigns ``self.applied_ids = set()``).
+    storage/record.py assigns ``self.applied_ids = set()`` — or a
+    module-level set constant such as a shared empty frozenset).
 
     Runs to a fixpoint so chained assignments (``self.a = self.b`` where
     ``b`` is set-typed) converge.
     """
     files = list(files)
+    constants = {file.path: _module_set_constants(file) for file in files}
     attrs: Set[str] = set()
     changed = True
     while changed:
@@ -146,7 +161,8 @@ def set_typed_attrs(project: Project, files: Iterable[SourceFile]) -> Set[str]:
                 if not targets:
                     continue
                 set_typed = _is_set_annotation(annotation) or (
-                    value is not None and is_set_expr(value, set(), attrs)
+                    value is not None
+                    and is_set_expr(value, constants[file.path], attrs)
                 )
                 if not set_typed:
                     continue

@@ -699,7 +699,7 @@ class MasterRole:
                 del ms.live[option_id]
                 continue
             if option.is_commutative:
-                if option_id in state.executed and slowest >= state.version:
+                if state.is_executed(option_id) and slowest >= state.version:
                     del ms.live[option_id]
             else:
                 if option.update.vread < slowest:

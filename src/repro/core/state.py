@@ -16,7 +16,7 @@ lives on each storage node for each record it replicates, and implements:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
 
 from repro.core.demarcation import demarcation_limits, escrow_accepts
 from repro.core.options import (
@@ -35,9 +35,12 @@ from repro.storage.schema import TableSchema
 
 __all__ = ["RecordState"]
 
-#: Shared empty cstruct — immutable, so every record that drains its last
-#: pending option can point at the same instance.
+#: Shared empty cstruct — immutable, so every record starts on it and every
+#: record that drains its last pending option can point back at it.
 _EMPTY_CSTRUCT = CStruct()
+
+#: The id set of a record that has none yet, shared until the first add.
+_NO_IDS: FrozenSet[str] = frozenset()
 
 
 def _ignore(option_id: str) -> None:
@@ -45,7 +48,30 @@ def _ignore(option_id: str) -> None:
 
 
 class RecordState:
-    """Everything one storage node knows about one record's protocol state."""
+    """Everything one storage node knows about one record's protocol state.
+
+    A storage node keeps one per record it has touched, so an idle record
+    costs only the slots below: every container starts as a shared empty
+    one (or ``None``) and is created on its first write.
+    """
+
+    __slots__ = (
+        "record",
+        "schema",
+        "spec",
+        "demarcation",
+        "mastership",
+        "accepted_ballot",
+        "cstruct",
+        "_noop_ids",
+        "rejected",
+        "on_settled",
+        "base_values",
+        "_deferred_physical",
+        "_deferred_deltas",
+        "_limits_cache",
+        "trace_hook",
+    )
 
     def __init__(
         self,
@@ -63,27 +89,31 @@ class RecordState:
         #: ballot of the most recently accepted cstruct (bal_a).
         self.accepted_ballot: Optional[Ballot] = None
         #: the current instance's accepted option structure (val_a).
-        self.cstruct = CStruct()
-        #: option ids whose commit-visibility has been applied (exactly-once).
-        self.executed: set = set()
+        self.cstruct = _EMPTY_CSTRUCT
+        #: An option is executed here (its commit-visibility applied,
+        #: exactly once) when its id is in ``record.applied_ids`` — folded
+        #: into the value — or in this set: executed as a no-op, i.e. a
+        #: read validation or a physical write already superseded here.
+        #: See :meth:`is_executed`.
+        self._noop_ids: Union[FrozenSet[str], Set[str]] = _NO_IDS
         #: option ids whose abort-visibility arrived — *final* rejections.
         #: (Tentative local ✗ decisions live only in the cstruct statuses;
         #: a master's classic round may overrule those, but never these.)
-        self.rejected: set = set()
-        #: called with an option id once it joins ``executed`` or
-        #: ``rejected`` — its outcome is then in the store (the storage
-        #: node passes its WAL's ``resolve``).
+        self.rejected: Union[FrozenSet[str], Set[str]] = _NO_IDS
+        #: called with an option id once it is executed or finally
+        #: rejected — its outcome is then in the store (the storage node
+        #: passes its WAL's ``resolve``).
         self.on_settled = on_settled
         #: demarcation base value X per attribute (§3.4.2), set lazily at
         #: first commutative accept and refreshed by master classic rounds.
-        self.base_values: Dict[str, float] = {}
+        self.base_values: Optional[Dict[str, float]] = None
         #: physical visibilities waiting for an earlier version (vread -> option)
-        self._deferred_physical: Dict[int, Option] = {}
+        self._deferred_physical: Optional[Dict[int, Option]] = None
         #: commutative visibilities waiting for the record to exist
-        self._deferred_deltas: List[Option] = []
+        self._deferred_deltas: Optional[List[Option]] = None
         #: memoized demarcation windows keyed by everything they derive
-        #: from — cleared whenever the bases reset (refresh/era close).
-        self._limits_cache: Dict[tuple, "DemarcationLimits"] = {}
+        #: from — dropped whenever the bases reset (refresh/era close).
+        self._limits_cache: Optional[Dict[tuple, "DemarcationLimits"]] = None
         #: ``hook(reason, attribute)`` invoked at the demarcation decision
         #: site when an escrow window rejects a delta.  Set by the storage
         #: node only while tracing is on; ``None`` costs one attribute
@@ -125,21 +155,28 @@ class RecordState:
     # ------------------------------------------------------------------
     def pending_options(self) -> List[Option]:
         """Accepted options whose visibility has not yet arrived."""
-        executed = self.executed
+        applied = self.record.applied_ids
+        noop = self._noop_ids
         rejected = self.rejected
         accepted = OptionStatus.ACCEPTED
         return [
             option
             for option in self.cstruct.commands
             if option.status is accepted
-            and option.option_id not in executed
+            and option.option_id not in applied
+            and option.option_id not in noop
             and option.option_id not in rejected
         ]
+
+    def is_executed(self, option_id: str) -> bool:
+        """True once the option's commit-visibility has been applied here
+        (or a catch-up folded the option into the value)."""
+        return option_id in self.record.applied_ids or option_id in self._noop_ids
 
     def settled(self, option_id: str) -> bool:
         """True once the option's outcome is in the store: executed, or
         finally rejected by its abort-visibility."""
-        return option_id in self.executed or option_id in self.rejected
+        return self.is_executed(option_id) or option_id in self.rejected
 
     def has_pending(self) -> bool:
         return bool(self.pending_options())
@@ -167,7 +204,7 @@ class RecordState:
         exists — cannot occur.  ``committed_version`` is the newest version
         the classic round's master knows to be committed.
         """
-        if option.option_id in self.executed:
+        if self.is_executed(option.option_id):
             return OptionStatus.ACCEPTED  # idempotent re-delivery
         if option.option_id in self.rejected:
             return OptionStatus.REJECTED
@@ -232,14 +269,20 @@ class RecordState:
             current = record.peek(attribute, 0)
             if not isinstance(current, (int, float)):
                 return OptionStatus.REJECTED
-            base = self.base_values.setdefault(attribute, float(current))
+            base_values = self.base_values
+            if base_values is None:
+                base_values = self.base_values = {}
+            base = base_values.setdefault(attribute, float(current))
             limits_key = (attribute, base, spec_n, effective_fast_quorum)
-            limits = self._limits_cache.get(limits_key)
+            limits_cache = self._limits_cache
+            if limits_cache is None:
+                limits_cache = self._limits_cache = {}
+            limits = limits_cache.get(limits_key)
             if limits is None:
                 limits = demarcation_limits(
                     spec_n, effective_fast_quorum, base, constraint
                 )
-                self._limits_cache[limits_key] = limits
+                limits_cache[limits_key] = limits
             # Every pending option is commutative here (physical conflicts
             # were rejected above), so read their deltas directly.
             pending_deltas = []
@@ -295,13 +338,15 @@ class RecordState:
         # proposed cstruct is already duplicate-free, so re-validating the
         # partial prefix on every iteration is pure overhead.
         cstruct = _EMPTY_CSTRUCT
-        executed = self.executed
+        # decide() commits nothing, so the id sets stay put for the loop.
+        applied = self.record.applied_ids
+        noop = self._noop_ids
         rejected = self.rejected
         for option in proposed:
             # Make earlier options of this proposal visible to decide().
             self.cstruct = cstruct
             oid = option.option_id
-            if oid in executed:
+            if oid in applied or oid in noop:
                 decided = option.with_status(OptionStatus.ACCEPTED)
             elif oid in rejected:
                 # Abort-visibility already applied: final, never resurrected.
@@ -322,7 +367,9 @@ class RecordState:
     # ------------------------------------------------------------------
     def apply_visibility(self, option: Option, committed: bool) -> bool:
         """Execute or discard an option; returns True if state changed."""
-        if option.option_id in self.executed:
+        if self.is_executed(option.option_id):
+            # Also an option a catch-up already folded into the value: its
+            # late visibility must not re-apply a (blind) delta.
             return False
         if not committed:
             return self._mark_rejected(option)
@@ -337,14 +384,18 @@ class RecordState:
         state, it does not change it.  The committed version does not
         advance — concurrent validated readers all commit against the same
         version."""
-        self.executed.add(option.option_id)
+        self._note_noop(option.option_id)
         self.on_settled(option.option_id)
-        self.rejected.discard(option.option_id)
+        self._unreject(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
 
     def _mark_rejected(self, option: Option) -> bool:
-        self.rejected.add(option.option_id)
+        rejected = self.rejected
+        if rejected:
+            rejected.add(option.option_id)
+        else:
+            self.rejected = {option.option_id}
         self.on_settled(option.option_id)
         if self.cstruct.contains_id(option.option_id):
             self.cstruct = self.cstruct.replace(
@@ -353,16 +404,10 @@ class RecordState:
         return True
 
     def _execute_commutative(self, option: Option) -> bool:
-        if option.option_id in self.record.applied_ids:
-            # Already folded into this replica's value via catch-up; the
-            # late visibility must not re-apply the delta.
-            self.executed.add(option.option_id)
-            self.on_settled(option.option_id)
-            self.rejected.discard(option.option_id)
-            self._drop_from_cstruct(option.option_id)
-            return False
         if not self.record.exists:
             # Replica missed the insert; defer until the record appears.
+            if self._deferred_deltas is None:
+                self._deferred_deltas = []
             self._deferred_deltas.append(option)
             return False
         update: CommutativeUpdate = option.update
@@ -372,9 +417,9 @@ class RecordState:
                 attribute, delta, option_id=option.option_id if first else None
             )
             first = False
-        self.executed.add(option.option_id)
+        # commit_delta put the id in record.applied_ids: executed.
         self.on_settled(option.option_id)
-        self.rejected.discard(option.option_id)
+        self._unreject(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
 
@@ -382,20 +427,22 @@ class RecordState:
         update: PhysicalUpdate = option.update
         current = self.record.current_version
         if current > update.vread:
-            # Already superseded here (applied earlier or caught up).
-            self.executed.add(option.option_id)
+            # Already superseded here (a catch-up skipped past it): a no-op.
+            self._note_noop(option.option_id)
             self.on_settled(option.option_id)
             self._drop_from_cstruct(option.option_id)
             return False
         if current < update.vread:
             # Missed an earlier commit; hold until the gap fills.
+            if self._deferred_physical is None:
+                self._deferred_physical = {}
             self._deferred_physical[update.vread] = option
             return False
+        # The commit puts the id in record.applied_ids: executed.
         if update.is_delete:
             self.record.commit_delete(option_id=option.option_id)
         else:
             self.record.commit_value(update.new_value, option_id=option.option_id)
-        self.executed.add(option.option_id)
         self.on_settled(option.option_id)
         self._close_era()
         self._drain_deferred()
@@ -410,13 +457,13 @@ class RecordState:
         """Adopt authoritative committed state from the master.
 
         ``applied_ids`` — the option ids folded into the adopted value —
-        become executed here, so their late visibilities are no-ops."""
+        join ``record.applied_ids`` and so become executed here: their
+        late visibilities are no-ops."""
         changed = self.record.catch_up(version, value, applied_ids=applied_ids)
         if changed:
             for option_id in applied_ids:
-                self.executed.add(option_id)
                 self.on_settled(option_id)
-                self.rejected.discard(option_id)
+                self._unreject(option_id)
                 self._drop_from_cstruct(option_id)
             self._close_era()
             self._drain_deferred()
@@ -424,24 +471,35 @@ class RecordState:
 
     def refresh_base(self, new_base: Optional[Dict[str, float]] = None) -> None:
         """Set demarcation bases (master classic round writes a new base)."""
-        self._limits_cache.clear()
-        if new_base is None:
-            self.base_values = {}
-            return
-        self.base_values = dict(new_base)
+        self._limits_cache = None
+        self.base_values = None if new_base is None else dict(new_base)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _note_noop(self, option_id: str) -> None:
+        """Mark an option executed that folded nothing into the value."""
+        noop = self._noop_ids
+        if noop:
+            noop.add(option_id)
+        else:
+            self._noop_ids = {option_id}
+
+    def _unreject(self, option_id: str) -> None:
+        if self.rejected:
+            self.rejected.discard(option_id)
+
     def _close_era(self) -> None:
         """A physical commit closed the instance: drop decided options and
         reset demarcation bases to the new committed value (lazily)."""
-        executed = self.executed
+        applied = self.record.applied_ids
+        noop = self._noop_ids
         survivors = [
             option
             for option in self.cstruct
             if option.status is OptionStatus.ACCEPTED
-            and option.option_id not in executed
+            and option.option_id not in applied
+            and option.option_id not in noop
         ]
         if not survivors:
             self.cstruct = _EMPTY_CSTRUCT
@@ -451,8 +509,8 @@ class RecordState:
                 tuple(survivors),
                 frozenset([o.option_id for o in survivors]),
             )
-        self.base_values = {}
-        self._limits_cache.clear()
+        self.base_values = None
+        self._limits_cache = None
 
     def _drop_from_cstruct(self, option_id: str) -> None:
         cstruct = self.cstruct
@@ -471,15 +529,15 @@ class RecordState:
 
     def _drain_deferred(self) -> None:
         # Physical options whose read version has now been reached.
-        progressed = True
+        progressed = self._deferred_physical is not None
         while progressed:
             progressed = False
             pending = self._deferred_physical.pop(self.record.current_version, None)
-            if pending is not None and pending.option_id not in self.executed:
+            if pending is not None and not self.is_executed(pending.option_id):
                 if self._execute_physical(pending):
                     progressed = True
         if self.record.exists and self._deferred_deltas:
-            deferred, self._deferred_deltas = self._deferred_deltas, []
+            deferred, self._deferred_deltas = self._deferred_deltas, None
             for option in deferred:
-                if option.option_id not in self.executed:
+                if not self.is_executed(option.option_id):
                     self._execute_commutative(option)

@@ -85,6 +85,8 @@ class MDCCStorageNode(Node):
         self.tracer = trace_runtime.current_tracer()
         self.store = RecordStore()
         self.wal = WriteAheadLog()
+        #: bound once: every RecordState shares this one method object.
+        self._wal_resolve = self.wal.resolve
         self.master = MasterRole(self, config)
         self._states: Dict[RecordId, RecordState] = {}
         #: all options ever seen, for status queries and recovery.
@@ -129,7 +131,7 @@ class MDCCStorageNode(Node):
                 schema=self.store.schema(record.table),
                 spec=self.placement.quorums(),
                 demarcation=self.config.demarcation_enabled,
-                on_settled=self.wal.resolve,
+                on_settled=self._wal_resolve,
             )
             if self.tracer.enabled:
                 state.trace_hook = self._demarcation_hook(record)
@@ -227,10 +229,11 @@ class MDCCStorageNode(Node):
         option_id = decided.option_id
         self._option_log[option_id] = decided
         # Logged until its visibility lands — unless that already happened
-        # (a late duplicate).  ``state.settled`` inlined: once per vote.
-        settled = option_id in state.executed or option_id in state.rejected
+        # (a late duplicate).
         self.wal.append(
-            "option-learned", decided, waits_on=() if settled else (option_id,)
+            "option-learned",
+            decided,
+            waits_on=() if state.settled(option_id) else (option_id,),
         )
         self.counters.increment("acceptor.fast_proposals")
         if span is not None:
@@ -353,10 +356,11 @@ class MDCCStorageNode(Node):
         self._option_log.setdefault(option_id, option)
         state.apply_visibility(option, committed)
         # Unsettled only while deferred behind an earlier write or the
-        # insert (``state.settled`` inlined: once per visibility).
-        settled = option_id in state.executed or option_id in state.rejected
+        # insert.
         self.wal.append(
-            "visibility", message, waits_on=() if settled else (option_id,)
+            "visibility",
+            message,
+            waits_on=() if state.settled(option_id) else (option_id,),
         )
         self.counters.increment(
             "acceptor.visibility_commit" if committed else "acceptor.visibility_abort"
@@ -422,7 +426,7 @@ class MDCCStorageNode(Node):
         option_id = f"{message.txid}:{message.record}"
         option = self._option_log.get(option_id)
         status: Optional[OptionStatus] = None
-        executed = option_id in state.executed
+        executed = state.is_executed(option_id)
         if option is not None:
             if executed:
                 status = OptionStatus.ACCEPTED

@@ -111,8 +111,11 @@ class ReplicaMap:
         #: per-record placement caches, valid only while the mapping is
         #: immutable: a static DC set (no membership directory) and a
         #: non-adaptive master policy.  Under those policies every lookup
-        #: is a pure function of the record id.
+        #: is a pure function of the record id.  The node ids they hold
+        #: come from one interned tuple per partition, shared by all of
+        #: its records.
         self._static_placement = membership is None
+        self._partition_nodes: Dict[int, Tuple[str, ...]] = {}
         self._replicas_cache: Dict[RecordId, Tuple[str, ...]] = {}
         self._master_node_cache: Dict[RecordId, str] = {}
         #: adaptive-policy state (None under the static policies).  Imported
@@ -171,15 +174,22 @@ class ReplicaMap:
         if self._static_placement:
             cached = self._replicas_cache.get(record)
             if cached is None:
-                partition = self.partition_of(record.table, record.key)
-                cached = tuple(
-                    self.storage_node_id(dc, partition)
-                    for dc in self._datacenters
+                cached = self._replicas_cache[record] = self._nodes_of_partition(
+                    self.partition_of(record.table, record.key)
                 )
-                self._replicas_cache[record] = cached
             return cached
         partition = self.partition_of(record.table, record.key)
         return [self.storage_node_id(dc, partition) for dc in self.datacenters]
+
+    def _nodes_of_partition(self, partition: int) -> Tuple[str, ...]:
+        """A static map's node per data center for ``partition``, in DC
+        order: one tuple per partition, built once."""
+        nodes = self._partition_nodes.get(partition)
+        if nodes is None:
+            nodes = self._partition_nodes[partition] = tuple(
+                self.storage_node_id(dc, partition) for dc in self._datacenters
+            )
+        return nodes
 
     def replicas_for_repair(self, record: RecordId) -> List[str]:
         """Replicas including joining DCs — the anti-entropy sweep scope.
@@ -238,8 +248,9 @@ class ReplicaMap:
             # pure function of the record id and can be looked up once.
             cached = self._master_node_cache.get(record)
             if cached is None:
-                cached = self.replica_in(record, self.master_dc(record))
-                self._master_node_cache[record] = cached
+                cached = self._master_node_cache[record] = self.replicas(record)[
+                    self._datacenters.index(self.master_dc(record))
+                ]
             return cached
         return self.replica_in(record, self.master_dc(record))
 

@@ -15,23 +15,25 @@ the same, it does not need to be stored per record", §3.3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.paxos.ballot import Ballot, BallotRange
 
 __all__ = ["MastershipState", "MastershipTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MastershipState:
     """Per-record promise state: which ranges are granted to which ballot.
 
     Later grants shadow earlier ones on the instances they cover.  The
     implicit base is the paper's default ``[0, ∞, fast, ballot=0]``.
+    ``ranges`` is only ever reassigned, never mutated in place, so a
+    record that never left the default shares the empty tuple.
     """
 
-    ranges: List[BallotRange] = field(default_factory=list)
+    ranges: Sequence[BallotRange] = ()
 
     def grant(self, new_range: BallotRange) -> bool:
         """Try to promise ``new_range``; True if granted.

@@ -12,9 +12,14 @@ as normal updates" — a deleted record keeps its version with no value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional, Set, Union
 
 __all__ = ["Record", "Snapshot"]
+
+#: The applied-id set of a record no option id was ever folded into —
+#: shared, so a record the baselines write (they pass no ids) or one only
+#: ever loaded costs no set of its own.
+_NO_IDS: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +67,8 @@ class Record:
         #: state wholesale knows which in-flight visibilities it must NOT
         #: re-apply (commutative deltas are blind — without this set a
         #: CatchUp followed by the original Visibility double-applies).
-        self.applied_ids: set = set()
+        #: The shared empty frozenset until the first id arrives.
+        self.applied_ids: Union[FrozenSet[str], Set[str]] = _NO_IDS
 
     # ------------------------------------------------------------------
     # Introspection
@@ -94,7 +100,11 @@ class Record:
         self.current_version += 1
         self.value = value
         if option_id is not None:
-            self.applied_ids.add(option_id)
+            applied = self.applied_ids
+            if applied:
+                applied.add(option_id)
+            else:  # empty means the shared _NO_IDS: the first id
+                self.applied_ids = {option_id}
         return self.current_version
 
     def commit_value(self, value: Dict[str, object], option_id: Optional[str] = None) -> int:
@@ -150,7 +160,11 @@ class Record:
             return False
         self.current_version = version
         self.value = None if value is None else dict(value)
-        self.applied_ids.update(applied_ids)
+        if applied_ids:
+            if self.applied_ids:
+                self.applied_ids.update(applied_ids)
+            else:
+                self.applied_ids = set(applied_ids)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

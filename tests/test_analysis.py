@@ -99,6 +99,47 @@ def test_set_iter_sees_cross_module_attribute_types():
     assert [(f.path, f.line) for f in findings] == [("src/repro/core/rogue_user.py", 2)]
 
 
+_SEND_PER_APPLIED_ID = _src(
+    """\
+    def push(node, state):
+        for option_id in state.record.applied_ids:
+            node.send("peer", option_id)
+    """
+)
+
+
+def test_set_iter_sees_attributes_that_start_as_a_shared_frozenset():
+    """An attribute that starts as a module-level empty frozenset is a set
+    even where no ``set()`` is ever assigned to it."""
+    state = SourceFile(
+        "src/repro/storage/rogue_state.py",
+        _src(
+            """\
+            _NO_IDS = frozenset()
+
+            class S:
+                def __init__(self):
+                    self.applied_ids = _NO_IDS
+            """
+        ),
+    )
+    user = SourceFile("src/repro/core/rogue_user.py", _SEND_PER_APPLIED_ID)
+    findings = _run(DET_SET_ITER, state, user)
+    assert [(f.path, f.line) for f in findings] == [("src/repro/core/rogue_user.py", 2)]
+
+
+def test_set_iter_flags_a_send_loop_over_the_real_applied_ids():
+    """``Record.applied_ids`` as storage/record.py defines it today: an
+    unsorted loop over it in core/ that sends per id is flagged."""
+    record = SourceFile(
+        "src/repro/storage/record.py",
+        (REPO_ROOT / "src/repro/storage/record.py").read_text(),
+    )
+    user = SourceFile("src/repro/core/rogue_user.py", _SEND_PER_APPLIED_ID)
+    findings = _run(DET_SET_ITER, record, user)
+    assert [(f.path, f.line) for f in findings] == [("src/repro/core/rogue_user.py", 2)]
+
+
 def test_set_iter_exempts_order_insensitive_consumers():
     file = SourceFile(
         "src/repro/core/rogue.py",

@@ -38,7 +38,8 @@ def test_repair_reply_applied_ids_sorted_on_the_wire():
     node = cluster.storage_nodes[sorted(cluster.storage_nodes)[0]]
     record = RecordId("items", "i")
     state = node.record_state(record)
-    state.record.applied_ids.update({"tx-z", "tx-a", "tx-m"})
+    # A catch-up folds three ids into the value, in no particular order.
+    assert state.catch_up(state.version + 1, {"stock": 10}, ("tx-z", "tx-a", "tx-m"))
 
     sent = []
     node.send = lambda dst, message: sent.append((dst, message))
