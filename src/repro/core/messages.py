@@ -531,5 +531,4 @@ class StatusReply:
     known: bool
     status: Optional[OptionStatus]   # acceptor's local flag if known
     executed: bool                   # visibility already applied
-    option: Optional[Option]         # the full option, for re-proposal
-    writeset: Tuple[RecordId, ...]   # write-set keys carried by the option
+    option: Optional[Option]         # the full option (and its write-set), for re-proposal

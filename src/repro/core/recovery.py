@@ -149,8 +149,8 @@ class RecoveryAgent(Node):
         record_replies[src_id] = message
         if message.known and message.option is not None:
             state.options.setdefault(message.record, message.option)
-            if state.writeset is None and message.writeset:
-                state.writeset = tuple(message.writeset)
+            if state.writeset is None and message.option.writeset:
+                state.writeset = message.option.writeset
                 for record in state.writeset:
                     self._probe(state, record)
         self._evaluate(state, message.record)

@@ -445,7 +445,6 @@ class MDCCStorageNode(Node):
                 status=status,
                 executed=executed,
                 option=option,
-                writeset=option.writeset if option is not None else (),
             ),
         )
 

@@ -13,7 +13,28 @@ values in which every list is tagged by its first element:
 * a :class:`~repro.paxos.cstruct.CStruct` becomes ``[3, commands...]``;
 * ``None``/``bool``/``int``/``float``/``str`` pass through; dicts (string
   keys only) map value-wise — no tag lives in a dict key, so no key a
-  user's dict may carry collides with one.
+  user's dict may carry collides with one;
+* a value of a :data:`VALUE_TYPES` class (record ids, options, updates,
+  ballots) that this ``encode`` call has already emitted — the *same
+  object*, by identity — becomes a back-reference ``[4, index]``.
+
+**Each value once per message.**  MDCC puts the whole write-set into
+every option (§3.2.3), so a batch of k options holds k·(k+1) record ids
+of which only k are distinct objects.  The encoder numbers the values of
+:data:`VALUE_TYPES` in post-order — a value gets the next index once its
+fields are encoded — and the decoder appends each such value to a
+per-call list as its constructor returns, so both count the same way and
+a reference can only name a value already built: every distinct value is
+still built and validated exactly once, by its real constructor.  The
+encode memo holds each object it numbers, so an ``id`` cannot be reused
+by a temporary while the call runs.  Sharing is by identity only: equal
+but distinct objects are spelled twice, as the sender holds them.
+Lists and dicts stay inline because they are mutable — an alias decoded
+from one would tie together two fields the receiver treats as
+independent.  Tuples and strings stay inline too: they are in almost
+every message and cheap to spell, and numbering them would charge a memo
+entry to messages that share nothing (``ReadRequest``, ``ReadReply``, a
+single ``FastReply`` hold no shared value and pay only an empty memo).
 
 **Built once.**  One encoder and one decoder per registered class are
 made at import from ``dataclasses.fields(cls)``; a value dispatches on
@@ -148,64 +169,116 @@ VALUE_TYPES: Tuple[type, ...] = (
 
 _PLAIN = frozenset({type(None), bool, int, float, str})
 #: list tags of the built-in shapes; a registered class's tag is its name
-_TUPLE, _LIST, _STATUS, _CSTRUCT = 0, 1, 2, 3
+_TUPLE, _LIST, _STATUS, _CSTRUCT, _REF = 0, 1, 2, 3, 4
 _STATUSES = {status.value: status for status in OptionStatus}
 
+#: ``id(value) -> (index, value)`` of the shared values one ``encode``
+#: call has emitted; holding ``value`` keeps its ``id`` from being reused
+_Memo = Dict[int, Tuple[int, Any]]
 
-def _encode_value(value: Any) -> Any:
-    return value if value.__class__ in _PLAIN else _ENCODERS[value.__class__](value)
+
+def _encode_items(items: Any, memo: _Memo, tag: int = _TUPLE) -> List[Any]:
+    data = [tag]
+    for value in items:
+        data.append(value if value.__class__ in _PLAIN else _ENCODERS[value.__class__](value, memo))
+    return data
 
 
-def _encode_dict(obj: Dict[Any, Any]) -> Dict[str, Any]:
+def _encode_dict(obj: Dict[Any, Any], memo: _Memo) -> Dict[str, Any]:
     if any(key.__class__ is not str for key in obj):
         raise CodecError(f"non-string dict key in {obj!r} is not encodable")
-    return {key: _encode_value(value) for key, value in obj.items()}
+    return {
+        key: value if value.__class__ in _PLAIN else _ENCODERS[value.__class__](value, memo)
+        for key, value in obj.items()
+    }
 
 
-def _decode_value(data: Any) -> Any:
+def _decode_value(data: Any, seen: List[Any]) -> Any:
     cls = data.__class__
     if cls is list:
-        return _DECODERS[data[0]](data)
+        return _DECODERS[data[0]](data, seen)
     if cls in _PLAIN:
         return data
     if cls is dict:
-        return {key: _decode_value(value) for key, value in data.items()}
+        return {
+            key: value if value.__class__ in _PLAIN else _decode_value(value, seen)
+            for key, value in data.items()
+        }
     raise CodecError(f"cannot decode {cls.__name__}: {data!r}")
 
 
-_ENCODERS: Dict[type, Callable[[Any], Any]] = {
-    tuple: lambda items: [_TUPLE, *map(_encode_value, items)],
-    list: lambda items: [_LIST, *map(_encode_value, items)],
+def _decode_items(data: List[Any], seen: List[Any]) -> List[Any]:
+    items = []
+    for value in data[1:]:
+        items.append(
+            value if value.__class__ in _PLAIN
+            else _DECODERS[value[0]](value, seen) if value.__class__ is list
+            else _decode_value(value, seen)
+        )
+    return items
+
+
+def _decode_ref(data: List[Any], seen: List[Any]) -> Any:
+    _tag, index = data
+    if index.__class__ is not int or not 0 <= index < len(seen):
+        raise CodecError(f"reference {index!r} names none of the {len(seen)} values built so far")
+    return seen[index]
+
+
+_ENCODERS: Dict[type, Callable[[Any, _Memo], Any]] = {
+    tuple: _encode_items,
+    list: lambda items, memo: _encode_items(items, memo, _LIST),
     dict: _encode_dict,
-    OptionStatus: lambda status: [_STATUS, status.value],
-    CStruct: lambda cstruct: [_CSTRUCT, *map(_encode_value, cstruct.commands)],
+    OptionStatus: lambda status, memo: [_STATUS, status.value],
+    CStruct: lambda cstruct, memo: _encode_items(cstruct.commands, memo, _CSTRUCT),
 }
-_DECODERS: Dict[Any, Callable[[List[Any]], Any]] = {
-    _TUPLE: lambda data: tuple(map(_decode_value, data[1:])),
-    _LIST: lambda data: list(map(_decode_value, data[1:])),
-    _STATUS: lambda data: _STATUSES[data[1]],
-    _CSTRUCT: lambda data: CStruct(map(_decode_value, data[1:])),
+_DECODERS: Dict[Any, Callable[[List[Any], List[Any]], Any]] = {
+    _TUPLE: lambda data, seen: tuple(_decode_items(data, seen)),
+    _LIST: _decode_items,
+    _STATUS: lambda data, seen: _STATUSES[data[1]],
+    _CSTRUCT: lambda data, seen: CStruct(_decode_items(data, seen)),
+    _REF: _decode_ref,
 }
 
-#: one field on its way through: plain values as they are, the rest dispatched
-_FIELD = "{0} if {0}.__class__ in _PLAIN else {1}"
+#: one field on its way through: plain values as they are, the rest
+#: dispatched on their class (encoding) or their tag (decoding)
+_ENCODED = "{0} if {0}.__class__ in _PLAIN else _ENCODERS[{0}.__class__]({0}, memo)"
+_DECODED = (
+    "{0} if {0}.__class__ in _PLAIN else _DECODERS[{0}[0]]({0}, seen)"
+    " if {0}.__class__ is list else _decode_value({0}, seen)"
+)
 
 
-def _register(cls: Type[Any]) -> None:
+def _register(cls: Type[Any], shared: bool) -> None:
     """Compile ``cls``'s encoder and decoder (as ``dataclasses`` compiles
     ``__init__``): init fields only, positional, in declaration order;
-    the decoder unpacks exactly that many and calls the constructor."""
+    the decoder unpacks exactly that many and calls the constructor.  A
+    ``shared`` class's encoder emits a reference for an object this call
+    has already emitted, and its decoder records every value it builds."""
     names = [field.name for field in dataclasses.fields(cls) if field.init]
     slots = [f"v{i}" for i in range(len(names))]
-    encoded = (_FIELD.format(v, f"_ENCODERS[{v}.__class__]({v})") for v in slots)
-    decoded = (_FIELD.format(v, f"_decode_value({v})") for v in slots)
+    encoded = (_ENCODED.format(v) for v in slots)
+    decoded = (_DECODED.format(v) for v in slots)
+    unpack = f"    {', '.join(slots)}, = {', '.join('obj.' + name for name in names)},\n"
+    fields = f"[tag, {', '.join(encoded)}]"
+    built = f"cls({', '.join(decoded)})"
+    if shared:
+        encoder = (
+            "    key = id(obj)\n"
+            "    if key in memo:\n"
+            "        return [_REF, memo[key][0]]\n"
+            f"{unpack}"
+            f"    data = {fields}\n"
+            "    memo[key] = (len(memo), obj)\n"
+            "    return data\n"
+        )
+        decoder = f"    value = {built}\n    seen.append(value)\n    return value\n"
+    else:
+        encoder = f"{unpack}    return {fields}\n"
+        decoder = f"    return {built}\n"
     source = (
-        "def encode(obj, tag=tag):\n"
-        f"    {', '.join(slots)}, = {', '.join('obj.' + name for name in names)},\n"
-        f"    return [tag, {', '.join(encoded)}]\n"
-        "def decode(data, cls=cls):\n"
-        f"    _tag, {', '.join(slots)}, = data\n"
-        f"    return cls({', '.join(decoded)})\n"
+        f"def encode(obj, memo, tag=tag):\n{encoder}"
+        f"def decode(data, seen, cls=cls):\n    _tag, {', '.join(slots)}, = data\n{decoder}"
     )
     # Module globals, so the helpers resolve; the two per-class names are
     # bound as defaults when the ``def``s run.
@@ -215,14 +288,16 @@ def _register(cls: Type[Any]) -> None:
     _DECODERS[cls.__name__] = compiled["decode"]
 
 
-for _cls in (*MESSAGE_TYPES, *VALUE_TYPES):
-    _register(_cls)
+for _cls in MESSAGE_TYPES:
+    _register(_cls, shared=False)
+for _cls in VALUE_TYPES:
+    _register(_cls, shared=True)
 
 
 def encode(obj: Any) -> Any:
     """Transform ``obj`` into JSON/msgpack-compatible values."""
     try:
-        return _encode_value(obj)
+        return obj if obj.__class__ in _PLAIN else _ENCODERS[obj.__class__](obj, {})
     except KeyError as exc:
         cls = exc.args[0]
         raise CodecError(
@@ -236,7 +311,7 @@ def decode(data: Any) -> Any:
     wrong field count, a value the constructor refuses — is a
     :class:`CodecError`."""
     try:
-        return _decode_value(data)
+        return _decode_value(data, [])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CodecError(f"cannot decode {data!r}: {exc!r}") from exc
 

@@ -13,6 +13,7 @@ and registered), and the tripwire tests below assert through it.
 import dataclasses
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -263,7 +264,6 @@ SAMPLES = {
         status=OptionStatus.PENDING,
         executed=False,
         option=COMMUTATIVE,
-        writeset=(RECORD, RecordId("items", "item:000007")),
     ),
     "StatusRequest": messages.StatusRequest(txid="tx-17", record=RECORD, request_id=5),
     "Visibility": messages.Visibility(option=PHYSICAL, committed=True),
@@ -588,6 +588,116 @@ def test_no_user_value_collides_with_a_tag(value):
     emits is tagged, and dicts carry none — user data comes back as sent."""
     restored = decode(JsonCodec.loads(JsonCodec.dumps(encode(value))))
     assert restored == value and type(restored) is type(value)
+
+
+# ----------------------------------------------------------------------
+# Back-references: a value shared within a message crosses the wire once
+# ----------------------------------------------------------------------
+def _batch(size):
+    """One transaction's options for one replica set, built the way the
+    coordinator builds them: every option carries the one write-set tuple,
+    and its record is one of that tuple's ids (§3.2.3)."""
+    writeset = tuple(RecordId("items", f"item:{index:06d}") for index in range(size))
+    return messages.ProposeFastBatch(
+        options=tuple(
+            Option(
+                txid="tx-40",
+                record=record,
+                update=CommutativeUpdate(deltas=(("stock", -1.0),)),
+                writeset=writeset,
+            )
+            for record in writeset
+        ),
+        reply_to="app-us-west-1",
+        epoch=0,
+    )
+
+
+#: a back-reference and the comma before it
+_REFERENCE = re.compile(r",\[4,\d+\]")
+
+
+def test_a_batch_names_each_record_once_and_decodes_to_shared_ids():
+    batch = _batch(3)
+    text = JsonCodec.dumps(encode(batch)).decode()
+    assert text.count('"RecordId"') == 3
+    for record in batch.options[0].writeset:
+        assert text.count(f'"{record.key}"') == 1
+    restored = decode(JsonCodec.loads(text.encode()))
+    assert restored == batch
+    records = restored.options[0].writeset
+    for option, record in zip(restored.options, records):
+        assert option.record is record
+        assert all(mine is first for mine, first in zip(option.writeset, records))
+
+
+def test_only_a_reference_per_option_and_key_grows_with_the_square():
+    """A batch of k options used to spell k·(k+1) record ids.  Now it
+    spells k; the k² remaining (option, key) pairs are a reference each,
+    shorter than any spelled id, and everything else grows linearly."""
+    spelled = len(JsonCodec.dumps(encode(RecordId("items", "item:000000"))))
+    rest = []
+    for size in range(1, 9):
+        text = JsonCodec.dumps(encode(_batch(size))).decode()
+        references = _REFERENCE.findall(text)
+        assert text.count('"RecordId"') == size
+        assert len(references) == size * size
+        assert max(map(len, references)) < spelled / 4
+        rest.append(len(text) - sum(map(len, references)))
+    assert len({later - earlier for earlier, later in zip(rest, rest[1:])}) == 1
+
+
+def test_sharing_is_by_identity_and_messages_without_it_carry_no_reference():
+    twins = (RecordId("items", "item:000001"), RecordId("items", "item:000001"))
+    assert encode(twins) == [0, *(["RecordId", "items", "item:000001"],) * 2]
+    shared = (twins[0], twins[0])
+    assert encode(shared) == [0, ["RecordId", "items", "item:000001"], [4, 0]]
+    restored = decode(encode(shared))
+    assert restored == shared and restored[0] is restored[1]
+    for name in ("ReadRequest", "ReadReply", "FastReply"):
+        assert _REFERENCE.search(JsonCodec.dumps(encode(SAMPLES[name])).decode()) is None
+
+
+_SPELLED = ["RecordId", "items", "item:000001"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [4, 0],  # nothing is built yet
+        # a forward reference: the record the option names comes later
+        ["Option", "tx", [4, 0], ["ReadValidation", 1], [0, _SPELLED], [2, "pending"]],
+        [0, _SPELLED, [4, 1]],  # out of range: one value is built
+        [0, _SPELLED, [4, -1]],  # seen[-1] would have named the last one
+        [0, _SPELLED, [4, True]],
+        [0, _SPELLED, [4, 0.0]],
+        [0, _SPELLED, [4, "0"]],
+        [0, _SPELLED, [4]],
+        [0, _SPELLED, [4, 0, 0]],
+    ],
+)
+def test_every_malformed_reference_is_a_codec_error(value):
+    assert decode([0, _SPELLED, [4, 0]])[1].key == "item:000001"
+    with pytest.raises(CodecError):
+        decode(JsonCodec.loads(JsonCodec.dumps(value)))
+
+
+def test_the_memo_keeps_what_it_numbers_alive(monkeypatch):
+    """Record ids built on the spot and dropped once encoded: a memo that
+    kept only their ``id()`` would see a later one at a freed address and
+    send a reference to the wrong record."""
+
+    class Fresh:
+        pass
+
+    def encode_fresh(_obj, memo):
+        fresh = (RecordId("items", f"item:{index:06d}") for index in range(64))
+        data = codec._encode_items(fresh, memo, 1)
+        assert all(key == id(value) for key, (_index, value) in memo.items())
+        return data
+
+    monkeypatch.setitem(codec._ENCODERS, Fresh, encode_fresh)
+    assert decode(encode(Fresh())) == [RecordId("items", f"item:{i:06d}") for i in range(64)]
 
 
 def test_unregistered_type_is_a_loud_error():

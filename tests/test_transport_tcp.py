@@ -27,7 +27,7 @@ from repro.api import ClusterSpec, ScenarioSpec, build_cluster, run_scenario
 from repro.bench.driver import run
 from repro.core.options import RecordId
 from repro.faults.schedule import named_schedule
-from repro.transport import runner
+from repro.transport import codec, runner
 from repro.transport.base import TransportError
 from repro.transport.runner import (
     RemoteCluster,
@@ -338,6 +338,44 @@ def test_bad_frame_closes_that_connection_and_the_server_keeps_serving(case, cap
     assert errors.count("closing a connection on a bad frame") == (
         0 if case == "truncated frame" else 1
     )
+
+
+def test_a_commits_proposal_frame_spells_each_record_once(monkeypatch):
+    """Off real sockets: a micro buy writes three records of one replica
+    set, so each replica gets one ``ProposeFastBatch`` of three options,
+    every option carrying the whole write-set — and the frame spells each
+    record key once; the other mentions are back-references."""
+    topology = make_local_topology(_spec(seed=5), items=30, ports=_free_ports(3))
+    received = []
+    decode_frame_payload = codec.decode_frame_payload
+
+    def recording(payload):
+        received.append(payload)
+        return decode_frame_payload(payload)
+
+    monkeypatch.setattr(codec, "decode_frame_payload", recording)
+    with _in_process_cluster(topology) as driver:
+        result = run(
+            RemoteCluster(topology, driver),
+            topology.build_workload(),
+            num_clients=2,
+            warmup_ms=0.0,
+            measure_ms=250.0,
+        )
+    assert result.commits >= 1 and result.clean
+    proposals = [
+        (payload, codec.decode(decode_frame_payload(payload)["msg"]))
+        for payload in received
+        if b'"msg":["ProposeFastBatch"' in payload
+    ]
+    three = [(payload, batch) for payload, batch in proposals if len(batch.options) == 3]
+    assert three, "no three-record commit was proposed"
+    for payload, batch in three:
+        writeset = batch.options[0].writeset
+        assert len(writeset) == 3
+        for record in writeset:
+            assert payload.count(f'"{record.key}"'.encode()) == 1
+        assert all(option.writeset == writeset for option in batch.options)
 
 
 def test_simulated_runs_load_no_codec_no_tcp_no_asyncio():
