@@ -405,6 +405,15 @@ def _as_dict(result: RunResult, spec: ScenarioSpec) -> dict:
     }
 
 
+#: ``repair`` block of a fault-schedule run's payload: name -> counter.
+_REPAIR_COUNTERS = (
+    ("catch_ups_sent", "antientropy.repairs"),
+    ("visibilities_redriven", "antientropy.visibility_redriven"),
+    ("recoveries_triggered", "antientropy.recoveries_triggered"),
+    ("recoveries_started", "recovery.started"),
+)
+
+
 def _payload(result: RunResult, spec: ScenarioSpec, include_events: bool = False) -> dict:
     """The JSON envelope: the scenario verdict for a fault-schedule run,
     the experiment summary otherwise — always with the spec it ran."""
@@ -417,6 +426,11 @@ def _payload(result: RunResult, spec: ScenarioSpec, include_events: bool = False
     payload["chaos_event_count"] = len(payload["chaos_events"])
     if not include_events:
         del payload["chaos_events"]
+    # What the post-heal repair cost, from the run's counters.
+    counters = result.counters
+    payload["repair"] = {
+        name: counters.get(counter, 0) for name, counter in _REPAIR_COUNTERS
+    }
     return payload
 
 

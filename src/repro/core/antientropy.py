@@ -18,11 +18,21 @@ already committed.  The sweep therefore never rolls back state and can be
 run at any time, even during failures; replicas that are unreachable now
 are simply repaired by a later sweep.
 
+The catch-up is the bulk copy: it carries the freshest replica's applied
+ids, which the lagging replica folds in and settles.  So a replica that
+only lags gets that one message and nothing else — not a visibility, and
+not a Paxos recovery, per transaction it missed.  The Paxos detour
+(:class:`~repro.core.recovery.RecoveryAgent`) is kept for what no copy of
+committed state can fix: replicas at the same version holding different
+delta sets, and options whose outcome no replica has executed.
+
 A sweep is complete when every replica replied or the per-record timeout
 expired; repair proceeds with whatever arrived.  With fewer than a classic
 quorum of replies the freshest version seen may itself be behind the
 latest commit — the sweep still helps (it can only move replicas forward)
-and a subsequent sweep finishes the job once more replicas answer.
+and a subsequent sweep finishes the job once more replicas answer.  A
+catch-up that does not land (lost, or overtaken by the replica's own
+progress) is repaired the same way by the next sweep.
 """
 
 from __future__ import annotations
@@ -53,11 +63,12 @@ class SweepReport:
     #: (e.g. the reconfig manager's admission gate) tell a dark *joiner*
     #: from some other unreachable replica.
     unreachable_nodes: set = field(default_factory=set)
-    #: visibilities re-driven for options executed elsewhere but stuck
-    #: pending at some replica (the dropped-visibility case).
+    #: visibilities re-driven for options executed elsewhere but left
+    #: unsettled at some replica (the dropped-visibility case).
     visibilities_redriven: int = 0
-    #: dangling transactions handed to the recovery agent (§3.2.3): their
-    #: option is pending somewhere but provably executed nowhere.
+    #: transactions handed to the recovery agent (§3.2.3): an option of
+    #: theirs is unsettled somewhere and executed nowhere, or executed
+    #: somewhere and unknown to a replica no catch-up brings it to.
     recoveries_triggered: int = 0
 
     def merge(self, other: "SweepReport") -> None:
@@ -115,12 +126,14 @@ class AntiEntropyAgent(Node):
         self._recovery = None
 
     def attach_recovery(self, recovery_agent) -> None:
-        """Escalate unprovable pending options to ``recovery_agent``.
+        """Escalate what no catch-up or re-drive settles to
+        ``recovery_agent``.
 
         Without one, sweeps re-drive only visibilities whose commit is
-        proven by another replica's applied set; options that are pending
-        everywhere (a coordinator died before ANY replica executed) stay
-        parked until some recovery agent reconstructs the transaction."""
+        proven by another replica's applied set; options that are
+        unsettled everywhere (a coordinator died before ANY replica
+        executed) stay parked until some recovery agent reconstructs the
+        transaction."""
         self._recovery = recovery_agent
 
     # ------------------------------------------------------------------
@@ -205,21 +218,33 @@ class AntiEntropyAgent(Node):
                 self.counters.increment(
                     "antientropy.repairs", amount=len(behind)
                 )
-            self._repair_pending(probe, report)
+            self._repair_pending(probe, report, behind, freshest.applied_ids)
         future.resolve(report)
 
-    def _repair_pending(self, probe: _Probe, report: SweepReport) -> None:
-        """Finish visibilities a partition ate (§3.2.3's promise).
+    def _repair_pending(
+        self,
+        probe: _Probe,
+        report: SweepReport,
+        behind: List[str],
+        carried: Tuple[str, ...],
+    ) -> None:
+        """Settle what this round's catch-up cannot (§3.2.3's promise).
 
-        A replica that accepted an option but never saw its visibility
-        keeps it pending forever — blocking validSingle and, for deltas,
-        silently diverging from peers *at the same version* (which the
-        version-based catch-up above can never fix).  Three cases:
+        Each replica in ``behind`` is sent a :class:`CatchUp` this round;
+        adopting it marks every id in ``carried`` (the freshest reply's
+        applied ids) executed there and settles it.  So for those
+        replicas the ids the catch-up carries count as known, and only
+        the rest is repaired here.  A replica that decided an option but
+        never saw its visibility keeps it unsettled forever — blocking
+        validSingle when accepted, holding its WAL entry either way, and
+        for deltas silently diverging from peers *at the same version*
+        (which no catch-up fixes).  Three cases, each for an id the
+        round's catch-up (if any) does not carry:
 
-        * pending here, executed at any peer → the commit decision is
+        * unsettled here, executed at any peer → the commit decision is
           proven; re-drive ``Visibility(committed=True)`` to the stuck
           replica directly.
-        * pending here, executed nowhere → the outcome is unknown; hand
+        * unsettled here, executed nowhere → the outcome is unknown; hand
           the txid to the attached recovery agent, which reconstructs the
           transaction from a quorum and drives it to a definitive outcome.
         * executed at a peer but *wholly unknown* here (a lossy network
@@ -234,9 +259,14 @@ class AntiEntropyAgent(Node):
         applied_anywhere: set = set()
         for reply in probe.replies.values():
             applied_anywhere.update(reply.applied_ids)
+        # node -> the ids its catch-up this round settles there.
+        covers = dict.fromkeys(behind, frozenset(carried)) if behind else {}
         escalated: set = set()
         for node_id, reply in probe.replies.items():
-            for option in reply.pending:
+            covered = covers.get(node_id, ())
+            for option in reply.unsettled:
+                if option.option_id in covered:
+                    continue
                 if option.option_id in applied_anywhere:
                     self.send(node_id, Visibility(option=option, committed=True))
                     report.visibilities_redriven += 1
@@ -253,13 +283,15 @@ class AntiEntropyAgent(Node):
         if self._recovery is None:
             return
         # Case three: ids applied at some peer that this replica has
-        # neither applied nor parked pending.  Only the txid is derivable
-        # (option ids are "txid:record" and peers do not ship payloads of
-        # already-applied options), hence the recovery detour.
+        # neither applied nor holds unsettled, nor gets from the catch-up.
+        # Only the txid is derivable (option ids are "txid:record" and
+        # peers do not ship payloads of already-applied options), hence
+        # the recovery detour.
         suffix = f":{probe.record}"
         for node_id, reply in probe.replies.items():
             known = set(reply.applied_ids)
-            known.update(option.option_id for option in reply.pending)
+            known.update(option.option_id for option in reply.unsettled)
+            known.update(covers.get(node_id, ()))
             for option_id in sorted(applied_anywhere - known):
                 if not option_id.endswith(suffix):
                     continue

@@ -348,10 +348,11 @@ class RepairReply:
     value: Optional[Dict[str, object]]
     version: int
     applied_ids: Tuple[str, ...]
-    #: accepted-but-unexecuted options still parked in this replica's
-    #: cstruct — a visibility this replica never received (e.g. dropped by
-    #: a partition).  The agent re-drives or recovers them (§3.2.3).
-    pending: Tuple["Option", ...] = ()
+    #: options this replica decided but whose outcome it never learned —
+    #: accepted and still pending, or rejected / left undecided here — a
+    #: visibility this replica never received (e.g. dropped by a
+    #: partition).  The agent re-drives or recovers them (§3.2.3).
+    unsettled: Tuple["Option", ...] = ()
 
 
 # ----------------------------------------------------------------------

@@ -84,8 +84,12 @@ class RecoveryAgent(Node):
         )
         self.tracer = trace_runtime.current_tracer()
         self._request_seq = itertools.count(1)
+        #: recoveries in flight (or given up), by txid and by request id.
         self._by_txid: Dict[str, _RecoveryState] = {}
         self._by_request: Dict[int, _RecoveryState] = {}
+        #: finished recoveries: only the resolved future is kept, so a
+        #: repeated recover() returns the verdict without a second run.
+        self._done: Dict[str, Future] = {}
         #: retry rounds before declaring the quorum unreachable.
         self._max_retry_rounds = 100
 
@@ -100,6 +104,9 @@ class RecoveryAgent(Node):
         recovery that previously gave up (quorum unreachable through the
         whole retry budget) is restarted from scratch.
         """
+        done = self._done.get(txid)
+        if done is not None:
+            return done
         existing = self._by_txid.get(txid)
         if existing is not None and not existing.gave_up:
             return existing.future
@@ -267,6 +274,13 @@ class RecoveryAgent(Node):
         if state.finished:
             return
         state.finished = True
+        # What was collected dies with the state; the retry timer that
+        # still holds it finds it finished and lets go.  (A recovery that
+        # gave up may still finish after a restart replaced it.)
+        del self._by_request[state.request_id]
+        if self._by_txid.get(state.txid) is state:
+            del self._by_txid[state.txid]
+        self._done.setdefault(state.txid, state.future)
         committed = all(
             status is OptionStatus.ACCEPTED for status in state.decisions.values()
         )

@@ -66,6 +66,7 @@ class RecordState:
         "_noop_ids",
         "rejected",
         "on_settled",
+        "_orphans",
         "base_values",
         "_deferred_physical",
         "_deferred_deltas",
@@ -104,6 +105,11 @@ class RecordState:
         #: rejected — its outcome is then in the store (the storage node
         #: passes its WAL's ``resolve``).
         self.on_settled = on_settled
+        #: options that left the cstruct (an era close, or a classic round
+        #: adopting a cstruct without them) before their outcome arrived,
+        #: by id — kept only until settled, so a repair probe can still
+        #: report them.
+        self._orphans: Optional[Dict[str, Option]] = None
         #: demarcation base value X per attribute (§3.4.2), set lazily at
         #: first commutative accept and refreshed by master classic rounds.
         self.base_values: Optional[Dict[str, float]] = None
@@ -167,6 +173,24 @@ class RecordState:
             and option.option_id not in noop
             and option.option_id not in rejected
         ]
+
+    def unsettled_options(self) -> List[Option]:
+        """Options decided here whose outcome is not in the store yet.
+
+        The pending ones, plus those this replica rejected or left
+        undecided: a tentative local ✗ is not the transaction's outcome,
+        so until a visibility (or a catch-up) settles them their WAL
+        entries stay open — also after they left the cstruct."""
+        settled = self.settled
+        cstruct = self.cstruct
+        out = [o for o in cstruct.commands if not settled(o.option_id)]
+        if self._orphans:
+            out.extend(
+                option
+                for oid, option in self._orphans.items()
+                if oid not in cstruct.ids and not settled(oid)
+            )
+        return out
 
     def is_executed(self, option_id: str) -> bool:
         """True once the option's commit-visibility has been applied here
@@ -342,6 +366,7 @@ class RecordState:
         applied = self.record.applied_ids
         noop = self._noop_ids
         rejected = self.rejected
+        replaced = self.cstruct
         for option in proposed:
             # Make earlier options of this proposal visible to decide().
             self.cstruct = cstruct
@@ -360,6 +385,11 @@ class RecordState:
             cstruct = cstruct.append(decided)
         self.cstruct = cstruct
         self.accepted_ballot = ballot
+        if not replaced.ids <= cstruct.ids:
+            for option in replaced.commands:
+                oid = option.option_id
+                if oid not in cstruct.ids and not self.settled(oid):
+                    self._orphan(option)
         return self.cstruct
 
     # ------------------------------------------------------------------
@@ -385,7 +415,7 @@ class RecordState:
         advance — concurrent validated readers all commit against the same
         version."""
         self._note_noop(option.option_id)
-        self.on_settled(option.option_id)
+        self._settle(option.option_id)
         self._unreject(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
@@ -396,7 +426,7 @@ class RecordState:
             rejected.add(option.option_id)
         else:
             self.rejected = {option.option_id}
-        self.on_settled(option.option_id)
+        self._settle(option.option_id)
         if self.cstruct.contains_id(option.option_id):
             self.cstruct = self.cstruct.replace(
                 option.with_status(OptionStatus.REJECTED)
@@ -418,7 +448,7 @@ class RecordState:
             )
             first = False
         # commit_delta put the id in record.applied_ids: executed.
-        self.on_settled(option.option_id)
+        self._settle(option.option_id)
         self._unreject(option.option_id)
         self._drop_from_cstruct(option.option_id)
         return True
@@ -429,7 +459,7 @@ class RecordState:
         if current > update.vread:
             # Already superseded here (a catch-up skipped past it): a no-op.
             self._note_noop(option.option_id)
-            self.on_settled(option.option_id)
+            self._settle(option.option_id)
             self._drop_from_cstruct(option.option_id)
             return False
         if current < update.vread:
@@ -443,7 +473,7 @@ class RecordState:
             self.record.commit_delete(option_id=option.option_id)
         else:
             self.record.commit_value(update.new_value, option_id=option.option_id)
-        self.on_settled(option.option_id)
+        self._settle(option.option_id)
         self._close_era()
         self._drain_deferred()
         return True
@@ -462,7 +492,7 @@ class RecordState:
         changed = self.record.catch_up(version, value, applied_ids=applied_ids)
         if changed:
             for option_id in applied_ids:
-                self.on_settled(option_id)
+                self._settle(option_id)
                 self._unreject(option_id)
                 self._drop_from_cstruct(option_id)
             self._close_era()
@@ -477,6 +507,19 @@ class RecordState:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _settle(self, option_id: str) -> None:
+        """``option_id``'s outcome is in the store now."""
+        self.on_settled(option_id)
+        orphans = self._orphans
+        if orphans and orphans.pop(option_id, None) is not None and not orphans:
+            self._orphans = None
+
+    def _orphan(self, option: Option) -> None:
+        """``option`` leaves the cstruct with its outcome unknown here."""
+        if self._orphans is None:
+            self._orphans = {}
+        self._orphans[option.option_id] = option
+
     def _note_noop(self, option_id: str) -> None:
         """Mark an option executed that folded nothing into the value."""
         noop = self._noop_ids
@@ -494,13 +537,21 @@ class RecordState:
         reset demarcation bases to the new committed value (lazily)."""
         applied = self.record.applied_ids
         noop = self._noop_ids
+        cstruct = self.cstruct
         survivors = [
             option
-            for option in self.cstruct
+            for option in cstruct
             if option.status is OptionStatus.ACCEPTED
             and option.option_id not in applied
             and option.option_id not in noop
         ]
+        if len(survivors) < len(cstruct):
+            for option in cstruct:
+                if option.status is not OptionStatus.ACCEPTED and not self.settled(
+                    option.option_id
+                ):
+                    # Rejected or undecided here; its outcome is still due.
+                    self._orphan(option)
         if not survivors:
             self.cstruct = _EMPTY_CSTRUCT
         else:

@@ -401,7 +401,8 @@ class MDCCStorageNode(Node):
         )
 
     def handle_repair_probe(self, message: RepairProbe, src_id: str) -> None:
-        """Anti-entropy probe: committed state plus the applied-id set."""
+        """Anti-entropy probe: committed state, the applied-id set and the
+        options whose outcome this replica still lacks."""
         state = self.record_state(message.record)
         snapshot = state.record.snapshot()
         self.counters.increment("acceptor.repair_probes")
@@ -414,7 +415,7 @@ class MDCCStorageNode(Node):
                 value=snapshot.value,
                 version=snapshot.version,
                 applied_ids=tuple(sorted(state.record.applied_ids)),
-                pending=tuple(state.pending_options()),
+                unsettled=tuple(state.unsettled_options()),
             ),
         )
 

@@ -320,7 +320,6 @@ class ReplicatedCommitStorageNode(LockingStorageRole):
                 value=snapshot.value,
                 version=snapshot.version,
                 applied_ids=tuple(sorted(stored.applied_ids)),
-                pending=(),
             ),
         )
 

@@ -262,47 +262,134 @@ class TestRepairUnderCommutativeLoad:
     def test_same_version_divergence_escalates_to_recovery(self):
         """Replicas at the SAME version holding different delta sets.
 
-        Three deltas, each committed while a different replica was dark,
-        leave every replica at version 4 with a different value — and no
-        replica holds the full set, so version-based catch-up sees nothing
-        to do.  The sweep must notice ids applied at a peer but wholly
-        unknown locally (the propose itself was lost, nothing is pending)
-        and escalate those transactions to the recovery agent, whose
-        closing visibility broadcast carries the payloads the dark
-        replicas never saw."""
-        cluster = make_cluster(
-            seed=12, datacenters=("us-west", "us-east", "eu-west")
-        )
+        Five deltas, each committed while a different one of the five
+        replicas was dark, leave every replica at version 5 with a
+        different value — and no replica holds the full set, so
+        version-based catch-up sees nothing to do.  The sweep must notice
+        ids applied at a peer but wholly unknown locally (the propose
+        itself was lost, nothing is pending) and escalate those
+        transactions to the recovery agent, whose closing visibility
+        broadcast carries the payloads the dark replicas never saw."""
+        cluster = make_cluster(seed=12)
+        dcs = cluster.placement.datacenters
+        assert len(dcs) == 5
         cluster.load_record("items", "a", {"stock": 100})
-        clients = {dc: cluster.add_client(dc) for dc in
-                   ("us-west", "us-east", "eu-west")}
+        clients = {dc: cluster.add_client(dc) for dc in dcs}
 
-        for dark, origin, amount in (
-            ("eu-west", "us-west", 1),
-            ("us-west", "us-east", 2),
-            ("us-east", "eu-west", 4),
-        ):
+        for index, dark in enumerate(dcs):
             cluster.fail_datacenter(dark)
-            tx = cluster.begin(clients[origin])
-            tx.decrement("items", "a", "stock", amount)
+            tx = cluster.begin(clients[dcs[index - 1]])
+            tx.decrement("items", "a", "stock", 2**index)
             assert run_tx(cluster, tx.commit()).committed
             drain(cluster)
             cluster.recover_datacenter(dark)
 
-        # Each replica missed a different delta: divergent, yet nobody
-        # lags by version, so the old repair paths are all blind to it.
-        assert len(check_replica_convergence(cluster, "items", ["a"])) == 1
+        # Each replica missed a different delta: all at version 5, all
+        # different, so the version-based catch-up is blind to it.
+        versions = {
+            cluster.read_committed("items", "a", dc=dc).version for dc in dcs
+        }
+        values = {
+            cluster.read_committed("items", "a", dc=dc).value["stock"]
+            for dc in dcs
+        }
+        assert versions == {5} and len(values) == 5
 
         agent = cluster.add_anti_entropy_agent("us-west")
         agent.attach_recovery(cluster.add_recovery_agent("us-west"))
         report = run_tx(cluster, agent.sweep("items", ["a"]))
-        assert report.recoveries_triggered > 0
+        assert report.records_with_lag == 0
+        # One escalation per delta: each is missing at one replica.
+        assert report.recoveries_triggered == len(dcs)
         drain(cluster, ms=30_000)
         run_tx(cluster, agent.sweep("items", ["a"]))
         drain(cluster, ms=30_000)
 
         assert check_replica_convergence(cluster, "items", ["a"]) == []
-        for dc in ("us-west", "us-east", "eu-west"):
+        for dc in dcs:
             assert cluster.read_committed("items", "a", dc=dc).value == {
-                "stock": 93
+                "stock": 69
             }
+
+
+class TestCatchUpCoversLag:
+    """A replica the round's CatchUp repairs gets nothing else for the
+    ids that CatchUp carries: no re-driven visibility, no recovery."""
+
+    def _recovering_agent(self, cluster):
+        agent = cluster.add_anti_entropy_agent("us-west")
+        recovery = cluster.add_recovery_agent("us-west")
+        agent.attach_recovery(recovery)
+        return agent
+
+    def test_lag_only_damage_gets_one_catch_up_and_nothing_else(self):
+        cluster = make_cluster(seed=13)
+        cluster.load_record("items", "a", {"stock": 100})
+        client = cluster.add_client("us-west")
+
+        cluster.fail_datacenter("us-east")
+        for _ in range(3):
+            tx = cluster.begin(client)
+            tx.decrement("items", "a", "stock", 5)
+            assert run_tx(cluster, tx.commit()).committed
+        drain(cluster)
+        cluster.recover_datacenter("us-east")
+        assert len(check_replica_convergence(cluster, "items", ["a"])) == 1
+
+        agent = self._recovering_agent(cluster)
+        report = run_tx(cluster, agent.sweep("items", ["a"]))
+        drain(cluster)
+        assert (report.records_with_lag, report.replicas_repaired) == (1, 1)
+        assert report.visibilities_redriven == 0
+        assert report.recoveries_triggered == 0
+        assert cluster.counters.get("recovery.started") == 0
+        assert check_replica_convergence(cluster, "items", ["a"]) == []
+        assert cluster.read_committed("items", "a", dc="us-east").value == {
+            "stock": 85
+        }
+
+    def test_lagging_replica_missing_an_id_the_freshest_lacks_is_escalated(self):
+        """us-east lags behind the freshest replica and also lacks a delta
+        that only a less fresh replica applied.  The CatchUp carries the
+        freshest replica's ids, so the ids us-east misses that the
+        freshest holds are not escalated; the one it does not hold is."""
+        from repro.core.options import RecordId
+
+        cluster = make_cluster(seed=14)
+        cluster.load_record("items", "a", {"stock": 100})
+        record = RecordId("items", "a")
+        dcs = cluster.placement.datacenters
+
+        def stored(dc):
+            node_id = cluster.placement.replica_in(record, dc)
+            return cluster.storage_nodes[node_id].store.record("items", "a")
+
+        applied = {
+            "us-west": ("t1", "t2", "t3"),   # freshest, v4, lacks tx
+            "us-east": ("t1",),              # lagging, v2
+            "eu-west": ("t1", "tx"),         # holds tx, v3
+            "ap-northeast": ("t1", "t2"),
+            "ap-southeast": ("t1", "t2"),
+        }
+        assert set(applied) == set(dcs)
+        for dc, txids in applied.items():
+            for txid in txids:
+                stored(dc).commit_delta("stock", -1, option_id=f"{txid}:{record}")
+
+        escalated = []
+
+        class Recovery:
+            def recover(self, txid, hint_record):
+                escalated.append((txid, hint_record))
+
+        agent = cluster.add_anti_entropy_agent("us-west")
+        agent.attach_recovery(Recovery())
+        report = run_tx(cluster, agent.sweep("items", ["a"]))
+        assert report.replicas_repaired == 4
+        assert report.visibilities_redriven == 0
+        assert escalated == [("tx", record)]
+        assert report.recoveries_triggered == 1
+        drain(cluster)
+        # The CatchUp landed: t2 and t3 are executed at us-east now.
+        assert stored("us-east").current_version == 4
+        assert {f"t2:{record}", f"t3:{record}"} <= stored("us-east").applied_ids

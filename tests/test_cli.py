@@ -161,6 +161,15 @@ class TestChaos:
         # The timeline covers the whole measurement window, empty buckets
         # included (12s / 3s buckets).
         assert len(payload["timeline"]) == 4
+        # The outage only left replicas behind: the anti-entropy CatchUps
+        # repair them, and no transaction needs Paxos recovery.
+        repair = payload["repair"]
+        assert set(repair) == {
+            "catch_ups_sent", "visibilities_redriven",
+            "recoveries_triggered", "recoveries_started",
+        }
+        assert repair["catch_ups_sent"] > 0
+        assert repair["recoveries_started"] == 0
 
     def test_chaos_deterministic_across_runs(self, capsys):
         code_a, out_a = run_cli(
@@ -328,9 +337,19 @@ class TestReconfig:
         assert out_a == out_b  # identical JSON, byte for byte
 
     def test_reconfig_seed_changes_output(self, capsys):
+        """The seed reaches the run: the verdicts differ beyond the fields
+        that echo the seed back.  (Closed-loop clients on this small
+        cluster commit ~210 transactions either way, so two seeds may
+        land on the same commit count; the latencies still differ.)"""
         _, out_a = run_cli(capsys, "reconfig", "--seed", "1", *RECONFIG_SMALL)
         _, out_b = run_cli(capsys, "reconfig", "--seed", "2", *RECONFIG_SMALL)
-        assert json.loads(out_a)["commits"] != json.loads(out_b)["commits"]
+
+        def trajectory(out):
+            payload = json.loads(out)
+            del payload["seed"], payload["spec"]
+            return payload
+
+        assert trajectory(out_a) != trajectory(out_b)
 
     def test_reconfig_rejects_bad_membership_args(self):
         with pytest.raises(SystemExit):

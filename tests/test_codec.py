@@ -234,7 +234,7 @@ SAMPLES = {
         value=None,
         version=0,
         applied_ids=(),
-        pending=(COMMUTATIVE, VALIDATION),
+        unsettled=(COMMUTATIVE, VALIDATION),
     ),
     "SnapshotAck": messages.SnapshotAck(
         request_id=2, node_id="store-ap-south-p0", records_adopted=40, wal_cut=17

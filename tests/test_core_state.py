@@ -227,3 +227,54 @@ class TestVisibility:
             Ballot(1, fast=False, proposer="m"),
         )
         assert adopted.command(opt.option_id).rejected
+
+
+class TestUnsettledOptions:
+    """What a repair probe reports: every option decided here whose
+    outcome has not arrived, wherever it now sits."""
+
+    def ids(self, state):
+        return [option.option_id for option in state.unsettled_options()]
+
+    def test_pending_and_locally_rejected_options_are_reported(self):
+        state = make_state({"stock": 5})
+        first = phys_option("t1", 1, {"stock": 4})
+        second = phys_option("t2", 1, {"stock": 3})
+        assert state.accept_fast(first).status is OptionStatus.ACCEPTED
+        assert state.accept_fast(second).status is OptionStatus.REJECTED
+        assert self.ids(state) == [first.option_id, second.option_id]
+        state.apply_visibility(second, committed=False)
+        assert self.ids(state) == [first.option_id]
+        state.apply_visibility(first, committed=True)
+        assert self.ids(state) == []
+
+    def test_an_option_an_era_close_drops_is_reported_until_settled(self):
+        state = make_state({"stock": 5})
+        winner = phys_option("t1", 1, {"stock": 4})
+        loser = phys_option("t2", 1, {"stock": 3})
+        state.accept_fast(winner)
+        assert state.accept_fast(loser).status is OptionStatus.REJECTED
+        # t1's commit closes the era: t2 leaves the cstruct, its abort
+        # visibility still to come.
+        state.apply_visibility(winner, committed=True)
+        assert state.cstruct.commands == ()
+        assert self.ids(state) == [loser.option_id]
+        state.apply_visibility(loser, committed=False)
+        assert self.ids(state) == []
+        assert state._orphans is None
+
+    def test_an_option_a_classic_round_leaves_out_is_reported(self):
+        from repro.paxos.cstruct import CStruct
+
+        state = make_state({"stock": 5})
+        dropped = phys_option("t1", 1, {"stock": 4})
+        state.accept_fast(dropped)
+        kept = phys_option("t2", 1, {"stock": 3})
+        state.adopt(
+            CStruct([kept.with_status(OptionStatus.ACCEPTED)]),
+            Ballot(1, fast=False, proposer="m"),
+        )
+        assert self.ids(state) == [kept.option_id, dropped.option_id]
+        # A catch-up carrying its id settles it.
+        state.catch_up(3, {"stock": 4}, applied_ids=(dropped.option_id,))
+        assert dropped.option_id not in self.ids(state)

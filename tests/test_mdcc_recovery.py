@@ -5,11 +5,14 @@ any node can reconstruct the transaction from the options (which carry the
 txid and the full write-set keys) and drive it to a definitive outcome.
 """
 
+from repro.bench import run
 from repro.core.coordinator import MDCCCoordinator
 from repro.core.options import Option, PhysicalUpdate, RecordId
 from repro.core.messages import ProposeFast
 from repro.db.cluster import ClusterSpec, build_cluster
+from repro.faults import named_schedule
 from repro.storage.schema import Constraint, TableSchema
+from repro.workloads.micro import MicroBenchmark
 
 ITEMS = TableSchema("items", constraints={"stock": Constraint(minimum=0)})
 
@@ -181,3 +184,42 @@ class TestMasterFailover:
         o1 = cluster.sim.run_until(f1, limit=cluster.sim.now + 900_000)
         o2 = cluster.sim.run_until(f2, limit=cluster.sim.now + 900_000)
         assert o1.committed != o2.committed
+
+
+class TestFinishedRecoveriesLetGo:
+    def test_a_finished_recovery_keeps_only_its_verdict(self):
+        """After a coordinator-crash run every recovery agent holds no
+        replies, options or decisions — only the resolved future per
+        txid, which a repeated recover() returns without a second run."""
+        schedule = named_schedule(
+            "coordinator-crash", start_ms=2_000.0, duration_ms=20_000.0
+        )
+        cluster = build_cluster(
+            ClusterSpec(seed=7, master_policy=schedule.master_policy)
+        )
+        agents = []
+        add_recovery_agent = cluster.add_recovery_agent
+
+        def recording(*args, **kwargs):
+            agents.append(add_recovery_agent(*args, **kwargs))
+            return agents[-1]
+
+        cluster.add_recovery_agent = recording
+        bench = MicroBenchmark(num_items=150, min_stock=500, max_stock=1_000)
+        result = run(
+            cluster, bench, schedule, num_clients=8, warmup_ms=2_000.0,
+            measure_ms=20_000.0,
+        )
+        assert result.clean and result.recovery_outcomes
+        finished = 0
+        for agent in agents:
+            assert agent._by_txid == {} and agent._by_request == {}
+            for txid, future in agent._done.items():
+                assert future.done
+                finished += 1
+                started = cluster.counters.get("recovery.started")
+                sent = cluster.network.stats.messages_sent
+                assert agent.recover(txid, RecordId("items", "x")) is future
+                assert cluster.counters.get("recovery.started") == started
+                assert cluster.network.stats.messages_sent == sent
+        assert finished >= len(result.recovery_outcomes)

@@ -179,11 +179,11 @@ TRACE_DIGESTS = {
     "micro-mdcc": "2fc1c8d55f5f4e741ca36e079eedcf0dffacb6692be54b8bab4c377ab5b12a52",
     "micro-fast-hotspot": "526e76c2d4c18443e1e6bf7138cb014826bc15dcb119ab193c47f5d94f8e0aa1",
     "micro-multi-locality-fixed-master": "96a5387e0e827f38081de4e0406cd201b7c4175fd0edd9a1ed42670da8fe30a5",
-    "dc-outage-mdcc": "10d3acb3cc9d3cbc27bf606c7ee42cb9a46d3b4f6a9be3a9f7673235690123b8",
+    "dc-outage-mdcc": "622ef3216342744ed5a5caa26ef7ed486b8191a25a20c5d3d0c939c60000aa11",
     "dc-replace-3dc": "88d0e596650b2754c76d06b0178c07f7cf7a69d78a62b5e784b7ac8865505027",
     "geoshift-multi-adaptive": "a2ac5b4423706960d9ba7fae70bb1a07518b805d733a19de77a835d12ccac4d3",
     "micro-repcommit": "b0269ca24d9fdccefd7314c5534e8cd3bae41dc21bdf5c98663ce63d5f7003f0",
-    "coordinator-crash-mdcc": "134c6de7c651e8b84e38e160e321c291a60bae5368da93472b81ef58f71df62b",
+    "coordinator-crash-mdcc": "fe0e307fb24dd18a74f5698f98053318058ee05345d5979298a3d40cc5d477c5",
     "micro-mdcc-scarce-stock": "aa57813a0576b412d8fb28ea49f9e77a3408dd62a0d1e58ba33997bf48765a29",
 }
 
