@@ -4,19 +4,25 @@ Modules map onto the paper's pseudocode (Algorithms 1-3):
 
 * :mod:`repro.core.options` — options ω(up, ✓/✗), physical and commutative
   updates, the cstruct command type (§3.2).
-* :mod:`repro.core.config` — protocol knobs: quorum sizes, the γ fast/classic
-  policy, timeouts, and the evaluation's "MDCC"/"Fast"/"Multi" variants.
+* :mod:`repro.core.messages` — the wire messages of Algorithms 1-3.
+* :mod:`repro.core.config` — protocol knobs: the γ fast/classic policy,
+  demarcation, visibility batching, timeouts, and the evaluation's
+  "MDCC"/"Fast"/"Multi" variants.  Quorum sizes come from the placement
+  (:class:`repro.core.topology.ReplicaMap`).
+* :mod:`repro.core.fastpolicy` — when a collided record tries fast
+  ballots again (§3.3.2).
 * :mod:`repro.core.demarcation` — quorum demarcation limits for value
   constraints (§3.4.2).
 * :mod:`repro.core.state` — per-record acceptor state (ballots, cstruct,
   pending options, base values).
-* :mod:`repro.core.acceptor` — the storage-node role (Algorithm 3).
+* :mod:`repro.core.storage_node` — the acceptor role (Algorithm 3) on the
+  node that also hosts masters.
 * :mod:`repro.core.master` — the leader role: Phase 1/2, collision recovery,
   base refresh (Algorithm 2).
-* :mod:`repro.core.storage_node` — the simulated node hosting both roles.
 * :mod:`repro.core.coordinator` — the app-server transaction manager
   (Algorithm 1).
 * :mod:`repro.core.recovery` — dangling-transaction reconstruction (§3.2.3).
+* :mod:`repro.core.antientropy` — replica repair after a failure heals.
 * :mod:`repro.core.topology` — replica placement and master policies.
 """
 

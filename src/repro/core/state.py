@@ -580,13 +580,23 @@ class RecordState:
 
     def _drain_deferred(self) -> None:
         # Physical options whose read version has now been reached.
-        progressed = self._deferred_physical is not None
-        while progressed:
-            progressed = False
-            pending = self._deferred_physical.pop(self.record.current_version, None)
-            if pending is not None and not self.is_executed(pending.option_id):
-                if self._execute_physical(pending):
-                    progressed = True
+        deferred = self._deferred_physical
+        if deferred is not None:
+            progressed = True
+            while progressed and deferred:
+                progressed = False
+                pending = deferred.pop(self.record.current_version, None)
+                if pending is not None and not self.is_executed(pending.option_id):
+                    progressed = self._execute_physical(pending)
+            # A catch-up may have jumped past a held read version: such an
+            # option is superseded, as it would be on a late arrival.
+            current = self.record.current_version
+            for vread in [v for v in deferred if v < current]:
+                stale = deferred.pop(vread)
+                if not self.is_executed(stale.option_id):
+                    self._execute_physical(stale)
+            if not self._deferred_physical:
+                self._deferred_physical = None
         if self.record.exists and self._deferred_deltas:
             deferred, self._deferred_deltas = self._deferred_deltas, None
             for option in deferred:

@@ -3,12 +3,8 @@
 MDCC composes the whole Paxos family (§3): Classic Paxos as the recovery
 fallback, Multi-Paxos to reserve mastership over instance ranges, Fast
 Paxos to bypass the master, and Generalized Paxos to let commutative
-updates share a ballot.  This package implements each piece from scratch;
-the system itself (:mod:`repro.core`) runs on ballot, quorum, cstruct,
-multi and generalized — ``classic`` and ``fast`` are standalone references
-that only their own tests import (``perf/entry.py`` forbids them), and
-§3.3.1's worked example is checked against the ProvedSafe that runs in
-``tests/test_paxos_generalized.py``:
+updates share a ballot.  This package holds the pieces the roles in
+:mod:`repro.core` run on:
 
 * :mod:`repro.paxos.ballot` — fast/classic ballot numbers and instance-range
   mastership metadata ``[StartInstance, EndInstance, Fast, Ballot]``.
@@ -16,12 +12,9 @@ that only their own tests import (``perf/entry.py`` forbids them), and
   intersection requirements that make fast ballots safe.
 * :mod:`repro.paxos.cstruct` — Generalized Paxos command structures with
   the ⊑ / ⊓ / ⊔ trace-lattice operations.
-* :mod:`repro.paxos.classic` — a standalone single-decree Classic Paxos
-  (reference only).
 * :mod:`repro.paxos.multi` — mastership/lease bookkeeping for Multi-Paxos.
-* :mod:`repro.paxos.fast` — the single-value form of §3.3.1's recovery
-  value-selection rule (reference only; the master uses ``generalized``).
-* :mod:`repro.paxos.generalized` — ProvedSafe over cstructs (Algorithm 2).
+* :mod:`repro.paxos.generalized` — ProvedSafe over cstructs (Algorithm 2),
+  which is also §3.3.1's Fast Paxos collision-recovery rule.
 """
 
 from repro.paxos.ballot import Ballot, BallotRange, INITIAL_FAST_BALLOT

@@ -50,16 +50,8 @@ class Ballot:
     def __ge__(self, other: "Ballot") -> bool:
         return self.sort_key() >= other.sort_key()
 
-    @property
-    def is_classic(self) -> bool:
-        return not self.fast
-
     def next_classic(self, proposer: str) -> "Ballot":
-        """The smallest classic ballot outranking this one for ``proposer``.
-
-        Used when a master starts collision recovery: "a new unique ballot
-        number greater than m" (Algorithm 2, line 35).
-        """
+        """The smallest classic ballot outranking this one for ``proposer``."""
         if self.fast:
             # Classic outranks fast at the same round.
             return Ballot(round=self.round, fast=False, proposer=proposer)

@@ -8,19 +8,19 @@ including the current version number as part of the record, which enables a
 separate Paxos instance per record".
 
 :class:`MastershipState` is that per-record metadata as an acceptor stores
-it; :class:`MastershipTable` holds one state per record with the
-default-range optimization ("As the default meta-data for all records is
-the same, it does not need to be stored per record", §3.3.2).
+it; a record still on the default range stores no ranges at all ("As the
+default meta-data for all records is the same, it does not need to be
+stored per record", §3.3.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.paxos.ballot import Ballot, BallotRange
 
-__all__ = ["MastershipState", "MastershipTable"]
+__all__ = ["MastershipState"]
 
 
 @dataclass(slots=True)
@@ -112,44 +112,8 @@ class MastershipState:
                 out.append(existing)
         return out
 
-    def compact(self, below_instance: int) -> int:
-        """Drop ranges entirely below ``below_instance`` (closed instances)."""
-        before = len(self.ranges)
-        self.ranges = [
-            granted
-            for granted in self.ranges
-            if granted.end_instance is None or granted.end_instance >= below_instance
-        ]
-        return before - len(self.ranges)
-
 
 def _ranges_overlap(a: BallotRange, b: BallotRange) -> bool:
     a_end = float("inf") if a.end_instance is None else a.end_instance
     b_end = float("inf") if b.end_instance is None else b.end_instance
     return a.start_instance <= b_end and b.start_instance <= a_end
-
-
-class MastershipTable:
-    """Mastership states for many records, storing only non-default ones."""
-
-    def __init__(self) -> None:
-        self._states: Dict[Tuple[str, str], MastershipState] = {}
-
-    def state(self, table: str, key: str) -> MastershipState:
-        record_id = (table, key)
-        if record_id not in self._states:
-            self._states[record_id] = MastershipState()
-        return self._states[record_id]
-
-    def peek(self, table: str, key: str) -> Optional[MastershipState]:
-        """The state if explicitly created (i.e. diverged from default)."""
-        return self._states.get((table, key))
-
-    def is_fast(self, table: str, key: str, instance: int) -> bool:
-        state = self.peek(table, key)
-        if state is None:
-            return True  # implicit default: [0, ∞, fast=true, ballot=0]
-        return state.is_fast(instance)
-
-    def __len__(self) -> int:
-        return len(self._states)

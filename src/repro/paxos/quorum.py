@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Sequence
 
 __all__ = ["QuorumSpec", "classic_quorum_size", "min_fast_quorum_size"]
 
@@ -124,11 +124,3 @@ class QuorumSpec:
             )
         for combo in itertools.combinations(sorted(acceptors), self.fast_size):
             yield frozenset(combo)
-
-    def fast_intersections_with(
-        self, classic_quorum: Iterable[str], acceptors: Sequence[str]
-    ) -> Iterator[Tuple[FrozenSet[str], FrozenSet[str]]]:
-        """(fast_quorum, fast_quorum ∩ classic_quorum) pairs."""
-        classic = frozenset(classic_quorum)
-        for fast_quorum in self.possible_fast_quorums(acceptors):
-            yield fast_quorum, fast_quorum & classic

@@ -47,13 +47,13 @@ class TestBallotOrdering:
     def test_next_classic_from_fast_same_round(self):
         fast = Ballot(5, fast=True, proposer="m")
         nxt = fast.next_classic("leader")
-        assert nxt.round == 5 and nxt.is_classic
+        assert nxt.round == 5 and not nxt.fast
         assert nxt > fast
 
     def test_next_classic_from_classic_bumps_round(self):
         classic = Ballot(5, fast=False, proposer="m")
         nxt = classic.next_classic("leader")
-        assert nxt.round == 6 and nxt.is_classic
+        assert nxt.round == 6 and not nxt.fast
         assert nxt > classic
 
     def test_next_fast_bumps_round(self):

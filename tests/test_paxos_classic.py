@@ -1,9 +1,138 @@
-"""Integration tests for standalone Classic Paxos over the simulated WAN."""
+"""Single-decree Classic Paxos (§3.1.1) over the simulated WAN.
 
-from repro.paxos.classic import ClassicAcceptor, ClassicProposer
+The acceptor and proposer below are a reference in the shape of the
+textbook ``PREPARE`` / ``ACCEPT`` pair: they run on the simulator, network
+and transport the system uses, and check that substrate under message
+loss, DC failures and competing proposers.  The system's own classic path
+(per-record Phase 1 / Phase 2 in :mod:`repro.core.master`) is checked by
+``tests/test_classic_safety.py``.
+"""
+
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
+
+from repro.paxos.ballot import Ballot
+from repro.paxos.quorum import QuorumSpec
 from repro.sim.core import Simulator
 from repro.sim.network import EC2_REGIONS, LatencyModel, Network
 from repro.sim.rng import RngRegistry
+from repro.storage.partition import stable_hash
+from repro.transport.base import Node
+from repro.transport.simnet import SimTransport
+
+
+@dataclass(frozen=True)
+class Prepare:
+    ballot: Ballot
+
+
+@dataclass(frozen=True)
+class Promise:
+    ballot: Ballot
+    accepted: Optional[Tuple[Ballot, Any]]
+
+
+@dataclass(frozen=True)
+class Accept:
+    ballot: Ballot
+    value: Any
+
+
+@dataclass(frozen=True)
+class Accepted:
+    ballot: Ballot
+    value: Any
+
+
+@dataclass(frozen=True)
+class Nack:
+    promised: Ballot
+
+
+class ClassicAcceptor(Node):
+    """One promised ballot and one accepted (ballot, value)."""
+
+    def __init__(self, sim, network, node_id, dc):
+        super().__init__(SimTransport(sim, network), node_id, dc)
+        self.promised = None
+        self.accepted = None
+
+    @property
+    def accepted_value(self):
+        return self.accepted[1] if self.accepted else None
+
+    def handle_prepare(self, message, src_id):
+        if self.promised is None or message.ballot > self.promised:
+            self.promised = message.ballot
+            self.send(src_id, Promise(message.ballot, self.accepted))
+        else:
+            self.send(src_id, Nack(self.promised))
+
+    def handle_accept(self, message, src_id):
+        if self.promised is None or message.ballot >= self.promised:
+            self.promised = message.ballot
+            self.accepted = (message.ballot, message.value)
+            self.send(src_id, Accepted(message.ballot, message.value))
+        else:
+            self.send(src_id, Nack(self.promised))
+
+
+class ClassicProposer(Node):
+    """Drives one instance; ``propose`` resolves with the chosen value,
+    which is another proposer's if a quorum member already accepted it."""
+
+    def __init__(self, sim, network, node_id, dc, acceptor_ids, retry_ms=500.0):
+        super().__init__(SimTransport(sim, network), node_id, dc)
+        self.acceptor_ids = list(acceptor_ids)
+        self.quorum = QuorumSpec.for_replication(len(self.acceptor_ids)).classic_size
+        self.retry_ms = retry_ms
+        self.decision = sim.future()
+        self.round = 0
+        self.ballot = None
+
+    def propose(self, value):
+        self.value = value
+        self._prepare()
+        return self.decision
+
+    def _prepare(self):
+        self.round += 1
+        self.ballot = Ballot(self.round, fast=False, proposer=self.node_id)
+        self.promises, self.accepts, self.accept_sent = {}, set(), False
+        self.broadcast(self.acceptor_ids, Prepare(self.ballot))
+        self.set_timer(self.retry_ms + self._stagger(), self._retry, self.ballot)
+
+    def _stagger(self):
+        # Dueling proposers that retry in lockstep pre-empt each other
+        # forever; a per-proposer, per-round offset breaks the tie.
+        return self.retry_ms * (stable_hash(f"{self.node_id}:{self.round}") % 1000) / 1000
+
+    def _retry(self, ballot):
+        if not self.decision.done and ballot == self.ballot:
+            self._prepare()
+
+    def handle_promise(self, message, src_id):
+        if message.ballot != self.ballot or self.accept_sent:
+            return
+        self.promises[src_id] = message.accepted
+        if len(self.promises) < self.quorum:
+            return
+        carried = [accepted for accepted in self.promises.values() if accepted]
+        value = max(carried, key=lambda accepted: accepted[0])[1] if carried else self.value
+        self.accept_sent = True
+        self.broadcast(self.acceptor_ids, Accept(self.ballot, value))
+
+    def handle_accepted(self, message, src_id):
+        if message.ballot != self.ballot:
+            return
+        self.accepts.add(src_id)
+        if len(self.accepts) >= self.quorum:
+            self.decision.try_resolve(message.value)
+
+    def handle_nack(self, message, src_id):
+        if not self.decision.done and message.promised > self.ballot:
+            self.round = max(self.round, message.promised.round)
+            self.set_timer(self._stagger(), self._retry, self.ballot)
 
 
 def build_group(seed=1, n=5, jitter=0.0):

@@ -1,151 +1,120 @@
-"""Tests for Fast Paxos collision recovery — §3.3.1's rule and example."""
+"""Fast Paxos collision recovery — §3.3.1's single-value cases on ProvedSafe.
+
+The master recovers a collided record with
+:func:`repro.paxos.generalized.proved_safe`.  A single-value instance is a
+one-command cstruct of non-commuting updates, so each case below reads:
+(server, ballot, update) responses in, the update that must be proposed
+next out — or nothing, when no fast quorum can have chosen one.
+"""
+
+from dataclasses import dataclass
 
 import pytest
 
 from repro.paxos.ballot import Ballot
-from repro.paxos.fast import Phase1bReport, RecoveryChoice, select_recovery_value
+from repro.paxos.cstruct import CStruct
+from repro.paxos.generalized import CStructReport, proved_safe
 from repro.paxos.quorum import QuorumSpec
 
 SPEC = QuorumSpec.for_replication(5)
 ACCEPTORS = [f"s{i}" for i in range(1, 6)]  # s1..s5 as in the paper
 
 
-def report(acceptor, ballot_round, value, fast=True):
-    return Phase1bReport(
+@dataclass(frozen=True)
+class Update:
+    """A physical update: it commutes with nothing."""
+
+    command_id: str
+
+    def commutes_with(self, other):
+        return False
+
+
+def report(acceptor, ballot_round, value):
+    if ballot_round is None:
+        return CStructReport(acceptor=acceptor, ballot=None, value=None)
+    return CStructReport(
         acceptor=acceptor,
-        ballot=Ballot(ballot_round, fast=fast, proposer="") if ballot_round is not None else None,
-        value=value,
+        ballot=Ballot(ballot_round, fast=True),
+        value=CStruct([Update(value)]),
     )
+
+
+def forced(reports, spec=SPEC, acceptors=ACCEPTORS):
+    """The ids ProvedSafe makes the recovery leader propose next."""
+    return proved_safe(reports, spec, acceptors).ids
 
 
 class TestPaperExample:
     def test_section_331_worked_example(self):
         """The paper's example: responses from 4 of 5 servers:
-        (1,3,v0→v1), (2,4,v1→v2), (3,4,v1→v3), (5,4,v1→v2).
-        Intersection analysis forces v1→v2."""
-        reports = [
-            report("s1", 3, "v0->v1"),
+        (1,3,v0→v1), (2,4,v1→v2), (3,4,v1→v3), (5,4,v1→v2).  Among the
+        ballot-4 responses only s2 and s5 agree, so v1→v2 is forced."""
+        highest = [
             report("s2", 4, "v1->v2"),
             report("s3", 4, "v1->v3"),
             report("s5", 4, "v1->v2"),
         ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert not choice.is_free
-        assert choice.forced == "v1->v2"
+        assert forced(highest) == {"v1->v2"}
 
     def test_variation_no_agreeing_intersection_is_free(self):
-        # All intersections at the highest ballot disagree: leader free.
-        reports = [
-            report("s1", 4, "a"),
-            report("s2", 4, "b"),
-            report("s3", 4, "c"),
-            report("s5", 4, "d"),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.is_free
+        # Every response at the highest ballot disagrees: no fast quorum
+        # can have chosen anything, so the leader is free.
+        reports = [report(f"s{i}", 4, value) for i, value in zip((1, 2, 3, 5), "abcd")]
+        assert forced(reports) == set()
 
 
 class TestRecoveryRule:
     def test_no_votes_is_free(self):
-        reports = [report(f"s{i}", None, None) for i in (1, 2, 3)]
-        assert select_recovery_value(reports, SPEC, ACCEPTORS).is_free
+        assert forced([report(f"s{i}", None, None) for i in (1, 2, 3)]) == set()
 
     def test_unanimous_highest_ballot_forced(self):
-        reports = [
-            report("s1", 2, "v"),
-            report("s2", 2, "v"),
-            report("s3", 2, "v"),
-            report("s4", 2, "v"),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.forced == "v"
+        assert forced([report(f"s{i}", 2, "v") for i in (1, 2, 3, 4)]) == {"v"}
 
     def test_fast_quorum_already_complete_is_forced(self):
         # 4 of the responders agree: that IS a fast quorum; must re-propose.
-        reports = [
-            report("s1", 1, "chosen"),
-            report("s2", 1, "chosen"),
-            report("s3", 1, "chosen"),
-            report("s4", 1, "chosen"),
-            report("s5", 1, "other"),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.forced == "chosen"
+        reports = [report(f"s{i}", 1, "chosen") for i in (1, 2, 3, 4)]
+        reports.append(report("s5", 1, "other"))
+        assert forced(reports) == {"chosen"}
 
     def test_minority_vote_with_nonresponders_forced(self):
         # Only 3 respond; 2 agree at the highest ballot.  The fast quorum
-        # {s1, s2, s4, s5} intersects the responders in {s1, s2} which both
-        # say "v" — v may have been chosen, so it is forced.
-        reports = [
-            report("s1", 1, "v"),
-            report("s2", 1, "v"),
-            report("s3", None, None),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.forced == "v"
+        # {s1, s2, s4, s5} meets the responders in {s1, s2}, which both say
+        # "v" — v may have been chosen, so it is forced.
+        reports = [report("s1", 1, "v"), report("s2", 1, "v"), report("s3", None, None)]
+        assert forced(reports) == {"v"}
 
     def test_older_ballot_shadowed_by_higher(self):
         # s1 voted at an older ballot; the highest-ballot members rule.
-        reports = [
-            report("s1", 1, "old"),
-            report("s2", 5, "new"),
-            report("s3", 5, "new"),
-            report("s4", 5, "new"),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.forced == "new"
+        reports = [report("s1", 1, "old")] + [report(f"s{i}", 5, "new") for i in (2, 3, 4)]
+        assert forced(reports) == {"new"}
 
     def test_mixed_highest_votes_with_no_common_intersection(self):
-        # Highest ballot has two values split 2-2; every 4-member fast
-        # quorum's intersection with responders contains both values
-        # somewhere... construct: s2,s3 say A; s4,s5 say B; s1 old.
-        reports = [
-            report("s1", 1, "old"),
-            report("s2", 6, "A"),
-            report("s3", 6, "A"),
-            report("s4", 6, "B"),
-            report("s5", 6, "B"),
-        ]
-        # Fast quorum {s1,s2,s3,s4}: intersection includes s1 (did not vote
-        # at 6) -> not counted.  {s2,s3,s4,s5}: values {A,B} -> disagree.
-        # No forced value: free.
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert choice.is_free
+        # At ballot 6, s2 and s3 say A, s4 and s5 say B; s1 voted earlier.
+        # A fast quorum holding s1 cannot have chosen at 6, and the only
+        # other one, {s2, s3, s4, s5}, disagrees: nothing is forced.
+        reports = [report("s1", 1, "old")]
+        reports += [report(f"s{i}", 6, value) for i, value in zip((2, 3, 4, 5), "AABB")]
+        assert forced(reports) == set()
 
     def test_insufficient_responses_rejected(self):
         reports = [report("s1", 1, "v"), report("s2", 1, "v")]
         with pytest.raises(ValueError, match="classic quorum"):
-            select_recovery_value(reports, SPEC, ACCEPTORS)
+            proved_safe(reports, SPEC, ACCEPTORS)
 
     def test_three_replica_group(self):
         spec3 = QuorumSpec.for_replication(3)  # classic 2, fast 3
-        acceptors = ["a", "b", "c"]
         reports = [report("a", 2, "v"), report("b", None, None)]
-        choice = select_recovery_value(reports, spec3, acceptors)
-        # Only "a" voted at the highest ballot; the paper's conservative
-        # rule re-proposes its value (safe: nothing else can have been
-        # chosen, and re-proposing a free value is always allowed).
-        assert choice.forced == "v"
+        # b answered without voting at ballot 2, so no fast quorum chose
+        # there; re-proposing the one reported value is safe and keeps it.
+        assert forced(reports, spec3, ["a", "b", "c"]) == {"v"}
 
     def test_split_with_singleton_intersections_picks_deterministically(self):
         # Q = {s1, s2, s4}; s2 says A, s4 says B, s1 voted at an older
-        # ballot.  Nothing can have been chosen (any fast quorum needs 4
-        # members but A's supporters ⊆ {s2, s3, s5} after excluding voters
-        # of other values).  The rule picks one candidate deterministically
-        # rather than stalling.
-        reports = [
-            report("s1", 1, "old"),
-            report("s2", 6, "A"),
-            report("s4", 6, "B"),
-        ]
-        choice = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert not choice.is_free
-        assert choice.forced in ("A", "B")
-        # Deterministic: repeated calls agree.
-        again = select_recovery_value(reports, SPEC, ACCEPTORS)
-        assert again.forced == choice.forced
-
-    def test_choice_constructors(self):
-        assert RecoveryChoice.free().is_free
-        forced = RecoveryChoice.must_propose("x")
-        assert not forced.is_free and forced.forced == "x"
+        # ballot.  The one fast quorum without s1, {s2, s3, s4, s5}, meets
+        # Q in {s2, s4}, which disagree: nothing can have been chosen, and
+        # repeated calls agree on that.
+        reports = [report("s1", 1, "old"), report("s2", 6, "A"), report("s4", 6, "B")]
+        first = proved_safe(reports, SPEC, ACCEPTORS)
+        assert first.ids == set()
+        assert proved_safe(reports, SPEC, ACCEPTORS).trace_equal(first)

@@ -1,7 +1,7 @@
 """Unit tests for Multi-Paxos mastership ranges."""
 
 from repro.paxos.ballot import Ballot, BallotRange, INITIAL_FAST_BALLOT
-from repro.paxos.multi import MastershipState, MastershipTable
+from repro.paxos.multi import MastershipState
 
 
 def classic(round_, proposer="m"):
@@ -90,34 +90,3 @@ class TestMastershipState:
         assert state.grant(BallotRange(100, None, fast(2)))
         assert not state.is_fast(99)
         assert state.is_fast(100)
-
-    def test_compact_drops_closed_ranges(self):
-        state = MastershipState()
-        state.grant(BallotRange(0, 9, classic(1)))
-        state.grant(BallotRange(10, 19, classic(2)))
-        state.grant(BallotRange(20, None, classic(3)))
-        removed = state.compact(below_instance=15)
-        assert removed == 1
-        assert state.effective_ballot(12) == classic(2)
-
-
-class TestMastershipTable:
-    def test_default_records_not_materialized(self):
-        table = MastershipTable()
-        assert table.is_fast("items", "k1", 0)
-        assert table.peek("items", "k1") is None
-        assert len(table) == 0
-
-    def test_state_created_on_demand(self):
-        table = MastershipTable()
-        state = table.state("items", "k1")
-        state.grant(BallotRange(0, 10, classic(1)))
-        assert not table.is_fast("items", "k1", 5)
-        assert table.is_fast("items", "k2", 5)
-        assert len(table) == 1
-
-    def test_same_key_different_table_isolated(self):
-        table = MastershipTable()
-        table.state("items", "k").grant(BallotRange(0, None, classic(1)))
-        assert table.is_fast("orders", "k", 0)
-        assert not table.is_fast("items", "k", 0)

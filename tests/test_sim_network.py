@@ -117,6 +117,25 @@ class TestDelivery:
         assert count == 5
         assert all(len(s.received) == 1 for s in sinks)
 
+    def test_send_draws_the_delays_one_way_samples(self):
+        # Network.send inlines LatencyModel.one_way and random.gauss; with
+        # jitter on, each send's delay must equal one_way's next sample
+        # from an identically seeded model, one for one.
+        seed, sigma = 11, 0.2
+        sim, network = build(seed=seed, jitter=sigma)
+        nodes = [Recorder(sim, network, f"n{i}", dc) for i, dc in enumerate(EC2_REGIONS)]
+        pairs = [(i % 5, (3 * i + 1) % 5) for i in range(301)]
+        for seq, (src, dst) in enumerate(pairs):
+            nodes[src].send(nodes[dst].node_id, seq)
+        sim.run()
+        delays = dict(
+            (message, arrival) for node in nodes for arrival, message, _src in node.received
+        )
+        reference = LatencyModel(jitter_sigma=sigma, rng_registry=RngRegistry(seed=seed))
+        expected = [reference.one_way(nodes[a].dc, nodes[b].dc) for a, b in pairs]
+        assert any(nodes[a].dc == nodes[b].dc for a, b in pairs)
+        assert [delays[seq] for seq in range(len(pairs))] == expected
+
     def test_duplicate_node_id_rejected(self):
         sim, network = build()
         Recorder(sim, network, "dup", "us-west")

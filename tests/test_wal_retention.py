@@ -11,7 +11,8 @@ by how long the run has been going:
   window put it, while appends grow with the window;
 * after a DC outage heals and anti-entropy has repaired it, no node
   retains an entry either: every option a replica decided reaches an
-  outcome there, also one it rejected locally or dropped unsettled.
+  outcome there, also one it rejected locally or dropped unsettled, and
+  no record still holds a physical visibility its catch-up superseded.
 """
 
 import pytest
@@ -99,6 +100,16 @@ def test_after_an_outage_heals_only_open_outcomes_are_kept(protocol):
     retained = sum(node.wal.retained for node in cluster.storage_nodes.values())
     assert appended > 0
     assert retained == 0
+    # Nor does any record hold a physical visibility for a read version
+    # its catch-up already jumped past.
+    stale = [
+        vread
+        for node in cluster.storage_nodes.values()
+        for state in node._states.values()
+        for vread in state._deferred_physical or ()
+        if vread < state.version
+    ]
+    assert stale == []
 
 
 def test_outage_lag_is_repaired_by_catch_up_without_recovery():
