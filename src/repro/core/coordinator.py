@@ -204,7 +204,7 @@ class MDCCCoordinator(Node):
         return self.dc if self.dc in datacenters else datacenters[0]
 
     # ------------------------------------------------------------------
-    # Reads (local replica by default; see repro.db.reads for strategies)
+    # Reads (the local replica unless ``dc`` pins another)
     # ------------------------------------------------------------------
     def read(self, table: str, key: str, dc: Optional[str] = None) -> Future:
         """Read the committed state of (table, key) from one replica.

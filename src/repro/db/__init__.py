@@ -6,8 +6,6 @@
   which deploys one over the simulator.
 * :mod:`repro.db.client` — the transaction API used by workloads: read /
   write / delete / delta, then commit.
-* :mod:`repro.db.reads` — read strategies of §4.2: local (default), quorum
-  (latest), pseudo-master.
 * :mod:`repro.db.checkers` — post-simulation consistency auditors.
 """
 

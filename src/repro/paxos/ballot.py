@@ -50,17 +50,6 @@ class Ballot:
     def __ge__(self, other: "Ballot") -> bool:
         return self.sort_key() >= other.sort_key()
 
-    def next_classic(self, proposer: str) -> "Ballot":
-        """The smallest classic ballot outranking this one for ``proposer``."""
-        if self.fast:
-            # Classic outranks fast at the same round.
-            return Ballot(round=self.round, fast=False, proposer=proposer)
-        return Ballot(round=self.round + 1, fast=False, proposer=proposer)
-
-    def next_fast(self, proposer: str = "") -> "Ballot":
-        """The smallest fast ballot strictly above this one."""
-        return Ballot(round=self.round + 1, fast=True, proposer=proposer)
-
     def __repr__(self) -> str:
         kind = "F" if self.fast else "C"
         suffix = f"@{self.proposer}" if self.proposer else ""

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Sequence
+from typing import FrozenSet, Iterator, Sequence
 
 __all__ = ["QuorumSpec", "classic_quorum_size", "min_fast_quorum_size"]
 
@@ -90,12 +90,6 @@ class QuorumSpec:
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def is_classic_quorum(self, members: Iterable[object]) -> bool:
-        return len(set(members)) >= self.classic_size
-
-    def is_fast_quorum(self, members: Iterable[object]) -> bool:
-        return len(set(members)) >= self.fast_size
-
     def fast_unreachable(self, positive: int, total_responses: int) -> bool:
         """True once a fast quorum can no longer agree on one outcome.
 

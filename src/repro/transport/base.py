@@ -245,15 +245,6 @@ class Transport:
         """Detach a local node (decommission)."""
         raise NotImplementedError
 
-    def base_rtt(self, dc_a: str, dc_b: str) -> float:
-        """Advisory round-trip estimate between two data centers (ms).
-
-        Read strategies use it to order replicas nearest-first.  Backends
-        without link knowledge may return a constant — ordering then
-        degrades gracefully to the caller's input order.
-        """
-        return 0.0 if dc_a == dc_b else 1.0
-
 
 class Node:
     """A protocol actor: unique id, home data center, message dispatch.

@@ -73,6 +73,3 @@ class SimTransport(Transport):
 
     def deregister(self, node_id: str) -> None:
         self.network.deregister(node_id)
-
-    def base_rtt(self, dc_a: str, dc_b: str) -> float:
-        return self.network.latency.base_rtt(dc_a, dc_b)

@@ -74,7 +74,7 @@ from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Option
 from collections import deque
 
 from repro.sim.core import Process
-from repro.sim.network import DEFAULT_RTT_MATRIX, LinkPolicy, Network
+from repro.sim.network import LinkPolicy, Network
 from repro.trace import runtime as trace_runtime
 from repro.transport import codec as wire
 from repro.transport.base import Future, Node, Transport, TransportError, all_of
@@ -280,13 +280,6 @@ class AsyncioTcpTransport(Transport):
         if not future.done:
             raise TransportError(f"future unresolved at time limit {limit} ms")
         return future.result()
-
-    def base_rtt(self, dc_a: str, dc_b: str) -> float:
-        # Advisory only (read-strategy ordering); reuse the evaluation's
-        # EC2 distance table when it knows both regions.
-        if dc_a == dc_b:
-            return 0.0
-        return DEFAULT_RTT_MATRIX.get(frozenset((dc_a, dc_b)), 1.0)
 
     def send(self, src_id: str, dst_id: str, message: object) -> None:
         if self._closed:

@@ -1,4 +1,4 @@
-"""Tests for the DB layer: read strategies, checkers, topology, config."""
+"""Tests for the DB layer: reads, checkers, topology, config."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.db.checkers import (
     check_replica_convergence,
 )
 from repro.db.cluster import ClusterSpec, build_cluster
-from repro.db.reads import local_read, pseudo_master_read, quorum_read
 from repro.sim.network import EC2_REGIONS
 from repro.storage.schema import Constraint, TableSchema
 
@@ -43,6 +42,10 @@ class TestTopology:
             placement.partition_of("items", f"k{i}") for i in range(200)
         }
         assert partitions == {0, 1, 2, 3}
+
+    def test_partition_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="partitions_per_table"):
+            ClusterSpec(partitions_per_table=0)
 
     def test_same_key_same_partition_everywhere(self):
         placement = ReplicaMap(["a", "b", "c"], partitions_per_table=4)
@@ -102,6 +105,10 @@ class TestConfig:
 
 
 class TestReadStrategies:
+    """§4.2's reads as the protocols run them: an MDCC client reads its
+    local replica (cheap, may be stale); Replicated Commit reads a majority
+    of data centers and keeps the freshest reply; ``dc=`` pins one replica."""
+
     def _commit_remote_write(self, cluster):
         """Write via a client in ap-southeast; return the writer client."""
         client = cluster.add_client("ap-southeast")
@@ -111,13 +118,15 @@ class TestReadStrategies:
         cluster.sim.run_until(tx.commit(), limit=cluster.sim.now + 120_000)
         return client
 
+    def _cut_off_us_west(self, cluster):
+        for dc in ("ap-southeast", "us-east", "eu-west", "ap-northeast"):
+            cluster.network.partition("us-west", dc)
+
     def test_local_read_returns_committed(self):
         cluster = make_cluster(seed=31)
         cluster.load_record("items", "i", {"stock": 10})
         client = cluster.add_client("us-west")
-        reply = cluster.sim.run_until(
-            local_read(client, "items", "i"), limit=30_000
-        )
+        reply = cluster.sim.run_until(client.read("items", "i"), limit=30_000)
         assert reply.value == {"stock": 10}
 
     def test_local_read_can_be_stale(self):
@@ -125,42 +134,39 @@ class TestReadStrategies:
         value — the staleness §4.2 describes."""
         cluster = make_cluster(seed=32)
         cluster.load_record("items", "i", {"stock": 10})
-        # Cut off us-west so it misses the update.
-        cluster.network.partition("us-west", "ap-southeast")
-        cluster.network.partition("us-west", "us-east")
-        cluster.network.partition("us-west", "eu-west")
-        cluster.network.partition("us-west", "ap-northeast")
+        self._cut_off_us_west(cluster)  # so it misses the update
         self._commit_remote_write(cluster)  # commits via the other 4 DCs
         reader = cluster.add_client("us-west")
         reply = cluster.sim.run_until(
-            local_read(reader, "items", "i"), limit=cluster.sim.now + 30_000
+            reader.read("items", "i"), limit=cluster.sim.now + 30_000
         )
         assert reply.value == {"stock": 10}  # stale
 
-    def test_quorum_read_sees_latest(self):
-        cluster = make_cluster(seed=33)
+    def test_majority_read_sees_latest(self):
+        cluster = make_cluster(protocol="repcommit", seed=33)
         cluster.load_record("items", "i", {"stock": 10})
-        cluster.network.partition("us-west", "ap-southeast")
-        cluster.network.partition("us-west", "us-east")
-        cluster.network.partition("us-west", "eu-west")
-        cluster.network.partition("us-west", "ap-northeast")
+        self._cut_off_us_west(cluster)
         self._commit_remote_write(cluster)
         for dc in ("us-east", "eu-west", "ap-northeast"):
             cluster.network.heal_partition("us-west", dc)
         reader = cluster.add_client("us-west")
         reply = cluster.sim.run_until(
-            quorum_read(reader, "items", "i"), limit=cluster.sim.now + 60_000
+            reader.read("items", "i"), limit=cluster.sim.now + 60_000
         )
-        assert reply.value == {"stock": 1}  # the freshest of a quorum
+        assert reply.value == {"stock": 1}  # the freshest of a majority
 
     def test_pseudo_master_read_targets_master_dc(self):
         cluster = make_cluster(seed=34)
-        cluster.load_record("items", "i", {"stock": 10})
+        # A record mastered away from the reader, so the round trip shows.
+        key, master_dc = next(
+            (key, cluster.placement.master_dc(RecordId("items", key)))
+            for key in (f"i{n}" for n in range(100))
+            if cluster.placement.master_dc(RecordId("items", key)) != "us-west"
+        )
+        cluster.load_record("items", key, {"stock": 10})
         reader = cluster.add_client("us-west")
-        record = RecordId("items", "i")
-        master_dc = cluster.placement.master_dc(record)
         reply = cluster.sim.run_until(
-            pseudo_master_read(reader, "items", "i"),
+            reader.read("items", key, dc=master_dc),
             limit=cluster.sim.now + 60_000,
         )
         assert reply.value == {"stock": 10}

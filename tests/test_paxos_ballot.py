@@ -44,24 +44,6 @@ class TestBallotOrdering:
         assert INITIAL_FAST_BALLOT.round == 0
         assert Ballot(0, fast=False) > INITIAL_FAST_BALLOT
 
-    def test_next_classic_from_fast_same_round(self):
-        fast = Ballot(5, fast=True, proposer="m")
-        nxt = fast.next_classic("leader")
-        assert nxt.round == 5 and not nxt.fast
-        assert nxt > fast
-
-    def test_next_classic_from_classic_bumps_round(self):
-        classic = Ballot(5, fast=False, proposer="m")
-        nxt = classic.next_classic("leader")
-        assert nxt.round == 6 and not nxt.fast
-        assert nxt > classic
-
-    def test_next_fast_bumps_round(self):
-        ballot = Ballot(5, fast=False, proposer="m")
-        nxt = ballot.next_fast()
-        assert nxt.round == 6 and nxt.fast
-        assert nxt > ballot
-
 
 class TestBallotRange:
     def test_default_range_matches_paper(self):

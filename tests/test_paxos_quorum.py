@@ -75,17 +75,6 @@ class TestSizes:
 
 
 class TestPredicates:
-    def test_is_quorum(self):
-        spec = QuorumSpec.for_replication(5)
-        assert spec.is_classic_quorum(["a", "b", "c"])
-        assert not spec.is_classic_quorum(["a", "b"])
-        assert spec.is_fast_quorum(["a", "b", "c", "d"])
-        assert not spec.is_fast_quorum(["a", "b", "c"])
-
-    def test_duplicates_do_not_inflate_quorum(self):
-        spec = QuorumSpec.for_replication(5)
-        assert not spec.is_classic_quorum(["a", "a", "a"])
-
     def test_fast_unreachable(self):
         spec = QuorumSpec.for_replication(5)  # fast quorum = 4
         # 2 positive, 2 responded-negative, 1 outstanding: max 3 < 4.
@@ -106,7 +95,7 @@ class TestPredicates:
         with pytest.raises(ValueError):
             list(spec.possible_fast_quorums(["a", "b"]))
 
-    def test_fast_intersections_with(self):
+    def test_possible_fast_quorums_meet_every_classic_quorum(self):
         # §3.3.1 recovery reads a fast quorum's votes off a classic
         # quorum's responses: at n = 5 every fast quorum meets every
         # classic quorum.

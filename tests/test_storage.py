@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.storage import (
     Constraint,
-    HashPartitioner,
-    RangePartitioner,
     Record,
     RecordStore,
     Snapshot,
@@ -222,44 +220,6 @@ class TestPartitioners:
     def test_stable_hash_deterministic(self):
         assert stable_hash("item:1") == stable_hash("item:1")
         assert stable_hash("item:1") != stable_hash("item:2")
-
-    def test_hash_partitioner_covers_range(self):
-        p = HashPartitioner(4)
-        partitions = {p.partition_of(f"k{i}") for i in range(200)}
-        assert partitions == {0, 1, 2, 3}
-
-    def test_hash_partitioner_requires_positive(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0)
-
-    def test_range_partitioner_basic(self):
-        p = RangePartitioner(["m"])
-        assert p.partition_of("a") == 0
-        assert p.partition_of("m") == 1  # boundary is exclusive lower bound
-        assert p.partition_of("z") == 1
-        assert p.num_partitions == 2
-
-    def test_range_partitioner_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            RangePartitioner(["m", "a"])
-
-    def test_range_partitioner_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            RangePartitioner(["m", "m"])
-
-    def test_even_over_keys_balances(self):
-        keys = [f"item:{i:05d}" for i in range(1000)]
-        p = RangePartitioner.even_over_keys(keys, 4)
-        counts = [0, 0, 0, 0]
-        for key in keys:
-            counts[p.partition_of(key)] += 1
-        assert p.num_partitions == 4
-        assert max(counts) - min(counts) <= 1
-
-    def test_even_over_keys_single_partition(self):
-        p = RangePartitioner.even_over_keys(["a", "b"], 1)
-        assert p.num_partitions == 1
-        assert p.partition_of("zzz") == 0
 
 
 class TestWriteAheadLog:

@@ -107,13 +107,6 @@ def test_all_of_and_any_of_combinators():
     assert combined.result() == ["a", "b", "c"]
 
 
-def test_base_rtt_exposes_latency_matrix():
-    _sim, transport = _make_transport()
-    assert transport.base_rtt("us-west", "us-west") < transport.base_rtt(
-        "us-west", "eu-west"
-    )
-
-
 def test_deregister_stops_delivery():
     sim, transport = _make_transport()
     a = Receiver(transport, "a", "us-west")
