@@ -221,6 +221,11 @@ class TestPartitioners:
         assert stable_hash("item:1") == stable_hash("item:1")
         assert stable_hash("item:1") != stable_hash("item:2")
 
+    def test_hash_partitioner_covers_range(self):
+        # the placement rule ReplicaMap.partition_of applies
+        partitions = {stable_hash(f"items:k{i}") % 4 for i in range(200)}
+        assert partitions == {0, 1, 2, 3}
+
 
 class TestWriteAheadLog:
     def test_append_assigns_monotonic_lsns(self):
